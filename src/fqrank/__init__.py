@@ -50,6 +50,7 @@ from .field import (
     FieldCtx,
     FieldSpec,
     FieldTooLarge,
+    FqrankError,
     field_from_order,
     make_field,
     parse_field_spec,

@@ -27,12 +27,12 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .counting import entry_bias
-from .field import FieldCtx
+from .field import FieldCtx, FqrankError
 
 MAX_TUPLE_TABLE = 1 << 20
 
 
-class BadSubset(ValueError):
+class BadSubset(FqrankError):
     """Raised when an index subset does not match the ambient arity."""
 
 
@@ -40,7 +40,7 @@ class MissingComponent(KeyError):
     """Raised when a component map lacks one of the required subsets."""
 
 
-class NotSupportedOnUnits(ValueError):
+class NotSupportedOnUnits(FqrankError):
     """Raised when a transform input has mass on a zero coordinate."""
 
 
@@ -173,9 +173,9 @@ class FunctionTable:
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.shape != (self.q,) * arr.ndim:
-            raise ValueError(f"expected shape {(self.q,) * arr.ndim}, got {arr.shape}")
+            raise FqrankError(f"expected shape {(self.q,) * arr.ndim}, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("function values must be finite")
+            raise FqrankError("function values must be finite")
         # np.ascontiguousarray would promote 0-d to shape (1,); keep arity 0
         arr = np.array(arr, dtype=np.complex128, order="C")
         arr.setflags(write=False)
@@ -207,7 +207,7 @@ def _check_subset(f: FunctionTable, subset: IndexSubset) -> None:
 
 def _check_tuple_cap(q: int, t: int) -> None:
     if (q - 1) ** t > MAX_TUPLE_TABLE:
-        raise ValueError(
+        raise FqrankError(
             f"character-tuple table (q-1)^t = {(q - 1) ** t} exceeds {MAX_TUPLE_TABLE}"
         )
 
@@ -283,7 +283,7 @@ def fourier_transform(
     """
     q = table.field.q
     if f.q != q:
-        raise ValueError(f"function over GF({f.q}), table over GF({q})")
+        raise FqrankError(f"function over GF({f.q}), table over GF({q})")
     t = f.arity
     _check_tuple_cap(q, t)
     off = off_units_magnitude(f)
@@ -306,7 +306,7 @@ def fourier_inverse(fhat: np.ndarray, table: CharacterTable) -> FunctionTable:
     fhat = np.asarray(fhat, dtype=np.complex128)
     t = fhat.ndim
     if fhat.shape != (q - 1,) * t:
-        raise ValueError(f"expected shape {(q - 1,) * t}, got {fhat.shape}")
+        raise FqrankError(f"expected shape {(q - 1,) * t}, got {fhat.shape}")
     out = fhat
     for _ in range(t):
         out = np.moveaxis(np.tensordot(table.mult, out, axes=([0], [0])), 0, t - 1)
@@ -324,11 +324,11 @@ def fourier_coefficient(
     """
     q = table.field.q
     if len(chis) != f.arity:
-        raise ValueError(f"{len(chis)} characters for arity {f.arity}")
+        raise FqrankError(f"{len(chis)} characters for arity {f.arity}")
     block = _units_block(f.values)
     for chi in chis:
         if not 0 <= chi < q - 1:
-            raise ValueError(f"character index {chi} outside range({q - 1})")
+            raise FqrankError(f"character index {chi} outside range({q - 1})")
         block = np.tensordot(np.conj(table.mult[chi, 1:]), block, axes=([0], [0]))
     return complex(block) / (q - 1) ** f.arity
 
@@ -349,7 +349,7 @@ def component_transform_from_embedded(
     _check_subset(f, subset)
     members = subset.members()
     if len(chis) != len(members):
-        raise ValueError(f"{len(chis)} characters for subset of size {len(members)}")
+        raise FqrankError(f"{len(chis)} characters for subset of size {len(members)}")
     required = 0
     for pos, k in enumerate(members):
         if chis[pos] != 0:
@@ -390,9 +390,9 @@ def mobius_fourier_reconstruct(f: FunctionTable, table: CharacterTable) -> Funct
 def sum_indicator(ctx: FieldCtx, a: int, r: int) -> FunctionTable:
     """Indicator of tuples whose field sum of coordinates equals a."""
     if not 0 <= a < ctx.q:
-        raise ValueError(f"element {a} outside range({ctx.q})")
+        raise FqrankError(f"element {a} outside range({ctx.q})")
     if r < 0:
-        raise ValueError(f"arity must be >= 0, got {r}")
+        raise FqrankError(f"arity must be >= 0, got {r}")
     sums = np.zeros((), dtype=np.int16)
     coords = np.arange(ctx.q, dtype=np.int16)
     for _ in range(r):
@@ -404,7 +404,7 @@ def jacobi_embedded_trivial(q: int, a: int, tsize: int) -> Fraction:
     """Closed form for the all-trivial transform coefficient of a zero-filled
     restriction of the sum indicator: 1/q - entry_bias(q,a)/(1-q)^tsize."""
     if tsize < 0:
-        raise ValueError(f"tsize must be >= 0, got {tsize}")
+        raise FqrankError(f"tsize must be >= 0, got {tsize}")
     return Fraction(1, q) - entry_bias(q, a) / Fraction((1 - q) ** tsize)
 
 
@@ -412,7 +412,7 @@ def jacobi_component_trivial(q: int, a: int, ssize: int) -> Fraction:
     """Closed form for the all-trivial transform coefficient of a Moebius
     component of the sum indicator: [ssize=0]/q - entry_bias*(1/q-1)^(-ssize)."""
     if ssize < 0:
-        raise ValueError(f"ssize must be >= 0, got {ssize}")
+        raise FqrankError(f"ssize must be >= 0, got {ssize}")
     lead = Fraction(1, q) if ssize == 0 else Fraction(0)
     return lead - entry_bias(q, a) * (Fraction(1, q) - 1) ** (-ssize)
 
@@ -440,6 +440,8 @@ def verification_battery(
     name the identity; each value carries the max residual observed, the
     tolerance, and the verdict.
     """
+    if r < 0 or trials < 1:
+        raise FqrankError(f"need r >= 0 and trials >= 1, got r={r}, trials={trials}")
     _check_tuple_cap(ctx.q, r)
     table = character_table(ctx)
     rng = np.random.default_rng(seed)

@@ -22,7 +22,6 @@ import numpy as np
 from .characters import verification_battery
 from .counting import (
     MomentParams,
-    RankOutOfRange,
     asymptotic_ct_mean,
     asymptotic_ct_variance,
     full_rank_pair_prob_exact,
@@ -30,26 +29,13 @@ from .counting import (
     subset_bias,
     tv_closed_form_exact,
 )
-from .field import CompositeCharacteristic, FieldCtx, FieldTooLarge, parse_field_spec
-from .matrices import (
-    DimensionMismatch,
-    FieldMismatch,
-    SubsetA,
-    dump_matrix,
-    load_matrix,
-)
-from .sampling import SeedSpec, product_sampler, uniform_matrix, uniform_rank_r
-from .stats import (
-    DegenerateSubset,
-    TooLargeToEnumerate,
-    decompose_ct,
-    exact_distribution,
-    normal_cdf,
-    run_clt,
-)
+from .field import FieldCtx, FqrankError, parse_field_spec
+from .matrices import SubsetA, dump_matrix, load_matrix, mat_mul
+from .sampling import SeedSpec, draw_factor_pair, uniform_matrix
+from .stats import decompose_ct, exact_distribution, normal_cdf, run_clt
 
 
-class UsageError(ValueError):
+class UsageError(FqrankError):
     """Bad flag values; rendered on stderr with exit code 2."""
 
 
@@ -84,7 +70,7 @@ def _rational(value: Fraction) -> dict:
 def _field_from_args(args: argparse.Namespace) -> FieldCtx:
     try:
         return parse_field_spec(args.field)
-    except (CompositeCharacteristic, FieldTooLarge, ValueError) as exc:
+    except FqrankError as exc:
         raise UsageError(f"--field: {exc}") from exc
 
 
@@ -117,6 +103,12 @@ def _seed_flag(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise UsageError(f"--seed: {seed} does not fit in 64 bits")
     return seed
+
+
+def _count_flag(count: int) -> int:
+    if count < 1:
+        raise UsageError(f"--count: need at least 1, got {count}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +145,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     m, n, r = args.m, args.n, args.r
-    if args.mode == "exact":
-        _check_rank_flag(r, m, n)
-    elif r < 1:
-        raise UsageError(f"--r: product mode needs r >= 1, got {r}")
     spec = SeedSpec(_seed_flag(args.seed))
-    mats = []
-    for i in range(args.count):
-        rng = spec.stream(i)
-        if args.mode == "exact":
-            mats.append(uniform_rank_r(ctx, m, n, r, rng))
-        else:
-            mats.append(product_sampler(ctx, m, n, r, rng))
+    count = _count_flag(args.count)
+    try:
+        mats = [
+            mat_mul(*draw_factor_pair(ctx, m, n, r, spec.stream(i), args.mode))
+            for i in range(count)
+        ]
+    except FqrankError as exc:  # the draw checks the shape flags for its mode
+        raise UsageError(f"--m/--n/--r: {exc}") from exc
     if args.format == "text":
         sys.stdout.write("\n".join(dump_matrix(mat) for mat in mats))
     else:
@@ -240,7 +229,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
         if r < 0:
             raise UsageError(f"--r: rank {r} is negative")
         spec = SeedSpec(_seed_flag(args.seed))
-        for i in range(args.count):
+        for i in range(_count_flag(args.count)):
             rng = spec.stream(i)
             x = uniform_matrix(ctx, m, r, rng)
             y = uniform_matrix(ctx, r, n, rng)
@@ -272,7 +261,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     if (ctx.q - 1) ** args.r > 1 << 20:
         raise UsageError(f"--r: character table (q-1)^r too large at q={ctx.q}")
-    report = verification_battery(ctx, r=args.r, seed=args.seed, trials=args.trials)
+    report = verification_battery(
+        ctx, r=args.r, seed=_seed_flag(args.seed), trials=args.trials
+    )
     failures = [name for name, entry in report.items() if not entry["ok"]]
     out = {
         "q": ctx.q,
@@ -292,12 +283,6 @@ def _cmd_clt(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     subset = _subset_from_args(args, ctx.q)
     _check_rank_flag(args.r, args.m, args.n)
-    _seed_flag(args.seed)
-    if args.N < 100:
-        raise UsageError(f"--N: need at least 100 samples, got {args.N}")
-    params = MomentParams(q=ctx.q, r=args.r, m=args.m, n=args.n, subset=subset)
-    if asymptotic_ct_variance(params) == 0:
-        raise UsageError("--A: variance scale is zero for this subset (or r = 0)")
     report = run_clt(
         ctx,
         subset,
@@ -305,7 +290,7 @@ def _cmd_clt(args: argparse.Namespace) -> int:
         args.m,
         args.n,
         args.N,
-        args.seed,
+        _seed_flag(args.seed),
         mode=args.mode,
         workers=args.workers,
         bins=args.bins,
@@ -412,21 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        CompositeCharacteristic,
-        FieldTooLarge,
-        RankOutOfRange,
-        DegenerateSubset,
-        TooLargeToEnumerate,
-        DimensionMismatch,
-        FieldMismatch,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FqrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import FqrankError
 from .matrices import SubsetA
 
 
-class RankOutOfRange(ValueError):
+class RankOutOfRange(FqrankError):
     """Raised when a target rank is negative or exceeds a dimension bound."""
 
 
@@ -36,7 +37,7 @@ def rank_count(q: int, s: int, t: int, r: int) -> Fraction:
     (returned as a Fraction with denominator 1).
     """
     if q < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
+        raise FqrankError(f"field order must be >= 2, got {q}")
     _check_rank(r, s, t)
     out = Fraction(1)
     for i in range(r):
@@ -49,7 +50,7 @@ def full_rank_pair_prob_exact(q: int, m: int, n: int, r: int) -> Fraction:
     """Probability that independent uniform m x r and r x n matrices both
     have rank r: prod_{i=0}^{r-1} (1 - q^(i-m))(1 - q^(i-n))."""
     if q < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
+        raise FqrankError(f"field order must be >= 2, got {q}")
     _check_rank(r, m, n)
     out = Fraction(1)
     for i in range(r):
@@ -76,14 +77,14 @@ def entry_bias(q: int, a: int) -> Fraction:
     """Deviation coefficient of a single entry value: 1/q - 1 for the zero
     element, 1/q otherwise."""
     if not 0 <= a < q:
-        raise ValueError(f"element {a} outside range({q})")
+        raise FqrankError(f"element {a} outside range({q})")
     return Fraction(1, q) - (1 if a == 0 else 0)
 
 
 def subset_bias(q: int, subset: SubsetA) -> Fraction:
     """Sum of entry_bias over the subset: |A|/q - [0 in A]."""
     if subset.q != q:
-        raise ValueError(f"subset over GF({subset.q}), expected GF({q})")
+        raise FqrankError(f"subset over GF({subset.q}), expected GF({q})")
     return Fraction(subset.size, q) - (1 if 0 in subset else 0)
 
 
@@ -99,13 +100,13 @@ class MomentParams:
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
-            raise ValueError(f"dimensions must be >= 1, got {self.m} x {self.n}")
+            raise FqrankError(f"dimensions must be >= 1, got {self.m} x {self.n}")
         if not 0 <= self.r <= min(self.m, self.n):
             raise RankOutOfRange(
                 f"rank {self.r} not in [0, min({self.m}, {self.n})]"
             )
         if self.subset.q != self.q:
-            raise ValueError(
+            raise FqrankError(
                 f"subset over GF({self.subset.q}), params say GF({self.q})"
             )
 

@@ -29,11 +29,18 @@ import numpy as np
 MAX_ORDER = 4096
 
 
-class CompositeCharacteristic(ValueError):
+class FqrankError(ValueError):
+    """Base of every error raised for bad input to the library.
+
+    The command line reports any of them on stderr with exit code 2.
+    """
+
+
+class CompositeCharacteristic(FqrankError):
     """Raised when the requested characteristic is not a prime number."""
 
 
-class FieldTooLarge(ValueError):
+class FieldTooLarge(FqrankError):
     """Raised when the requested field order exceeds ``MAX_ORDER``."""
 
 
@@ -339,13 +346,13 @@ def make_field(p: int, e: int) -> FieldCtx:
     """Construct (and cache) the field GF(p^e).
 
     Raises :class:`CompositeCharacteristic` if p is not prime,
-    :class:`FieldTooLarge` if p**e exceeds ``MAX_ORDER``, and ``ValueError``
-    for a non-positive extension degree.
+    :class:`FieldTooLarge` if p**e exceeds ``MAX_ORDER``, and
+    :class:`FqrankError` for a non-positive extension degree.
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise TypeError("p and e must be plain ints")
     if e < 1:
-        raise ValueError(f"extension degree must be >= 1, got {e}")
+        raise FqrankError(f"extension degree must be >= 1, got {e}")
     if not _is_prime(p):
         raise CompositeCharacteristic(f"characteristic {p} is not prime")
     q = p**e
@@ -360,7 +367,7 @@ def make_field(p: int, e: int) -> FieldCtx:
 def field_from_order(q: int) -> FieldCtx:
     """Construct GF(q) from a prime-power order."""
     if q < 2:
-        raise ValueError(f"field order must be >= 2, got {q}")
+        raise FqrankError(f"field order must be >= 2, got {q}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise CompositeCharacteristic(f"{q} is not a prime power")
@@ -375,8 +382,10 @@ def field_from_order(q: int) -> FieldCtx:
 
 def parse_field_spec(text: str) -> FieldCtx:
     """Parse "p^e" or a plain prime-power integer into a field."""
-    text = text.strip()
-    if "^" in text:
-        left, _, right = text.partition("^")
-        return make_field(int(left), int(right))
-    return field_from_order(int(text))
+    left, caret, right = text.strip().partition("^")
+    try:
+        p = int(left)
+        e = int(right) if caret else None
+    except ValueError as exc:
+        raise FqrankError(f"expected 'p^e' or a prime power, got {text!r}") from exc
+    return make_field(p, e) if caret else field_from_order(p)

@@ -14,14 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import FieldCtx, field_from_order
+from .field import FieldCtx, FqrankError, field_from_order
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(FqrankError):
     """Raised when operand shapes are incompatible."""
 
 
-class FieldMismatch(ValueError):
+class FieldMismatch(FqrankError):
     """Raised when operands live over different fields."""
 
 
@@ -37,7 +37,7 @@ class MatrixFq:
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.field.q):
-            raise ValueError(f"entries must lie in range({self.field.q})")
+            raise FqrankError(f"entries must lie in range({self.field.q})")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -154,14 +154,14 @@ class SubsetA:
 
     def __post_init__(self) -> None:
         if not 0 <= self.mask < (1 << self.q):
-            raise ValueError(f"mask out of range for q={self.q}")
+            raise FqrankError(f"mask out of range for q={self.q}")
 
     @classmethod
     def from_indices(cls, q: int, indices: Iterable[int]) -> "SubsetA":
         mask = 0
         for a in indices:
             if not 0 <= a < q:
-                raise ValueError(f"element {a} outside range({q})")
+                raise FqrankError(f"element {a} outside range({q})")
             mask |= 1 << a
         return cls(q, mask)
 
@@ -235,24 +235,28 @@ def load_matrix(text: str, ctx: FieldCtx | None = None) -> MatrixFq:
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"header must be 'm n q', got {lines[0]!r}")
-    m, n, q = (int(tok) for tok in header)
+        raise FqrankError("empty matrix text")
+    header = _parse_ints(lines[0])
+    if len(header) != 3 or min(header[:2]) < 0:
+        raise FqrankError(f"header must be 'm n q', got {lines[0]!r}")
+    m, n, q = header
     if ctx is None:
         ctx = field_from_order(q)
     elif ctx.q != q:
         raise FieldMismatch(f"header says GF({q}), context is GF({ctx.q})")
     if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
+        raise FqrankError(f"expected {m} rows, got {len(lines) - 1}")
+    rows = [_parse_ints(ln) for ln in lines[1:]]
+    for row in rows:
         if len(row) != n:
-            raise ValueError(f"expected {n} columns, got {len(row)}")
-        rows.append(row)
-    data = np.array(rows, dtype=np.int16).reshape(m, n)
-    if data.size and (int(data.min()) < 0 or int(data.max()) >= q):
-        raise ValueError(f"entries must lie in range({q})")
-    return MatrixFq(ctx, data)
+            raise FqrankError(f"expected {n} columns, got {len(row)}")
+        if any(not 0 <= v < q for v in row):
+            raise FqrankError(f"entries must lie in range({q})")
+    return MatrixFq(ctx, np.array(rows, dtype=np.int16).reshape(m, n))
+
+
+def _parse_ints(line: str) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError as exc:
+        raise FqrankError(f"expected integers, got {line!r}") from exc

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import RankOutOfRange, rank_count
-from .field import FieldCtx
+from .field import FieldCtx, FqrankError
 from .matrices import MatrixFq, mat_mul, rank
 
 REJECTION_CAP = 10_000
@@ -37,11 +37,11 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
+            raise FqrankError("master_seed must fit in 64 bits")
 
     def stream(self, index: int) -> np.random.Generator:
         if not 0 <= index < 2**64:
-            raise ValueError("sample index must fit in 64 bits")
+            raise FqrankError("sample index must fit in 64 bits")
         return np.random.Generator(np.random.Philox(key=[self.master_seed, index]))
 
 
@@ -78,7 +78,7 @@ def random_elements(
 def uniform_matrix(ctx: FieldCtx, m: int, n: int, rng: np.random.Generator) -> MatrixFq:
     """Uniformly random m x n matrix, every entry independent."""
     if m < 0 or n < 0:
-        raise ValueError(f"dimensions must be >= 0, got {m} x {n}")
+        raise FqrankError(f"dimensions must be >= 0, got {m} x {n}")
     return MatrixFq(ctx, random_elements(ctx, rng, (m, n)))
 
 
@@ -133,11 +133,7 @@ def uniform_rank_r(
     max_attempts: int = REJECTION_CAP,
 ) -> MatrixFq:
     """Exactly uniform m x n matrix of rank r (product of full-rank factors)."""
-    if r < 0 or r > min(m, n):
-        raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
-    left = _reject_full_rank(ctx, m, r, rng, telemetry, max_attempts)
-    right = _reject_full_rank(ctx, r, n, rng, telemetry, max_attempts)
-    return mat_mul(left, right)
+    return mat_mul(*draw_factor_pair(ctx, m, n, r, rng, "exact", max_attempts, telemetry))
 
 
 def product_sampler(
@@ -148,11 +144,7 @@ def product_sampler(
     The output has rank at most r and its law is within total variation
     tv_closed_form(q, m, n, r) of the uniform rank-r law.
     """
-    if r < 1:
-        raise RankOutOfRange(f"inner dimension must be >= 1, got {r}")
-    left = uniform_matrix(ctx, m, r, rng)
-    right = uniform_matrix(ctx, r, n, rng)
-    return mat_mul(left, right)
+    return mat_mul(*draw_factor_pair(ctx, m, n, r, rng, "product"))
 
 
 def draw_factor_pair(
@@ -163,23 +155,24 @@ def draw_factor_pair(
     rng: np.random.Generator,
     mode: str,
     max_attempts: int = REJECTION_CAP,
+    telemetry: RejectionTelemetry | None = None,
 ) -> tuple[MatrixFq, MatrixFq]:
     """Draw the (left, right) factor pair for either sampling mode.
 
     mode "exact" draws both factors uniformly from their full-rank sets (the
     product is then uniform rank-r); mode "product" draws them uniformly
-    with no rank condition.
+    with no rank condition.  The left factor always consumes the stream
+    first.  Rejection attempts of both factors go to `telemetry`.
     """
     if mode == "exact":
         if r < 0 or r > min(m, n):
             raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
-        left = _reject_full_rank(ctx, m, r, rng, None, max_attempts)
-        right = _reject_full_rank(ctx, r, n, rng, None, max_attempts)
-    elif mode == "product":
+        return (
+            _reject_full_rank(ctx, m, r, rng, telemetry, max_attempts),
+            _reject_full_rank(ctx, r, n, rng, telemetry, max_attempts),
+        )
+    if mode == "product":
         if r < 1:
             raise RankOutOfRange(f"inner dimension must be >= 1, got {r}")
-        left = uniform_matrix(ctx, m, r, rng)
-        right = uniform_matrix(ctx, r, n, rng)
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'product')")
-    return left, right
+        return uniform_matrix(ctx, m, r, rng), uniform_matrix(ctx, r, n, rng)
+    raise FqrankError(f"unknown mode {mode!r} (expected 'exact' or 'product')")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .counting import (
     rank_count,
     subset_bias,
 )
-from .field import FieldCtx, make_field
+from .field import FieldCtx, FqrankError, make_field
 from .matrices import (
     DimensionMismatch,
     FieldMismatch,
@@ -61,11 +62,11 @@ MAX_RANK_ENUM = 1 << 20
 MAX_PATTERN_TABLE = 1 << 22
 
 
-class DegenerateSubset(ValueError):
+class DegenerateSubset(FqrankError):
     """Raised when a statistic needs a nonzero scaling variance."""
 
 
-class TooLargeToEnumerate(ValueError):
+class TooLargeToEnumerate(FqrankError):
     """Raised when an exact enumeration would exceed its size gate."""
 
 
@@ -107,19 +108,19 @@ def _check_stat_args(
     if subset.r != r:
         raise BadSubset(f"subset over range({subset.r}), matrix has inner size {r}")
     if len(chis) != subset.size:
-        raise ValueError(f"{len(chis)} characters for subset of size {subset.size}")
+        raise FqrankError(f"{len(chis)} characters for subset of size {subset.size}")
     if table.field.q != ctx.q:
         raise FieldMismatch(f"table over GF({table.field.q}), matrix over GF({ctx.q})")
     for chi in chis:
         if not 0 <= chi < ctx.q - 1:
-            raise ValueError(f"character index {chi} outside range({ctx.q - 1})")
+            raise FqrankError(f"character index {chi} outside range({ctx.q - 1})")
 
 
 def expected_char_sum(q: int, subset: IndexSubset, chis: tuple[int, ...], terms: int) -> Fraction:
     """Expectation of a character sum with `terms` iid uniform rows/columns:
     (1 - 1/q)^|S| * terms when every character is trivial, else 0."""
     if len(chis) != subset.size:
-        raise ValueError(f"{len(chis)} characters for subset of size {subset.size}")
+        raise FqrankError(f"{len(chis)} characters for subset of size {subset.size}")
     if any(chis):
         return Fraction(0)
     return Fraction(q - 1, q) ** subset.size * terms
@@ -199,6 +200,17 @@ class Decomposition:
         return self.ct_value - self.total
 
 
+def _check_pair(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> None:
+    if x.field.q != y.field.q:
+        raise FieldMismatch(f"GF({x.field.q}) vs GF({y.field.q})")
+    if x.cols != y.rows:
+        raise DimensionMismatch(f"inner dimensions differ: {x.shape} x {y.shape}")
+    if subset_a.q != x.field.q:
+        raise FieldMismatch(
+            f"subset over GF({subset_a.q}), matrices over GF({x.field.q})"
+        )
+
+
 def decompose_ct(
     x: MatrixFq, y: MatrixFq, subset_a: SubsetA, table: CharacterTable | None = None
 ) -> Decomposition:
@@ -209,14 +221,7 @@ def decompose_ct(
     residual is floating-point noise only (|residual| <= 1e-6 at the sizes
     the term-count cap admits).
     """
-    if x.field.q != y.field.q:
-        raise FieldMismatch(f"GF({x.field.q}) vs GF({y.field.q})")
-    if x.cols != y.rows:
-        raise DimensionMismatch(f"inner dimensions differ: {x.shape} x {y.shape}")
-    if subset_a.q != x.field.q:
-        raise FieldMismatch(
-            f"subset over GF({subset_a.q}), matrices over GF({x.field.q})"
-        )
+    _check_pair(x, y, subset_a)
     ctx = x.field
     r = x.cols
     m, n = x.rows, y.cols
@@ -307,6 +312,7 @@ def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
     membership table over the count outer product; O(m + n + q^2r) per call
     after the cached table is built.
     """
+    _check_pair(x, y, subset_a)
     ctx = x.field
     r = x.cols
     powers, weight = _pattern_tables(ctx, r, subset_a.mask)
@@ -332,7 +338,7 @@ def ks_distance(values: np.ndarray) -> float:
     xs = np.sort(np.asarray(values, dtype=np.float64))
     n = len(xs)
     if n == 0:
-        raise ValueError("need at least one sample")
+        raise FqrankError("need at least one sample")
     cdf = np.array([normal_cdf(v) for v in xs])
     upper = (np.arange(1, n + 1) / n - cdf).max()
     lower = (cdf - np.arange(0, n) / n).max()
@@ -433,10 +439,11 @@ def run_clt(
 
     The report is a pure function of everything except `workers`: sample i
     always comes from stream (seed, i) and the reductions run over the
-    assembled array in index order.
+    assembled array in index order.  `workers` is capped at the CPU count
+    and at `num_samples`.
     """
     if num_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {num_samples}")
+        raise FqrankError(f"need at least 100 samples, got {num_samples}")
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
     params = MomentParams(q=ctx.q, r=r, m=m, n=n, subset=subset_a)
@@ -444,9 +451,10 @@ def run_clt(
         raise DegenerateSubset(
             f"variance scale is zero for subset of size {subset_a.size} at r={r}"
         )
-    if mode == "exact" and r > min(m, n):
-        raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
+    if bins < 1:
+        raise FqrankError(f"need at least one histogram bin, got {bins}")
 
+    workers = min(workers, os.cpu_count() or 1, num_samples)
     if workers <= 1:
         values = _clt_values(ctx, subset_a, r, m, n, mode, seed, 0, num_samples)
     else:
@@ -682,4 +690,4 @@ def exact_distribution(
                 f"direct scan q^(mn) = {ctx.q ** (m * n)} over gate"
             )
         return _exact_by_direct_scan(ctx, m, n, r, subset_a)
-    raise ValueError(f"unknown method {method!r} (expected auto, pairs, or direct)")
+    raise FqrankError(f"unknown method {method!r} (expected auto, pairs, or direct)")

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fqrank
 from fqrank.cli import main
 from fqrank.field import make_field
 from fqrank.matrices import dump_matrix, load_matrix, matrix, rank
@@ -260,6 +264,53 @@ def test_bad_seed_rejected(capsys):
     assert rc == 2 and "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --field 2 --m 0 --n 2 --r 0 --A 1",
+        "identity --field 2 --A 1 --m -1",
+        "identity --field 2 --A 1 --x-file {bad} --y-file {bad}",
+        "identity --field 2 --A 1 --count 0",
+        "sample --field 2 --m 2 --n 2 --r 1 --count -2",
+        "lemmas --field 2 --r -1",
+        "lemmas --field 2 --r 2 --trials 0",
+        "lemmas --field 2 --seed -5",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 120 --seed 1 --bins 0",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 99 --seed 1",
+        "clt --field 2 --A 0,1 --r 1 --m 8 --n 8 --N 120 --seed 1",
+    ],
+)
+def test_library_input_errors_exit_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1 2\n1\nx\n")
+    rc, out, err = run_cli(capsys, argv.format(bad=bad).split())
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "sample --field 3 --m 3 --n 4 --r 2 --count 5 --seed 11",
+            "b8664b9f93d74c41a908cdaa0847a096aa6d15de49747da7d6e5f85046f15ffb",
+        ),
+        (
+            "sample --field 4 --m 5 --n 3 --r 2 --count 5 --seed 7 --mode product --format json",
+            "3000b339c66a0532afa2cf25deb6b8062b515b6d815a58f274d6004be2c020c7",
+        ),
+        (
+            "identity --field 3 --A nonzero --m 4 --n 4 --r 2 --count 5 --seed 4",
+            "ca3187f09aee2cee8edf87e721c2df72ab8662b67b74b8ca385bfcc0fb5baa81",
+        ),
+    ],
+)
+def test_pinned_output_bytes(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["count", "--field", "2", "--m", "2"])  # missing required flags
@@ -270,10 +321,14 @@ def test_argparse_errors_exit_2():
 
 
 def test_console_entry_point():
+    # the child must import the same fqrank as the tests, installed or not
+    src = str(Path(fqrank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fqrank.cli",
          "count", "--field", "2", "--m", "2", "--n", "2", "--r", "1"],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank_count"] == "9"

@@ -212,5 +212,8 @@ def test_draw_factor_pair_modes():
         x, y = draw_factor_pair(ctx, 2, 2, 2, rng, mode="product")
         ranks.add(rank(mat_mul(x, y)))
     assert ranks == {0, 1, 2}
+    telemetry = RejectionTelemetry()
+    draw_factor_pair(ctx, 3, 4, 2, rng, mode="exact", telemetry=telemetry)
+    assert telemetry.accepted == 2 and telemetry.attempts >= 2
     with pytest.raises(ValueError):
         draw_factor_pair(ctx, 2, 2, 1, rng, mode="bogus")

@@ -1,6 +1,7 @@
 """Character sums, the product-count decomposition, exact laws, and CLT runs."""
 
 from fractions import Fraction
+import os
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from fqrank.characters import BadSubset, IndexSubset, all_subsets, character_table
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import field_from_order, make_field
-from fqrank.matrices import FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
+from fqrank import stats
+from fqrank.matrices import DimensionMismatch, FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
 from fqrank.sampling import SeedSpec, uniform_matrix
 from fqrank.stats import (
     DegenerateSubset,
@@ -255,6 +257,17 @@ def test_product_ct_table_too_large():
         product_ct(zero_matrix(ctx, 1, 8), zero_matrix(ctx, 8, 1), SubsetA.full(8))
 
 
+def test_product_ct_input_checks():
+    gf2, gf4 = make_field(2, 1), make_field(2, 2)
+    x = matrix(gf2, [[1], [1]])
+    with pytest.raises(FieldMismatch):
+        product_ct(x, matrix(gf4, [[1, 1, 1]]), SubsetA.from_indices(4, [1]))
+    with pytest.raises(FieldMismatch):
+        product_ct(x, matrix(gf2, [[1, 1, 1]]), SubsetA.from_indices(4, [1]))
+    with pytest.raises(DimensionMismatch):
+        product_ct(x, matrix(gf2, [[1, 1], [0, 1]]), SubsetA.from_indices(2, [1]))
+
+
 # --- exact laws by enumeration -------------------------------------------------------
 
 def test_exact_distribution_frozen_2221():
@@ -344,6 +357,36 @@ def test_run_clt_reproducible_and_worker_invariant():
     assert run_clt(ctx, subset, 1, 8, 8, 120, seed=4).to_dict() != a.to_dict()
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor and records the requested pool size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_run_clt_clamps_workers(monkeypatch):
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    ctx = make_field(2, 1)
+    subset = SubsetA.from_indices(2, [1])
+    one = run_clt(ctx, subset, 1, 8, 8, 120, seed=3)
+    many = run_clt(ctx, subset, 1, 8, 8, 120, seed=3, workers=10**6)
+    assert all(size <= (os.cpu_count() or 1) for size in _InProcessPool.sizes)
+    assert many.to_dict() == one.to_dict()
+    assert np.array_equal(many.samples, one.samples)
+
+
 def test_run_clt_product_mode():
     ctx = make_field(2, 1)
     subset = SubsetA.from_indices(2, [1])
@@ -361,6 +404,8 @@ def test_run_clt_validation():
         run_clt(ctx, SubsetA.full(2), 1, 8, 8, 200, seed=1)
     with pytest.raises(RankOutOfRange):
         run_clt(ctx, subset, 9, 8, 8, 200, seed=1)
+    with pytest.raises(ValueError):
+        run_clt(ctx, subset, 1, 8, 8, 200, seed=1, bins=0)
 
 
 # --- distribution distances ---------------------------------------------------------
