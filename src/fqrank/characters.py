@@ -284,16 +284,26 @@ def fourier_transform(
     q = table.field.q
     if f.q != q:
         raise FqrankError(f"function over GF({f.q}), table over GF({q})")
-    t = f.arity
-    _check_tuple_cap(q, t)
+    _check_tuple_cap(q, f.arity)
     off = off_units_magnitude(f)
     if off > tol:
         raise NotSupportedOnUnits(f"mass {off:g} on a zero coordinate exceeds {tol:g}")
+    return units_transform(f, table)
+
+
+def units_transform(f: FunctionTable, table: CharacterTable) -> np.ndarray:
+    """Every coefficient fourier_coefficient would give, as one array.
+
+    The sums run over unit tuples only, so no support check applies: on a
+    function supported on units this is fourier_transform.  One tensordot
+    per axis, contracting the coordinates in order.
+    """
+    t = f.arity
     out = np.array(_units_block(f.values))
     conj_units = np.conj(table.mult[:, 1:])
     for _ in range(t):
         out = np.moveaxis(np.tensordot(conj_units, out, axes=([1], [0])), 0, t - 1)
-    return out / (q - 1) ** t
+    return out / (table.field.q - 1) ** t
 
 
 def fourier_inverse(fhat: np.ndarray, table: CharacterTable) -> FunctionTable:

@@ -33,12 +33,20 @@ class MatrixFq:
     data: np.ndarray  # int16, shape (m, n), values in range(q)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.int16)
+        arr = np.asarray(self.data)
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d array, got ndim={arr.ndim}")
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.field.q):
+        # checked on the input, before the int16 cast could wrap or truncate
+        if arr.dtype.kind == "f":
+            if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+                raise FqrankError("entries must be integers")
+        elif arr.dtype.kind not in "biu":
+            raise FqrankError(
+                f"entries must be integers in range({self.field.q}), got dtype {arr.dtype}"
+            )
+        if arr.size and (arr.min() < 0 or arr.max() >= self.field.q):
             raise FqrankError(f"entries must lie in range({self.field.q})")
-        arr = np.ascontiguousarray(arr)
+        arr = np.ascontiguousarray(arr, dtype=np.int16)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -72,7 +80,7 @@ class MatrixFq:
 
 def matrix(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> MatrixFq:
     """Build a matrix from nested sequences of element indices."""
-    return MatrixFq(ctx, np.array(rows, dtype=np.int16).reshape(len(rows), -1))
+    return MatrixFq(ctx, np.array(rows).reshape(len(rows), -1))
 
 
 def zero_matrix(ctx: FieldCtx, m: int, n: int) -> MatrixFq:

@@ -15,7 +15,6 @@ sample array in index order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,9 +30,10 @@ from .characters import (
     IndexSubset,
     all_subsets,
     character_table,
-    component_transform_from_embedded,
     jacobi_component_trivial,
+    restrict_embed,
     sum_indicator,
+    units_transform,
 )
 from .counting import (
     MomentParams,
@@ -148,37 +148,77 @@ def zero_count_moments(q: int, r: int, trials: int) -> tuple[Fraction, Fraction]
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _element_coefficients(
-    ctx: FieldCtx, a: int, r: int
-) -> tuple[tuple[int, tuple[int, ...], complex], ...]:
-    """Transform coefficients of the arity-r sum indicator of element a, one
-    per (subset mask, character tuple); all-trivial tuples use the rational
-    closed form, the rest go through the embedded-restriction route."""
+def _element_coefficients(ctx: FieldCtx, a: int, r: int) -> list[np.ndarray]:
+    """Transform coefficients of the Moebius components of the arity-r sum
+    indicator of element a: entry [chis] of array `mask` is the coefficient
+    of the component on subset `mask` at character tuple chis.
+
+    Each of the 2^r embedded restrictions f_T is transformed once, as F_T.
+    Array S is then component_transform_from_embedded's alternating sum for
+    every tuple at once: walking T over S.subsets(), +-F_T lands on the
+    tuples that are trivial off T.  The all-trivial entry takes the rational
+    closed form instead.
+    """
     table = character_table(ctx)
     f_a = sum_indicator(ctx, a, r)
+    transforms = [units_transform(restrict_embed(f_a, sub), table) for sub in all_subsets(r)]
     out = []
     for subset in all_subsets(r):
-        for chis in itertools.product(range(ctx.q - 1), repeat=subset.size):
-            if any(chis):
-                coeff = component_transform_from_embedded(f_a, subset, chis, table)
+        members = subset.members()
+        coeffs = np.zeros((ctx.q - 1,) * subset.size, dtype=np.complex128)
+        for sub in subset.subsets():
+            on_sub = tuple(slice(None) if k in sub else 0 for k in members)
+            if (subset.size - sub.size) % 2:
+                coeffs[on_sub] -= transforms[sub.mask]
             else:
-                coeff = complex(float(jacobi_component_trivial(ctx.q, a, subset.size)))
-            out.append((subset.mask, chis, coeff))
-    return tuple(out)
+                coeffs[on_sub] += transforms[sub.mask]
+        coeffs[(0,) * subset.size] = float(jacobi_component_trivial(ctx.q, a, subset.size))
+        out.append(coeffs)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _coefficient_arrays(ctx: FieldCtx, amask: int, r: int) -> tuple[np.ndarray, ...]:
+    """The element coefficient arrays summed over the entry subset in member
+    order, one read-only array of shape (q-1,)*|S| per subset mask S."""
+    total = [np.zeros((ctx.q - 1,) * s.size, dtype=np.complex128) for s in all_subsets(r)]
+    for a in SubsetA(ctx.q, amask).members():
+        for acc, coeffs in zip(total, _element_coefficients(ctx, a, r)):
+            acc += coeffs
+    for acc in total:
+        acc.setflags(write=False)
+    return tuple(total)
 
 
 def subset_coefficients(
     ctx: FieldCtx, subset_a: SubsetA, r: int
 ) -> dict[tuple[int, tuple[int, ...]], complex]:
     """Coefficients of the decomposition's double sum, aggregated over the
-    entry subset: key (subset mask, character tuple)."""
-    total: dict[tuple[int, tuple[int, ...]], complex] = {}
-    for a in subset_a.members():
-        for mask, chis, coeff in _element_coefficients(ctx, a, r):
-            key = (mask, chis)
-            total[key] = total.get(key, 0.0 + 0.0j) + coeff
-    return total
+    entry subset: key (subset mask, character tuple), masks ascending and
+    tuples in row-major order, built from the cached per-subset arrays."""
+    return {
+        (mask, chis): coeff
+        for mask, coeffs in enumerate(_coefficient_arrays(ctx, subset_a.mask, r))
+        for chis, coeff in zip(np.ndindex(*coeffs.shape), coeffs.ravel().tolist())
+    }
+
+
+def _char_sums(
+    entries: np.ndarray, subset: IndexSubset, table: CharacterTable
+) -> np.ndarray:
+    """row_char_sum at every character tuple on the subset at once.
+
+    entries[k] holds coordinate k of each row (or column); entry [chis] of
+    the result is row_char_sum's sum at chis, bit for bit: the products
+    are formed in member order from ones, and np.take keeps them C-ordered,
+    so each sum over the last axis is numpy's pairwise sum as for 1-d.
+    """
+    lead = (1,) * subset.size
+    prod = np.ones(lead + (entries.shape[1],), dtype=np.complex128)
+    for pos, k in enumerate(subset.members()):
+        shape = lead[:pos] + (table.mult.shape[0],) + lead[pos + 1 :] + (entries.shape[1],)
+        prod = prod * np.take(table.mult, entries[k], axis=1).reshape(shape)
+    return np.asarray(prod.sum(axis=-1))  # 0-d, not a scalar, for the empty subset
 
 
 @dataclass(frozen=True)
@@ -220,6 +260,12 @@ def decompose_ct(
     algebraic, valid for every pair including rank-deficient ones; the
     residual is floating-point noise only (|residual| <= 1e-6 at the sizes
     the term-count cap admits).
+
+    Per index subset S, the row and column character sums at all (q-1)^|S|
+    tuples come from one broadcast product each (transient memory about
+    16 * (q-1)^|S| * max(m, n) bytes), and the main term is accumulated as
+    Python complex in subset_coefficients' key order, so each term equals
+    coefficient * (row_char_sum - mean) * (col_char_sum - mean).
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
@@ -231,6 +277,8 @@ def decompose_ct(
         )
     if table is None:
         table = character_table(ctx)
+    elif table.field.q != ctx.q:
+        raise FieldMismatch(f"table over GF({table.field.q}), matrices over GF({ctx.q})")
 
     # the identity holds for any inner dimension r, including r > min(m, n)
     # where the rank-law MomentParams would refuse; use the raw formula
@@ -241,13 +289,16 @@ def decompose_ct(
     gamma = float(gamma_exact)
 
     main = 0.0 + 0.0j
-    for (mask, chis), coeff in subset_coefficients(ctx, subset_a, r).items():
+    for mask, coeffs in enumerate(_coefficient_arrays(ctx, subset_a.mask, r)):
         subset = IndexSubset(r, mask)
-        ex = float(expected_char_sum(ctx.q, subset, chis, m))
-        ey = float(expected_char_sum(ctx.q, subset, chis, n))
-        xs = row_char_sum(x, subset, chis, table)
-        ys = col_char_sum(y, subset, chis, table)
-        main += coeff * (xs - ex) * (ys - ey)
+        trivial = (0,) * subset.size
+        xs = _char_sums(x.data.T, subset, table)
+        ys = _char_sums(y.data, subset, table)
+        xs[trivial] -= float(expected_char_sum(ctx.q, subset, trivial, m))
+        ys[trivial] -= float(expected_char_sum(ctx.q, subset, trivial, n))
+        terms = zip(coeffs.ravel().tolist(), xs.ravel().tolist(), ys.ravel().tolist())
+        for coeff, dx, dy in terms:
+            main += coeff * dx * dy
 
     ez, _ = zero_count_moments(ctx.q, r, m)
     ew, _ = zero_count_moments(ctx.q, r, n)

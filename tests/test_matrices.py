@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fqrank.field import make_field, field_from_order
+from fqrank.field import FqrankError, make_field, field_from_order
 from fqrank.matrices import (
     DimensionMismatch,
     FieldMismatch,
@@ -58,6 +58,23 @@ def test_matrix_validation():
         matrix(ctx, [[0, -1]])
     with pytest.raises(ValueError):
         MatrixFq(ctx, np.zeros(3, dtype=np.int16))
+
+
+def test_matrix_rejects_values_that_wrap_in_int16():
+    # 65537 is 1 mod 2^16: checked before the cast, not after it
+    with pytest.raises(FqrankError, match="range"):
+        MatrixFq(make_field(3, 1), np.array([[65537, 2]]))
+
+
+def test_matrix_rejects_non_integer_entries():
+    with pytest.raises(FqrankError, match="integers"):
+        MatrixFq(make_field(3, 1), np.array([[1.7]]))
+    assert MatrixFq(make_field(3, 1), np.array([[1.0, 2.0]])).data.tolist() == [[1, 2]]
+
+
+def test_matrix_from_lists_out_of_int16_range():
+    with pytest.raises(FqrankError, match="range"):
+        matrix(make_field(3, 1), [[70000]])
 
 
 def test_matrix_equality_and_hash():

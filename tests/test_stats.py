@@ -7,7 +7,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fqrank.characters import BadSubset, IndexSubset, all_subsets, character_table
+from fqrank.characters import (
+    BadSubset,
+    IndexSubset,
+    all_subsets,
+    character_table,
+    component_transform_from_embedded,
+    jacobi_component_trivial,
+    sum_indicator,
+)
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import field_from_order, make_field
 from fqrank import stats
@@ -197,6 +205,78 @@ def test_decompose_validation():
         decompose_ct(zero_matrix(ctx, 2, 1), zero_matrix(ctx, 1, 2), SubsetA.full(3))
     with pytest.raises(TooLargeToEnumerate):
         decompose_ct(zero_matrix(ctx, 1, 7), zero_matrix(ctx, 7, 1), SubsetA.full(2))
+
+
+def per_key_coefficients(ctx, subset_a, r, keys=None):
+    """The route subset_coefficients replaced: one embedded-restriction
+    alternating sum per (element, subset, tuple), summed in member order."""
+    table = character_table(ctx)
+    if keys is None:
+        keys = [(s.mask, chis) for s in all_subsets(r) for chis in product(range(ctx.q - 1), repeat=s.size)]
+    total = {}
+    for a in subset_a.members():
+        f_a = sum_indicator(ctx, a, r)
+        for mask, chis in keys:
+            subset = IndexSubset(r, mask)
+            if any(chis):
+                coeff = component_transform_from_embedded(f_a, subset, chis, table)
+            else:
+                coeff = complex(float(jacobi_component_trivial(ctx.q, a, subset.size)))
+            total[(mask, chis)] = total.get((mask, chis), 0.0 + 0.0j) + coeff
+    return total
+
+
+def per_key_main_term(x, y, coeffs):
+    """The main-term loop decompose_ct replaced: one row and one column
+    character sum per coefficient key."""
+    ctx, r = x.field, x.cols
+    table = character_table(ctx)
+    main = 0.0 + 0.0j
+    for (mask, chis), coeff in coeffs.items():
+        subset = IndexSubset(r, mask)
+        ex = float(expected_char_sum(ctx.q, subset, chis, x.rows))
+        ey = float(expected_char_sum(ctx.q, subset, chis, y.cols))
+        xs = row_char_sum(x, subset, chis, table)
+        ys = col_char_sum(y, subset, chis, table)
+        main += coeff * (xs - ex) * (ys - ey)
+    return main
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_decompose_bit_exact_against_per_key_route(q):
+    ctx = field_from_order(q)
+    subset = SubsetA.nonzero(q)
+    coeffs = per_key_coefficients(ctx, subset, 2)
+    assert list(stats.subset_coefficients(ctx, subset, 2).items()) == list(coeffs.items())
+    stream = SeedSpec(5).stream(q)
+    for m, n in [(9, 11), (1, 4), (30, 2)]:
+        x = uniform_matrix(ctx, m, 2, stream)
+        y = uniform_matrix(ctx, 2, n, stream)
+        assert decompose_ct(x, y, subset).main_term == per_key_main_term(x, y, coeffs)
+
+
+def test_decompose_matches_per_key_route_gf16_r3():
+    ctx = field_from_order(16)
+    subset = SubsetA.nonzero(16)
+    coeffs = stats.subset_coefficients(ctx, subset, 3)
+    assert len(coeffs) == 4096
+    rng = np.random.default_rng(16)
+    picks = [list(coeffs)[int(i)] for i in rng.choice(len(coeffs), size=24, replace=False)]
+    for key, want in per_key_coefficients(ctx, subset, 3, picks).items():
+        assert abs(coeffs[key] - want) < 1e-12, key
+    stream = SeedSpec(16).stream(0)
+    x = uniform_matrix(ctx, 16, 3, stream)
+    y = uniform_matrix(ctx, 3, 16, stream)
+    assert abs(decompose_ct(x, y, subset).main_term - per_key_main_term(x, y, coeffs)) < 1e-12
+
+
+def test_decompose_rejects_table_of_other_field():
+    ctx = make_field(3, 1)
+    with pytest.raises(FieldMismatch):
+        decompose_ct(
+            zero_matrix(ctx, 2, 1), zero_matrix(ctx, 1, 2), SubsetA.full(3),
+            character_table(make_field(5, 1)),
+        )
 
 
 def test_conditional_mean_given_left_factor():
