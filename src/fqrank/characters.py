@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .counting import entry_bias
-from .field import FieldCtx, FqrankError
+from .field import FieldCtx, FqrankError, _power_at_most
 
 MAX_TUPLE_TABLE = 1 << 20
 
@@ -206,9 +206,9 @@ def _check_subset(f: FunctionTable, subset: IndexSubset) -> None:
 
 
 def _check_tuple_cap(q: int, t: int) -> None:
-    if (q - 1) ** t > MAX_TUPLE_TABLE:
+    if not _power_at_most(q - 1, t, MAX_TUPLE_TABLE):
         raise FqrankError(
-            f"character-tuple table (q-1)^t = {(q - 1) ** t} exceeds {MAX_TUPLE_TABLE}"
+            f"character-tuple table (q-1)^t = {q - 1}^{t} exceeds {MAX_TUPLE_TABLE}"
         )
 
 

@@ -48,6 +48,12 @@ class DivisionByZero(ZeroDivisionError):
     """Raised on multiplicative inversion of the zero element."""
 
 
+def _power_at_most(base: int, exp: int, cap: int) -> bool:
+    """base**exp <= cap for base, exp >= 0, without building a huge power:
+    past cap.bit_length() every base >= 2 already exceeds cap."""
+    return base ** min(exp, cap.bit_length()) <= cap
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

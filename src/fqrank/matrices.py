@@ -4,6 +4,10 @@ A matrix is a thin wrapper around a numpy int16 array of element indices
 together with the field it lives over.  Shapes with zero rows or columns are
 legal everywhere (an m x 0 times 0 x n product is the zero matrix), which
 keeps rank-0 factorisations free of special cases.
+
+The enumeration oracles work on stacks of index arrays instead: `_index_matmul`
+is the one GF(q) product formula and `_encode`/`_decode` the one spelling of
+a matrix as an integer code.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class MatrixFq:
             )
         if arr.size and (arr.min() < 0 or arr.max() >= self.field.q):
             raise FqrankError(f"entries must lie in range({self.field.q})")
-        arr = np.ascontiguousarray(arr, dtype=np.int16)
+        arr = np.array(arr, dtype=np.int16, order="C")  # own copy: input stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -79,8 +83,12 @@ class MatrixFq:
 
 
 def matrix(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> MatrixFq:
-    """Build a matrix from nested sequences of element indices."""
-    return MatrixFq(ctx, np.array(rows).reshape(len(rows), -1))
+    """Build a matrix from nested sequences of element indices; [] is 0 x 0."""
+    try:
+        arr = np.array(rows)
+    except ValueError as exc:
+        raise FqrankError(f"rows must all have the same length: {exc}") from exc
+    return MatrixFq(ctx, arr.reshape(len(rows), -1 if arr.size else 0))
 
 
 def zero_matrix(ctx: FieldCtx, m: int, n: int) -> MatrixFq:
@@ -98,17 +106,45 @@ def _check_same_field(a: MatrixFq, b: MatrixFq) -> None:
         raise FieldMismatch(f"GF({a.field.q}) vs GF({b.field.q})")
 
 
+def _index_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact GF(q) product of element-index arrays a[..., m, k] and b[..., k, n].
+
+    Table gathers, one inner index at a time; leading axes broadcast as in
+    np.matmul, and an inner size of 0 gives zeros.
+    """
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int16)
+    for k in range(a.shape[-1]):
+        out = ctx.add_table[out, ctx.mul_table[a[..., :, k, None], b[..., None, k, :]]]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _digit_weights(q: int, width: int) -> np.ndarray:
+    weights = q ** np.arange(width, dtype=np.int64)
+    weights.setflags(write=False)
+    return weights
+
+
+def _encode(q: int, digits: np.ndarray) -> np.ndarray:
+    """Integer code of each vector along the last axis: its entries as base-q
+    digits, least significant first.  A matrix is coded by its row-major
+    (C-order) flattening."""
+    return digits.astype(np.int64) @ _digit_weights(q, digits.shape[-1])
+
+
+def _decode(q: int, codes: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The int16 stack of rows x cols matrices with the given codes."""
+    digits = codes[..., None] // _digit_weights(q, rows * cols) % q
+    return digits.astype(np.int16).reshape(codes.shape + (rows, cols))
+
+
 def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     """Exact matrix product via table gathers, one inner index at a time."""
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"inner dimensions differ: {a.shape} x {b.shape}")
-    ctx = a.field
-    out = np.zeros((a.rows, b.cols), dtype=np.int16)
-    for k in range(a.cols):
-        term = ctx.mul_table[a.data[:, k][:, None], b.data[k, :][None, :]]
-        out = ctx.add_table[out, term]
-    return MatrixFq(ctx, out)
+    return MatrixFq(a.field, _index_matmul(a.field, a.data, b.data))
 
 
 def mat_add(a: MatrixFq, b: MatrixFq) -> MatrixFq:
@@ -125,7 +161,7 @@ def rank(mat: MatrixFq) -> int:
     as pivot; elimination uses vectorised table gathers per pivot.
     """
     ctx = mat.field
-    a = mat.data.astype(np.int16).copy()
+    a = mat.data.copy()
     m, n = a.shape
     r = 0
     for col in range(n):

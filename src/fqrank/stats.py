@@ -43,12 +43,15 @@ from .counting import (
     rank_count,
     subset_bias,
 )
-from .field import FieldCtx, FqrankError, make_field
+from .field import FieldCtx, FqrankError, _power_at_most, make_field
 from .matrices import (
     DimensionMismatch,
     FieldMismatch,
     MatrixFq,
     SubsetA,
+    _decode,
+    _encode,
+    _index_matmul,
     ct,
     mat_mul,
     rank,
@@ -60,6 +63,7 @@ MAX_PAIR_ENUM = 1 << 24
 MAX_DIRECT_SCAN = 1 << 22
 MAX_RANK_ENUM = 1 << 20
 MAX_PATTERN_TABLE = 1 << 22
+_CHUNK = 1 << 12  # matrices (or factor pairs) decoded and reduced at once
 
 
 class DegenerateSubset(FqrankError):
@@ -333,27 +337,15 @@ def normalized_ct(mat: MatrixFq, subset_a: SubsetA, r: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _pattern_tables(ctx: FieldCtx, r: int, amask: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern-code machinery: powers to encode a length-r row/column as an
-    integer in range(q^r), and the q^r x q^r 0/1 table saying whether the
-    field dot product of two patterns lands in the subset."""
+def _pattern_tables(ctx: FieldCtx, r: int, amask: int) -> np.ndarray:
+    """The q^r x q^r 0/1 table saying whether the field dot product of two
+    length-r patterns, indexed by their codes, lands in the subset."""
     q = ctx.q
-    if q ** (2 * r) > MAX_PATTERN_TABLE:
+    if not _power_at_most(q, 2 * r, MAX_PATTERN_TABLE):
         raise TooLargeToEnumerate(f"pattern table q^2r = {q}^{2 * r} too large")
-    powers = (q ** np.arange(r, dtype=np.int64)) if r else np.zeros(0, dtype=np.int64)
-    codes = np.arange(q**r, dtype=np.int64)
-    digits = np.empty((q**r, r), dtype=np.int16)
-    tmp = codes.copy()
-    for k in range(r):
-        digits[:, k] = tmp % q
-        tmp //= q
-    dot = np.zeros((q**r, q**r), dtype=np.int16)
-    for k in range(r):
-        term = ctx.mul_table[digits[:, k][:, None], digits[:, k][None, :]]
-        dot = ctx.add_table[dot, term]
-    member = SubsetA(q, amask).member_table()
-    weight = member[dot].astype(np.int64)
-    return powers, weight
+    patterns = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)[:, 0, :]
+    dot = _index_matmul(ctx, patterns, patterns.T)
+    return SubsetA(q, amask).member_table()[dot].astype(np.int64)
 
 
 def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
@@ -365,12 +357,9 @@ def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
-    r = x.cols
-    powers, weight = _pattern_tables(ctx, r, subset_a.mask)
-    xcodes = x.data.astype(np.int64) @ powers
-    ycodes = powers @ y.data.astype(np.int64)
-    nx = np.bincount(xcodes, minlength=ctx.q**r)
-    ny = np.bincount(ycodes, minlength=ctx.q**r)
+    weight = _pattern_tables(ctx, x.cols, subset_a.mask)
+    nx = np.bincount(_encode(ctx.q, x.data), minlength=len(weight))
+    ny = np.bincount(_encode(ctx.q, y.data.T), minlength=len(weight))
     return int(nx @ (weight @ ny))
 
 
@@ -454,7 +443,7 @@ def _clt_values(
     mu = float(asymptotic_ct_mean(params))
     sigma = math.sqrt(float(asymptotic_ct_variance(params)))
     spec = SeedSpec(seed)
-    fast = ctx.q ** (2 * r) <= MAX_PATTERN_TABLE
+    fast = _power_at_most(ctx.q, 2 * r, MAX_PATTERN_TABLE)
     out = np.empty(hi - lo, dtype=np.float64)
     for i in range(lo, hi):
         rng = spec.stream(i)
@@ -571,18 +560,17 @@ class ExactDistribution:
     method: str
 
 
-def _decode_matrices(q: int, count: int, rows: int, cols: int) -> np.ndarray:
-    codes = np.arange(count, dtype=np.int64)
-    digits = np.empty((count, rows, cols), dtype=np.int16)
-    tmp = codes.copy()
-    for pos in range(rows * cols):
-        digits[:, pos // cols, pos % cols] = tmp % q
-        tmp //= q
-    return digits
+def _rank_mask(ctx: FieldCtx, stack: np.ndarray, r: int) -> np.ndarray:
+    """Which matrices of the stack have rank r, by elimination on each."""
+    return np.fromiter(
+        (rank(MatrixFq(ctx, mat)) == r for mat in stack), dtype=bool, count=len(stack)
+    )
 
 
-def _dist_from_counts(counts: dict[int, int], total: int) -> dict[int, Fraction]:
-    return {value: Fraction(cnt, total) for value, cnt in sorted(counts.items())}
+def _law(counts: np.ndarray) -> dict[int, Fraction]:
+    """The law of a tally of entry counts, ascending over the values seen."""
+    total = int(counts.sum())
+    return {value: Fraction(cnt, total) for value, cnt in enumerate(counts.tolist()) if cnt}
 
 
 def _moments(dist: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
@@ -595,67 +583,49 @@ def _exact_by_pairs(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
     q = ctx.q
-    nx, ny = q ** (m * r), q ** (r * n)
-    xs = _decode_matrices(q, nx, m, r)
-    ys = _decode_matrices(q, ny, r, n)
-    x_full = np.array([rank(MatrixFq(ctx, d)) == r for d in xs])
-    y_full = np.array([rank(MatrixFq(ctx, d)) == r for d in ys])
+    xs = _decode(q, np.arange(q ** (m * r), dtype=np.int64), m, r)
+    ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
+    x_full = _rank_mask(ctx, xs, r)
+    y_full = _rank_mask(ctx, ys, r)
     member = subset_a.member_table()
 
     track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
     matrix_counts = np.zeros(q ** (m * n), dtype=np.int64) if track_matrices else None
-    entry_powers = (
-        q ** np.arange(m * n, dtype=np.int64) if track_matrices else None
-    )
-
-    pair_ct: dict[int, int] = {}
-    rank_ct: dict[int, int] = {}
-    for xi in range(nx):
-        prod = np.zeros((ny, m, n), dtype=np.int16)
-        for k in range(r):
-            term = ctx.mul_table[xs[xi, :, k][None, :, None], ys[:, k, :][:, None, :]]
-            prod = ctx.add_table[prod, term]
-        cts = member[prod].sum(axis=(1, 2))
-        for value, cnt in zip(*np.unique(cts, return_counts=True)):
-            pair_ct[int(value)] = pair_ct.get(int(value), 0) + int(cnt)
-        if x_full[xi]:
-            full_cts = cts[y_full]
-            for value, cnt in zip(*np.unique(full_cts, return_counts=True)):
-                rank_ct[int(value)] = rank_ct.get(int(value), 0) + int(cnt)
+    pair_ct = np.zeros(m * n + 1, dtype=np.int64)
+    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
+    block = max(1, _CHUNK // len(ys))
+    for lo in range(0, len(xs), block):
+        prod = _index_matmul(ctx, xs[lo : lo + block, None], ys)  # x, y, m, n
+        cts = member[prod].sum(axis=(2, 3))
+        pair_ct += np.bincount(cts.ravel(), minlength=m * n + 1)
+        full_cts = cts[x_full[lo : lo + block]][:, y_full]
+        rank_ct += np.bincount(full_cts.ravel(), minlength=m * n + 1)
         if matrix_counts is not None:
-            codes = prod.reshape(ny, m * n).astype(np.int64) @ entry_powers
-            matrix_counts += np.bincount(codes, minlength=len(matrix_counts))
+            flat = prod.reshape(prod.shape[:2] + (m * n,))
+            matrix_counts += np.bincount(_encode(q, flat).ravel(), minlength=len(matrix_counts))
 
-    total_pairs = nx * ny
-    total_full = int(x_full.sum()) * int(y_full.sum())
-    rank_dist = _dist_from_counts(rank_ct, total_full)
-    product_dist = _dist_from_counts(pair_ct, total_pairs)
+    rank_dist = _law(rank_ct)
     mean, variance = _moments(rank_dist)
 
     matrix_tv: Fraction | None = None
     if matrix_counts is not None:
-        n_rank = rank_count(q, m, n, r)
-        uniform = Fraction(1, int(n_rank)) if n_rank else Fraction(0)
-        tv = Fraction(0)
-        seen_rank_r = 0
-        for code in np.nonzero(matrix_counts)[0]:
-            digits = np.empty((m, n), dtype=np.int16)
-            tmp = int(code)
-            for pos in range(m * n):
-                digits[pos // n, pos % n] = tmp % q
-                tmp //= q
-            p_prod = Fraction(int(matrix_counts[code]), total_pairs)
-            if rank(MatrixFq(ctx, digits)) == r:
-                tv += abs(p_prod - uniform)
-                seen_rank_r += 1
-            else:
-                tv += p_prod
-        tv += (int(n_rank) - seen_rank_r) * uniform
-        matrix_tv = tv
+        # sum over matrices of |P(product) - P(uniform rank r)|, over the
+        # common denominator pairs * n_rank; every term fits in int64
+        pairs, n_rank = len(xs) * len(ys), int(rank_count(q, m, n, r))
+        codes = np.nonzero(matrix_counts)[0]
+        numerator = seen = 0
+        for lo in range(0, len(codes), _CHUNK):
+            part = codes[lo : lo + _CHUNK]
+            hits = matrix_counts[part] * n_rank
+            is_r = _rank_mask(ctx, _decode(q, part, m, n), r)
+            numerator += int(np.abs(hits[is_r] - pairs).sum() + hits[~is_r].sum())
+            seen += int(is_r.sum())
+        numerator += (n_rank - seen) * pairs  # rank r but never a product
+        matrix_tv = Fraction(numerator, pairs * n_rank)
 
     return ExactDistribution(
         rank_dist=rank_dist,
-        product_dist=product_dist,
+        product_dist=_law(pair_ct),
         mean=mean,
         variance=variance,
         matrix_tv=matrix_tv,
@@ -669,25 +639,15 @@ def _exact_by_direct_scan(
     q = ctx.q
     total = q ** (m * n)
     member = subset_a.member_table()
-    rank_ct: dict[int, int] = {}
-    matched = 0
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        digits = np.empty((stop - start, m, n), dtype=np.int16)
-        tmp = np.arange(start, stop, dtype=np.int64)
-        for pos in range(m * n):
-            digits[:, pos // n, pos % n] = tmp % q
-            tmp //= q
-        cts = member[digits].sum(axis=(1, 2))
-        for offset in range(stop - start):
-            if rank(MatrixFq(ctx, digits[offset])) == r:
-                value = int(cts[offset])
-                rank_ct[value] = rank_ct.get(value, 0) + 1
-                matched += 1
+    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        mats = _decode(q, np.arange(start, min(start + _CHUNK, total)), m, n)
+        full = mats[_rank_mask(ctx, mats, r)]
+        rank_ct += np.bincount(member[full].sum(axis=(1, 2)), minlength=m * n + 1)
+    matched = int(rank_ct.sum())
     expected = rank_count(q, m, n, r)
     assert matched == expected, f"rank scan found {matched}, formula says {expected}"
-    rank_dist = _dist_from_counts(rank_ct, matched)
+    rank_dist = _law(rank_ct)
     mean, variance = _moments(rank_dist)
     return ExactDistribution(
         rank_dist=rank_dist,
@@ -718,9 +678,9 @@ def exact_distribution(
         raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
-    pairs_ok = ctx.q ** (m * r) * ctx.q ** (r * n) <= MAX_PAIR_ENUM
+    pairs_ok = _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)
     direct_ok = (
-        ctx.q ** (m * n) <= MAX_DIRECT_SCAN
+        _power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
         and rank_count(ctx.q, m, n, r) <= MAX_RANK_ENUM
     )
     if method == "auto":
@@ -732,13 +692,13 @@ def exact_distribution(
     if method == "pairs":
         if not pairs_ok:
             raise TooLargeToEnumerate(
-                f"pair enumeration q^(mr+rn) = {ctx.q ** (m * r + r * n)} over gate"
+                f"pair enumeration q^(mr+rn) = {ctx.q}^{m * r + r * n} over gate"
             )
         return _exact_by_pairs(ctx, m, n, r, subset_a)
     if method == "direct":
         if not direct_ok:
             raise TooLargeToEnumerate(
-                f"direct scan q^(mn) = {ctx.q ** (m * n)} over gate"
+                f"direct scan q^(mn) = {ctx.q}^{m * n} over gate"
             )
         return _exact_by_direct_scan(ctx, m, n, r, subset_a)
     raise FqrankError(f"unknown method {method!r} (expected auto, pairs, or direct)")

@@ -1,6 +1,7 @@
 """Character tables, Mobius components, and the unit-group Fourier transform."""
 
 from fractions import Fraction
+import time
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,7 @@ from fqrank.characters import (
     sum_indicator,
     verification_battery,
 )
-from fqrank.field import field_from_order, make_field
+from fqrank.field import FqrankError, field_from_order, make_field
 
 
 def mobius_oracle(f, members, r):
@@ -335,3 +336,10 @@ def test_verification_battery_all_ok(q):
     for name, entry in report.items():
         assert entry["ok"], (name, entry)
         assert entry["residual"] <= entry["tolerance"], name
+
+
+def test_verification_battery_refuses_huge_rank_quickly():
+    start = time.perf_counter()
+    with pytest.raises(FqrankError, match=r"3\^10000000"):
+        verification_battery(make_field(2, 2), r=10**7)
+    assert time.perf_counter() - start < 1.0  # no 3^(10^7) is built

@@ -278,6 +278,9 @@ def test_bad_seed_rejected(capsys):
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 120 --seed 1 --bins 0",
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 99 --seed 1",
         "clt --field 2 --A 0,1 --r 1 --m 8 --n 8 --N 120 --seed 1",
+        # gate messages name the power, not its 9543 decimal digits
+        "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method pairs",
+        "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method direct",
     ],
 )
 def test_library_input_errors_exit_2(tmp_path, capsys, argv):

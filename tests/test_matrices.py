@@ -58,6 +58,22 @@ def test_matrix_validation():
         matrix(ctx, [[0, -1]])
     with pytest.raises(ValueError):
         MatrixFq(ctx, np.zeros(3, dtype=np.int16))
+    assert matrix(ctx, []).shape == (0, 0)
+    with pytest.raises(FqrankError, match="same length"):
+        matrix(ctx, [[1, 0], [1]])
+
+
+def test_matrix_leaves_callers_array_writable():
+    a = np.zeros((2, 2), dtype=np.int16)
+    MatrixFq(make_field(2, 1), a)
+    a[0, 0] = 1  # raised "assignment destination is read-only" when the input was frozen
+
+
+def test_matrix_does_not_follow_writes_to_its_input():
+    b = np.zeros((2, 2), dtype=np.int16)
+    mat = MatrixFq(make_field(2, 1), b[:, :])
+    b[0, 0] = 1
+    assert mat.data.tolist() == [[0, 0], [0, 0]]
 
 
 def test_matrix_rejects_values_that_wrap_in_int16():

@@ -1,5 +1,6 @@
 """Property tests of the decomposition's batched coefficient and character-sum
-routes against the per-key routes they replace."""
+routes against the per-key routes they replace, and of the stacked product
+and code kernels the enumerations share with mat_mul."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,8 @@ from fqrank.characters import (
     sum_indicator,
 )
 from fqrank.field import field_from_order
-from fqrank.matrices import MatrixFq, SubsetA, ct, mat_mul
-from fqrank.stats import col_char_sum, decompose_ct, row_char_sum, subset_coefficients
+from fqrank.matrices import MatrixFq, SubsetA, _decode, _index_matmul, ct, mat_mul
+from fqrank.stats import col_char_sum, decompose_ct, product_ct, row_char_sum, subset_coefficients
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -77,3 +78,54 @@ def test_decomposition_holds(case):
     dec = decompose_ct(x, y, subset_a)
     assert dec.ct_value == ct(mat_mul(x, y), subset_a)
     assert abs(dec.residual) < 1e-9
+
+
+@st.composite
+def stacked_factors(draw):
+    """Stacks a (s, 1, m, k) and b (t, k, n): the product broadcasts to (s, t, m, n)."""
+    ctx = field_from_order(draw(st.sampled_from(FIELDS)))
+    s, t, m, k, n = (draw(st.integers(lo, 3)) for lo in (1, 1, 0, 0, 0))
+    entries = st.integers(0, ctx.q - 1)
+    a = draw(st.lists(entries, min_size=s * m * k, max_size=s * m * k))
+    b = draw(st.lists(entries, min_size=t * k * n, max_size=t * k * n))
+    shape_a, shape_b = (s, 1, m, k), (t, k, n)
+    return ctx, np.array(a, np.int16).reshape(shape_a), np.array(b, np.int16).reshape(shape_b)
+
+
+@FEW
+@given(stacked_factors())
+def test_stacked_product_is_mat_mul_per_matrix(case):
+    ctx, a, b = case
+    out = _index_matmul(ctx, a, b)
+    assert out.shape == (a.shape[0], b.shape[0], a.shape[2], b.shape[2])
+    for i, j in np.ndindex(*out.shape[:2]):
+        want = mat_mul(MatrixFq(ctx, a[i, 0]), MatrixFq(ctx, b[j]))
+        assert np.array_equal(out[i, j], want.data)
+
+
+@FEW
+@given(st.sampled_from(FIELDS), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_decode_inverts_little_endian_row_major_codes(q, rows, cols, data):
+    width = rows * cols
+    digits = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=width, max_size=width), min_size=1, max_size=5
+    ))
+    digits = np.array(digits, dtype=np.int64).reshape(len(digits), width)
+    codes = digits @ q ** np.arange(width, dtype=np.int64)
+    stack = _decode(q, codes, rows, cols)
+    assert stack.dtype == np.int16
+    assert np.array_equal(stack, digits.reshape(len(digits), rows, cols))
+
+
+@st.composite
+def wide_factor_pairs(draw):
+    ctx, subset_a, r = draw(field_subset_rank())
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return draw(matrices(ctx, m, r)), draw(matrices(ctx, r, n)), subset_a
+
+
+@FEW
+@given(wide_factor_pairs())
+def test_product_ct_counts_the_product(case):
+    x, y, subset_a = case
+    assert product_ct(x, y, subset_a) == ct(mat_mul(x, y), subset_a)

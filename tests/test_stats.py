@@ -375,7 +375,10 @@ def test_exact_distribution_frozen_2222():
 
 
 def test_exact_distribution_methods_agree():
-    for q, m, n, r, amask in [(2, 2, 2, 1, 2), (2, 2, 2, 2, 2), (3, 2, 2, 1, 6), (2, 3, 2, 1, 1)]:
+    for q, m, n, r, amask in [
+        (2, 2, 2, 1, 2), (2, 2, 2, 2, 2), (3, 2, 2, 1, 6), (2, 3, 2, 1, 1),
+        (2, 3, 3, 0, 1), (4, 2, 2, 1, 0b0110), (2, 2, 4, 2, 2),
+    ]:
         ctx = field_from_order(q)
         subset = SubsetA(q, amask)
         via_pairs = exact_distribution(ctx, m, n, r, subset, method="pairs")
