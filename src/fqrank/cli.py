@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import IO
@@ -120,17 +121,25 @@ def _cmd_count(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     q, m, n, r = ctx.q, args.m, args.n, args.r
     _check_rank_flag(r, m, n)
+    # Python prints no int of more than `limit` digits.  In lowest terms
+    # rank_prob is c / q^(mn - r(r-1)/2) with c prime to q: refuse before
+    # building values that far past the limit, then check the built ones.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = f"--m/--n/--r: the exact values need over {limit} digits, Python's limit"
+    if limit and (m * n - r * (r - 1) // 2) * math.log10(q) > limit + 1:
+        raise UsageError(too_long)
     count = rank_count(q, m, n, r)
-    out = {
-        "q": q,
-        "m": m,
-        "n": n,
-        "r": r,
-        "rank_count": count,
-        "rank_prob": _rational(count / Fraction(q) ** (m * n)),
-        "full_rank_pair_prob": _rational(full_rank_pair_prob_exact(q, m, n, r)),
-        "tv_closed_form": _rational(tv_closed_form_exact(q, m, n, r)),
+    probs = {
+        "rank_prob": count / Fraction(q) ** (m * n),
+        "full_rank_pair_prob": full_rank_pair_prob_exact(q, m, n, r),
+        "tv_closed_form": tv_closed_form_exact(q, m, n, r),
     }
+    if limit and any(
+        max(v.numerator, v.denominator) >= 10**limit for v in (count, *probs.values())
+    ):
+        raise UsageError(too_long)
+    out = {"q": q, "m": m, "n": n, "r": r, "rank_count": count}
+    out.update((key, _rational(value)) for key, value in probs.items())
     if args.A is not None:
         subset = _subset_from_args(args, q)
         params = MomentParams(q=q, r=r, m=m, n=n, subset=subset)

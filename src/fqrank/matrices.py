@@ -40,19 +40,25 @@ class MatrixFq:
         arr = np.asarray(self.data)
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-d array, got ndim={arr.ndim}")
-        # checked on the input, before the int16 cast could wrap or truncate
-        if arr.dtype.kind == "f":
-            if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
-                raise FqrankError("entries must be integers")
-        elif arr.dtype.kind not in "biu":
-            raise FqrankError(
-                f"entries must be integers in range({self.field.q}), got dtype {arr.dtype}"
-            )
-        if arr.size and (arr.min() < 0 or arr.max() >= self.field.q):
-            raise FqrankError(f"entries must lie in range({self.field.q})")
-        arr = np.array(arr, dtype=np.int16, order="C")  # own copy: input stays writable
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        q, kind = self.field.q, arr.dtype.kind
+        if kind in "biu" and arr.itemsize <= 2:
+            # int16 keeps every bit of these types, and through the uint16 view
+            # one max bounds both ends: a negative entry reads as >= 2^15 > q
+            own = np.array(arr, dtype=np.int16, order="C")  # own copy: input stays writable
+            if own.size and own.view(np.uint16).max() >= q:
+                raise FqrankError(f"entries must lie in range({q})")
+        else:
+            # checked on the input, before the int16 cast could wrap or truncate
+            if kind == "f":
+                if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+                    raise FqrankError("entries must be integers")
+            elif kind not in "iu":
+                raise FqrankError(f"entries must be integers in range({q}), got dtype {arr.dtype}")
+            if arr.size and (arr.min() < 0 or arr.max() >= q):
+                raise FqrankError(f"entries must lie in range({q})")
+            own = np.array(arr, dtype=np.int16, order="C")
+        own.setflags(write=False)
+        object.__setattr__(self, "data", own)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,9 +118,11 @@ def _index_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Table gathers, one inner index at a time; leading axes broadcast as in
     np.matmul, and an inner size of 0 gives zeros.
     """
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int16)
-    for k in range(a.shape[-1]):
+    if a.shape[-1] == 0:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.int16)
+    out = ctx.mul_table[a[..., :, 0, None], b[..., None, 0, :]]
+    for k in range(1, a.shape[-1]):
         out = ctx.add_table[out, ctx.mul_table[a[..., :, k, None], b[..., None, k, :]]]
     return out
 
@@ -182,6 +190,54 @@ def rank(mat: MatrixFq) -> int:
             a[below, :] = ctx.add_table[a[below, :], scaled]
         r += 1
     return r
+
+
+def _rank_stack(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
+    """Rank of every matrix in an int16 (B, rows, cols) stack.
+
+    `rank`'s elimination on all matrices at once, column by column: each
+    matrix takes as pivot its first nonzero row at or below its current rank,
+    swaps it up, scales it to 1 and clears the rows below it; only matrices
+    that found a pivot advance.  A matrix whose rank reaches its row count is
+    final and leaves the working set, and nothing is cleared for it or at the
+    last column, where no later column reads the rows.  A stack of one
+    matrix goes through `rank`, which is the faster route at that size.
+    """
+    count, rows, cols = stack.shape
+    if count == 1:
+        return np.array([rank(MatrixFq(ctx, stack[0]))])
+    ranks = np.zeros(count, dtype=np.int64)
+    if rows == 0 or cols == 0:
+        return ranks
+    live = np.arange(count)  # stack index of each working matrix
+    a = stack.copy()
+    r = np.zeros(count, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for col in range(cols):
+        found = (a[:, :, col] != 0) & (row_ids >= r[:, None])
+        hit = np.nonzero(found.any(axis=1))[0]
+        # only a matrix that goes on to a later column needs its rows cleared
+        more = hit[r[hit] + 1 < rows] if col + 1 < cols else hit[:0]
+        if more.size:
+            piv, top, k = found[more].argmax(axis=1), r[more], np.arange(more.size)
+            sub = a[more, :, col:]  # rows at or below each rank are zero left of col
+            pivot_row = sub[k, piv]
+            pivot_row = ctx.mul_table[pivot_row, ctx.inv_table[pivot_row[:, :1]]]
+            sub[k, piv] = sub[k, top]
+            sub[k, top] = pivot_row
+            fac = ctx.neg_table[sub[:, :, 0]] * (row_ids > top[:, None])  # 0: untouched
+            scaled = ctx.mul_table[fac[:, :, None], pivot_row[:, None]]
+            a[more, :, col:] = ctx.add_table[sub, scaled]
+        r[hit] += 1
+        finished = r == rows
+        if finished.any():
+            ranks[live[finished]] = rows
+            keep = ~finished
+            a, r, live = a[keep], r[keep], live[keep]
+            if not live.size:
+                return ranks
+    ranks[live] = r
+    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,24 @@ The rank-r sampler multiplies an m x r and an r x n matrix drawn uniformly
 from their full-rank sets.  Every rank-r target has exactly |GL_r(GF(q))|
 such factorisations, a constant, so the product is uniform over the rank-r
 matrices with no further correction.
+
+Factors are drawn for a block of streams at once (`_draw_factor_stacks`);
+the rejection loop redraws only the rejected matrices, each from its own
+stream, so every stream is consumed exactly as when it is drawn alone.
+`draw_factor_pair` is the one-stream caller.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .counting import RankOutOfRange, rank_count
+from .counting import RankOutOfRange
 from .field import FieldCtx, FqrankError
-from .matrices import MatrixFq, mat_mul, rank
+from .matrices import MatrixFq, _rank_stack, mat_mul
 
 REJECTION_CAP = 10_000
 
@@ -58,9 +65,15 @@ class RejectionTelemetry:
 
 
 def expected_full_rank_rate(q: int, rows: int, cols: int) -> float:
-    """Acceptance probability of the full-rank rejection loop."""
-    t = min(rows, cols)
-    return float(rank_count(q, rows, cols, t) / q ** (rows * cols))
+    """Acceptance probability of the full-rank rejection loop:
+    prod_{i<t} (1 - q^(i-s)) with s = max(rows, cols), t = min(rows, cols),
+    in floats (rank_count / q^(rows*cols) without the exact powers)."""
+    if q < 2:
+        raise FqrankError(f"field order must be >= 2, got {q}")
+    s, t = max(rows, cols), min(rows, cols)
+    if t < 0:
+        raise RankOutOfRange(f"dimensions must be >= 0, got {rows} x {cols}")
+    return math.prod(1.0 - float(q) ** (i - s) for i in range(t))
 
 
 def random_elements(
@@ -69,9 +82,13 @@ def random_elements(
     """Independent uniform element indices via modular mapping.
 
     Full-width 64-bit draws reduced mod q; the bias is q/2**64 < 1e-15 per
-    entry, far below every statistical tolerance used here.
+    entry, far below every statistical tolerance used here.  The draws are
+    the bit generator's raw words: for a 64-bit bit generator (Philox, which
+    every SeedSpec stream uses, PCG64, SFC64) exactly the words, and the
+    stream position, of rng.integers(0, 2**64, dtype=np.uint64), without
+    the argument handling that is most of that call's cost on small shapes.
     """
-    raw = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+    raw = rng.bit_generator.random_raw(size=shape)
     return (raw % np.uint64(ctx.q)).astype(np.int16)
 
 
@@ -86,19 +103,31 @@ def _reject_full_rank(
     ctx: FieldCtx,
     rows: int,
     cols: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     telemetry: RejectionTelemetry | None,
     max_attempts: int,
-) -> MatrixFq:
+) -> np.ndarray:
+    """One uniform full-rank rows x cols matrix per stream, as an int16 stack
+    in stream order.
+
+    Each round draws a candidate from the stream of every matrix still
+    pending and checks the ranks of the round in one `_rank_stack` call, so a
+    stream sees exactly the draws it would see on its own.
+    """
     target = min(rows, cols)
+    out = np.empty((len(rngs), rows, cols), dtype=np.int16)
+    pending = list(range(len(rngs)))
     for _ in range(max_attempts):
-        cand = uniform_matrix(ctx, rows, cols, rng)
+        for k in pending:
+            out[k] = random_elements(ctx, rngs[k], (rows, cols))
+        ranks = _rank_stack(ctx, out if len(pending) == len(out) else out[pending])
+        drawn = len(pending)
+        pending = [k for k, got in zip(pending, ranks.tolist()) if got != target]
         if telemetry is not None:
-            telemetry.attempts += 1
-        if rank(cand) == target:
-            if telemetry is not None:
-                telemetry.accepted += 1
-            return cand
+            telemetry.attempts += drawn
+            telemetry.accepted += drawn - len(pending)
+        if not pending:
+            return out
     raise RejectionOverflow(
         f"no full-rank {rows} x {cols} matrix over GF({ctx.q}) "
         f"in {max_attempts} attempts"
@@ -113,14 +142,14 @@ def uniform_full_rank(
     telemetry: RejectionTelemetry | None = None,
     max_attempts: int = REJECTION_CAP,
 ) -> MatrixFq:
-    """Uniform m x r matrix of rank r, by rejection from uniform_matrix.
+    """Uniform m x r matrix of rank r, by rejection from uniform draws.
 
     Acceptance probability is prod_{i<r}(1 - q^(i-m)) >= 0.288 even in the
     worst case (q=2, r=m), so the attempt cap is effectively unreachable.
     """
     if r < 0 or r > m:
         raise RankOutOfRange(f"rank {r} not in [0, {m}]")
-    return _reject_full_rank(ctx, m, r, rng, telemetry, max_attempts)
+    return MatrixFq(ctx, _reject_full_rank(ctx, m, r, [rng], telemetry, max_attempts)[0])
 
 
 def uniform_rank_r(
@@ -164,15 +193,38 @@ def draw_factor_pair(
     with no rank condition.  The left factor always consumes the stream
     first.  Rejection attempts of both factors go to `telemetry`.
     """
+    left, right = _draw_factor_stacks(ctx, m, n, r, [rng], mode, max_attempts, telemetry)
+    return MatrixFq(ctx, left[0]), MatrixFq(ctx, right[0])
+
+
+def _draw_factor_stacks(
+    ctx: FieldCtx,
+    m: int,
+    n: int,
+    r: int,
+    rngs: Sequence[np.random.Generator],
+    mode: str,
+    max_attempts: int = REJECTION_CAP,
+    telemetry: RejectionTelemetry | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """draw_factor_pair for a block of streams: the int16 stacks of the left
+    (B, m, r) and right (B, r, n) factors, pair k drawn from stream k exactly
+    as draw_factor_pair draws it (all left draws of a stream come before its
+    right draws)."""
     if mode == "exact":
         if r < 0 or r > min(m, n):
             raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
         return (
-            _reject_full_rank(ctx, m, r, rng, telemetry, max_attempts),
-            _reject_full_rank(ctx, r, n, rng, telemetry, max_attempts),
+            _reject_full_rank(ctx, m, r, rngs, telemetry, max_attempts),
+            _reject_full_rank(ctx, r, n, rngs, telemetry, max_attempts),
         )
     if mode == "product":
         if r < 1:
             raise RankOutOfRange(f"inner dimension must be >= 1, got {r}")
-        return uniform_matrix(ctx, m, r, rng), uniform_matrix(ctx, r, n, rng)
+        if m < 0 or n < 0:
+            raise FqrankError(f"dimensions must be >= 0, got {m} x {n}")
+        return (
+            np.stack([random_elements(ctx, rng, (m, r)) for rng in rngs]),
+            np.stack([random_elements(ctx, rng, (r, n)) for rng in rngs]),
+        )
     raise FqrankError(f"unknown mode {mode!r} (expected 'exact' or 'product')")

@@ -52,11 +52,11 @@ from .matrices import (
     _decode,
     _encode,
     _index_matmul,
+    _rank_stack,
     ct,
     mat_mul,
-    rank,
 )
-from .sampling import SeedSpec, draw_factor_pair
+from .sampling import SeedSpec, _draw_factor_stacks
 
 MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
@@ -64,6 +64,7 @@ MAX_DIRECT_SCAN = 1 << 22
 MAX_RANK_ENUM = 1 << 20
 MAX_PATTERN_TABLE = 1 << 22
 _CHUNK = 1 << 12  # matrices (or factor pairs) decoded and reduced at once
+_CLT_BLOCK_ENTRIES = 1 << 17  # factor entries a clt block draws and counts at once
 
 
 class DegenerateSubset(FqrankError):
@@ -353,14 +354,29 @@ def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
 
     Groups equal rows of x and equal columns of y, then sums a precomputed
     membership table over the count outer product; O(m + n + q^2r) per call
-    after the cached table is built.
+    after the cached table is built.  The one-pair caller of
+    `_product_ct_stack`.
     """
     _check_pair(x, y, subset_a)
-    ctx = x.field
-    weight = _pattern_tables(ctx, x.cols, subset_a.mask)
-    nx = np.bincount(_encode(ctx.q, x.data), minlength=len(weight))
-    ny = np.bincount(_encode(ctx.q, y.data.T), minlength=len(weight))
-    return int(nx @ (weight @ ny))
+    return int(_product_ct_stack(x.field, x.data[None], y.data[None], subset_a.mask)[0])
+
+
+def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> np.ndarray:
+    """product_ct of each pair of the int16 stacks xs (B, m, r) and ys (B, r, n).
+
+    Pair k's row and column pattern codes are offset by k * q^r, so one
+    bincount each tallies the whole block; one einsum against the weight
+    table then sums every pair's count outer product.
+    """
+    weight = _pattern_tables(ctx, xs.shape[-1], amask)
+    pairs, size = len(xs), len(weight)
+    offsets = np.arange(pairs)[:, None] * size
+
+    def tally(vectors: np.ndarray) -> np.ndarray:
+        codes = _encode(ctx.q, vectors) + offsets
+        return np.bincount(codes.ravel(), minlength=pairs * size).reshape(pairs, size)
+
+    return np.einsum("bi,ij,bj->b", tally(xs), weight, tally(ys.swapaxes(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +460,18 @@ def _clt_values(
     sigma = math.sqrt(float(asymptotic_ct_variance(params)))
     spec = SeedSpec(seed)
     fast = _power_at_most(ctx.q, 2 * r, MAX_PATTERN_TABLE)
+    member = subset_a.member_table()
+    block = max(1, _CLT_BLOCK_ENTRIES // max(1, (m + n) * r))
     out = np.empty(hi - lo, dtype=np.float64)
-    for i in range(lo, hi):
-        rng = spec.stream(i)
-        left, right = draw_factor_pair(ctx, m, n, r, rng, mode)
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        rngs = [spec.stream(i) for i in range(start, stop)]
+        lefts, rights = _draw_factor_stacks(ctx, m, n, r, rngs, mode)
         if fast:
-            c = product_ct(left, right, subset_a)
-        else:
-            c = ct(mat_mul(left, right), subset_a)
-        out[i - lo] = (c - mu) / sigma
+            cts = _product_ct_stack(ctx, lefts, rights, subset_a.mask)
+        else:  # one product at a time, so memory stays at one product
+            cts = np.array([member[_index_matmul(ctx, x, y)].sum() for x, y in zip(lefts, rights)])
+        out[start - lo : stop - lo] = (cts - mu) / sigma
     return out
 
 
@@ -561,9 +580,10 @@ class ExactDistribution:
 
 
 def _rank_mask(ctx: FieldCtx, stack: np.ndarray, r: int) -> np.ndarray:
-    """Which matrices of the stack have rank r, by elimination on each."""
-    return np.fromiter(
-        (rank(MatrixFq(ctx, mat)) == r for mat in stack), dtype=bool, count=len(stack)
+    """Which matrices of the stack have rank r, by elimination on each
+    (`_rank_stack` over _CHUNK matrices at a time)."""
+    return np.concatenate(
+        [_rank_stack(ctx, stack[lo : lo + _CHUNK]) == r for lo in range(0, len(stack), _CHUNK)]
     )
 
 

@@ -281,6 +281,9 @@ def test_bad_seed_rejected(capsys):
         # gate messages name the power, not its 9543 decimal digits
         "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method pairs",
         "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method direct",
+        # values past Python's int-to-str limit of 4300 digits
+        "count --field 3 --m 100 --n 100 --r 100",
+        "count --field 2 --m 3000 --n 3000 --r 3000",
     ],
 )
 def test_library_input_errors_exit_2(tmp_path, capsys, argv):
@@ -305,6 +308,11 @@ def test_library_input_errors_exit_2(tmp_path, capsys, argv):
         (
             "identity --field 3 --A nonzero --m 4 --n 4 --r 2 --count 5 --seed 4",
             "ca3187f09aee2cee8edf87e721c2df72ab8662b67b74b8ca385bfcc0fb5baa81",
+        ),
+        (
+            # m*n*log10(q) is past 4300, yet every integer printed is shorter
+            "count --field 2 --m 120 --n 120 --r 60",
+            "581c7226f39ddcc3e6a164fa973c90ecb2512d1f22ecfe323cdf13d5f234120d",
         ),
     ],
 )

@@ -1,11 +1,13 @@
 """Property tests of the decomposition's batched coefficient and character-sum
-routes against the per-key routes they replace, and of the stacked product
-and code kernels the enumerations share with mat_mul."""
+routes against the per-key routes they replace, of the stacked product, code
+and rank kernels the enumerations share with mat_mul and rank, and of the
+worker-count invariance of run_clt."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fqrank import stats
+from fqrank.counting import rank_count
 from fqrank.characters import (
     all_subsets,
     character_table,
@@ -14,8 +16,24 @@ from fqrank.characters import (
     sum_indicator,
 )
 from fqrank.field import field_from_order
-from fqrank.matrices import MatrixFq, SubsetA, _decode, _index_matmul, ct, mat_mul
-from fqrank.stats import col_char_sum, decompose_ct, product_ct, row_char_sum, subset_coefficients
+from fqrank.matrices import (
+    MatrixFq,
+    SubsetA,
+    _decode,
+    _index_matmul,
+    _rank_stack,
+    ct,
+    mat_mul,
+    rank,
+)
+from fqrank.stats import (
+    col_char_sum,
+    decompose_ct,
+    product_ct,
+    row_char_sum,
+    run_clt,
+    subset_coefficients,
+)
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -129,3 +147,76 @@ def wide_factor_pairs(draw):
 def test_product_ct_counts_the_product(case):
     x, y, subset_a = case
     assert product_ct(x, y, subset_a) == ct(mat_mul(x, y), subset_a)
+
+
+@st.composite
+def rank_stacks(draw):
+    """Stacks of 2 to 6 matrices (one matrix goes through rank itself) with
+    dimensions 0 to 8, sparse or rank-deficient by construction: entries are
+    zero with a drawn probability, and a drawn share of the stacks is a
+    product through an inner size below both dimensions."""
+    ctx = field_from_order(draw(st.sampled_from(FIELDS)))
+    count, rows, cols = draw(st.integers(2, 6)), draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    rng = np.random.default_rng(seed)
+
+    def entries(*shape):
+        values = rng.integers(0, ctx.q, size=shape) * (rng.random(shape) >= zeros)
+        return values.astype(np.int16)
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        return ctx, _index_matmul(ctx, entries(count, rows, inner), entries(count, inner, cols))
+    return ctx, entries(count, rows, cols)
+
+
+@FEW
+@given(rank_stacks())
+@example((field_from_order(3), np.ones((3, 0, 4), dtype=np.int16)))
+@example((field_from_order(4), np.ones((2, 5, 0), dtype=np.int16)))
+def test_rank_stack_is_rank_per_matrix(case):
+    ctx, stack = case
+    got = _rank_stack(ctx, stack)
+    assert got.tolist() == [rank(MatrixFq(ctx, mat)) for mat in stack]
+
+
+@st.composite
+def enumerable_shapes(draw):
+    """(q, rows, cols) with rows, cols <= 8 and at most 2^12 matrices."""
+    q = draw(st.sampled_from(FIELDS))
+    entries = max(k for k in range(13) if q**k <= 1 << 12)
+    rows = draw(st.integers(0, min(8, entries)))
+    cols = draw(st.integers(0, min(8, entries // rows if rows else 8)))
+    return q, rows, cols
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(enumerable_shapes())
+def test_rank_stack_tallies_rank_count(shape):
+    """Every matrix of the shape, ranked in one stack: the tally is rank_count.
+
+    A slip in clearing the rows below a pivot can keep the tally, since that
+    clearing permutes the matrices; the per-matrix test above catches it."""
+    q, rows, cols = shape
+    stack = _decode(q, np.arange(q ** (rows * cols), dtype=np.int64), rows, cols)
+    tally = np.bincount(_rank_stack(field_from_order(q), stack), minlength=min(rows, cols) + 1)
+    assert tally.tolist() == [int(rank_count(q, rows, cols, r)) for r in range(len(tally))]
+
+
+@st.composite
+def clt_configs(draw):
+    ctx, subset_a, r = draw(field_subset_rank())
+    r = max(r, 1)  # r = 0 has no variance to scale by
+    m, n = draw(st.integers(r, 6)), draw(st.integers(r, 6))
+    samples, seed = draw(st.integers(100, 140)), draw(st.integers(0, 2**64 - 1))
+    return ctx, subset_a, r, m, n, samples, seed, draw(st.sampled_from(["exact", "product"]))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(clt_configs())
+def test_run_clt_is_the_same_at_one_and_two_workers(case):
+    ctx, subset_a, r, m, n, samples, seed, mode = case
+    one = run_clt(ctx, subset_a, r, m, n, samples, seed, mode, workers=1)
+    two = run_clt(ctx, subset_a, r, m, n, samples, seed, mode, workers=2)
+    assert one.samples.tobytes() == two.samples.tobytes()
+    assert one.to_dict() == two.to_dict()

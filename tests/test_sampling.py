@@ -1,13 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
-from fqrank.counting import RankOutOfRange
+from fqrank.counting import RankOutOfRange, rank_count
 from fqrank.field import field_from_order, make_field
 from fqrank.matrices import mat_mul, rank
 from fqrank.sampling import (
     RejectionOverflow,
     RejectionTelemetry,
     SeedSpec,
+    _draw_factor_stacks,
     draw_factor_pair,
     expected_full_rank_rate,
     product_sampler,
@@ -63,6 +66,16 @@ def test_random_elements_range():
     assert len(np.unique(vals)) == 9  # every element appears
 
 
+def test_random_elements_reduce_the_streams_64_bit_integers():
+    # the stream contract: entries are Generator.integers(0, 2**64) mod q
+    ctx = make_field(3, 2)
+    for shape in [(3, 4), (5,), (2, 0)]:
+        got = random_elements(ctx, SeedSpec(8).stream(2), shape)
+        rng = SeedSpec(8).stream(2)
+        words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+        assert np.array_equal(got, (words % np.uint64(9)).astype(np.int16))
+
+
 def test_uniform_matrix_determinism():
     ctx = make_field(2, 1)
     m1 = uniform_matrix(ctx, 4, 4, SeedSpec(99).stream(3))
@@ -78,6 +91,21 @@ def test_expected_full_rank_rate_frozen():
     assert expected_full_rank_rate(3, 2, 2) == pytest.approx(48 / 81)
     # worst case over the supported range stays comfortably above 0.28
     assert expected_full_rank_rate(2, 30, 30) > 0.28
+
+
+def test_expected_full_rank_rate_is_the_exact_ratio():
+    for q in (2, 3, 4, 9):
+        for rows in range(6):
+            for cols in range(6):
+                exact = rank_count(q, rows, cols, min(rows, cols)) / q ** (rows * cols)
+                assert expected_full_rank_rate(q, rows, cols) == pytest.approx(float(exact))
+
+
+def test_expected_full_rank_rate_large_is_fast():
+    start = time.perf_counter()
+    rate = expected_full_rank_rate(2, 2000, 2000)
+    assert time.perf_counter() - start < 1.0
+    assert rate == pytest.approx(0.2887880950866024)  # prod_{i>=1} (1 - 2^-i)
 
 
 def test_uniform_full_rank_always_full_rank():
@@ -217,3 +245,22 @@ def test_draw_factor_pair_modes():
     assert telemetry.accepted == 2 and telemetry.attempts >= 2
     with pytest.raises(ValueError):
         draw_factor_pair(ctx, 2, 2, 1, rng, mode="bogus")
+
+
+def test_block_draws_are_per_stream_draws():
+    # q=2, m=n=r=2 accepts 3/8 of the candidates: several redraw rounds
+    ctx = make_field(2, 1)
+    for mode in ("exact", "product"):
+        block = RejectionTelemetry()
+        rngs = [SeedSpec(5).stream(i) for i in range(40)]
+        lefts, rights = _draw_factor_stacks(ctx, 2, 2, 2, rngs, mode, telemetry=block)
+        single = RejectionTelemetry()
+        for i, rng in enumerate(rngs):
+            alone = SeedSpec(5).stream(i)
+            x, y = draw_factor_pair(ctx, 2, 2, 2, alone, mode, telemetry=single)
+            assert np.array_equal(x.data, lefts[i]) and np.array_equal(y.data, rights[i])
+            # and the block leaves each stream where a single draw leaves it
+            assert rng.bit_generator.random_raw() == alone.bit_generator.random_raw()
+        assert (block.attempts, block.accepted) == (single.attempts, single.accepted)
+        if mode == "exact":
+            assert block.accepted == 80 and block.attempts > 120

@@ -1,6 +1,7 @@
 """Character sums, the product-count decomposition, exact laws, and CLT runs."""
 
 from fractions import Fraction
+import math
 import os
 from itertools import product
 
@@ -20,7 +21,8 @@ from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import field_from_order, make_field
 from fqrank import stats
 from fqrank.matrices import DimensionMismatch, FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
-from fqrank.sampling import SeedSpec, uniform_matrix
+from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance
+from fqrank.sampling import SeedSpec, draw_factor_pair, uniform_matrix
 from fqrank.stats import (
     DegenerateSubset,
     TooLargeToEnumerate,
@@ -468,6 +470,36 @@ def test_run_clt_clamps_workers(monkeypatch):
     assert all(size <= (os.cpu_count() or 1) for size in _InProcessPool.sizes)
     assert many.to_dict() == one.to_dict()
     assert np.array_equal(many.samples, one.samples)
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, mode, table",
+    [
+        (2, 5, 7, 1, "exact", True),
+        (3, 4, 3, 2, "product", True),
+        (2, 2, 2, 2, "exact", True),  # accepts 3/8 of the candidates: several rounds
+        (16, 4, 3, 3, "exact", False),  # 16^6 > 2^22: one product at a time
+        (16, 3, 5, 3, "product", False),
+    ],
+)
+def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, table):
+    monkeypatch.setattr(stats, "_CLT_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
+    assert (q ** (2 * r) <= stats.MAX_PATTERN_TABLE) == table
+    ctx = field_from_order(q)
+    subset = SubsetA.from_indices(q, [1])
+    params = MomentParams(q=q, r=r, m=m, n=n, subset=subset)
+    mu = float(asymptotic_ct_mean(params))
+    sigma = math.sqrt(float(asymptotic_ct_variance(params)))
+    want = []
+    for i in range(17):
+        x, y = draw_factor_pair(ctx, m, n, r, SeedSpec(99).stream(i), mode)
+        c = product_ct(x, y, subset) if table else ct(mat_mul(x, y), subset)
+        want.append((c - mu) / sigma)
+    want = np.array(want)
+    # ranges that start and stop inside blocks, as the worker pool splits them
+    for lo, hi in [(0, 17), (0, 7), (7, 16), (16, 17), (4, 5)]:
+        got = stats._clt_values(ctx, subset, r, m, n, mode, 99, lo, hi)
+        assert got.tobytes() == want[lo:hi].tobytes()
 
 
 def test_run_clt_product_mode():
