@@ -220,6 +220,8 @@ def _decomposition_record(dec) -> dict:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
+    if not args.tolerance >= 0:  # also refuses NaN, which no residual can meet
+        raise UsageError(f"--tolerance: need a number >= 0, got {args.tolerance}")
     ctx = _field_from_args(args)
     subset = _subset_from_args(args, ctx.q)
     if (args.x_file is None) != (args.y_file is None):
@@ -302,7 +304,6 @@ def _cmd_clt(args: argparse.Namespace) -> int:
         workers=args.workers,
         bins=args.bins,
     )
-    _emit(report.to_dict(), sys.stdout)
     if args.csv_hist is not None:
         with open(args.csv_hist, "w", encoding="utf-8") as fh:
             fh.write("bin_center,count\n")
@@ -315,6 +316,7 @@ def _cmd_clt(args: argparse.Namespace) -> int:
             fh.write("sample,normal_cdf\n")
             for v in np.sort(report.samples):
                 fh.write(f"{v:.12g},{normal_cdf(float(v)):.12g}\n")
+    _emit(report.to_dict(), sys.stdout)
     return 0
 
 

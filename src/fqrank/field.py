@@ -268,43 +268,32 @@ def _build_tables(spec: FieldSpec) -> FieldCtx:
         acc = _poly_mul_mod(acc, g_digits, modulus, p)
     assert sum(d * w for d, w in zip(acc, weights)) == 1, "generator order != q-1"
 
-    # digit matrix for vectorised componentwise (additive) operations
-    idxs = np.arange(q, dtype=np.int64)
-    digs = np.empty((q, e), dtype=np.int64)
-    t = idxs.copy()
-    for i in range(e):
-        digs[:, i] = t % p
-        t //= p
+    # Built before add, so the q x q temporaries of the two never coexist.
+    # Log sums stay below 2q <= 8192, so int16 holds them.
+    mul = exp[(log[:, None] + log) % (q - 1)]
+    mul[0, :] = 0
+    mul[:, 0] = 0
 
-    add = np.zeros((q, q), dtype=np.int16)
-    for i in range(e):
-        add += (((digs[:, i][:, None] + digs[:, i][None, :]) % p) * weights[i]).astype(np.int16)
+    # Addition and negation act digit by digit mod p: each pass puts digit i,
+    # with place value w = p**i, above the tables of the lower digits.
+    digits = np.arange(p, dtype=np.int16)
+    add = np.zeros((1, 1), dtype=np.int16)
+    neg = np.zeros(1, dtype=np.int16)
+    for w in weights:
+        high = (digits[:, None] + digits) % p * w
+        add = (high[:, None, :, None] + add[None, :, None, :]).reshape(p * w, p * w)
+        neg = ((-digits % p * w)[:, None] + neg).reshape(p * w)
 
-    neg = np.zeros(q, dtype=np.int16)
-    for i in range(e):
-        neg += (((p - digs[:, i]) % p) * weights[i]).astype(np.int16)
-
-    logs32 = log.astype(np.int64)
-    mul = exp[(logs32[:, None] + logs32[None, :]) % (q - 1)] if q > 2 else np.array(
-        [[0, 0], [0, 1]], dtype=np.int16
-    )
-    if q > 2:
-        mul[0, :] = 0
-        mul[:, 0] = 0
-    mul = np.ascontiguousarray(mul, dtype=np.int16)
-
+    ks = np.arange(q - 1)
     inv = np.zeros(q, dtype=np.int16)
-    ks = np.arange(q - 1, dtype=np.int64)
-    inv[exp[ks]] = exp[(q - 1 - ks) % (q - 1)]
+    inv[exp] = exp[-ks % (q - 1)]
 
     # absolute trace a + a^p + ... + a^(p^(e-1)), evaluated on the unit cycle
-    trace = np.zeros(q, dtype=np.int16)
-    frob = exp[ks].astype(np.int16)
-    acc_tr = frob.copy()
+    acc_tr = exp
     for i in range(1, e):
-        frob = exp[(ks * pow(p, i, q - 1)) % (q - 1)].astype(np.int16)
-        acc_tr = add[acc_tr, frob]
-    trace[exp[ks]] = acc_tr
+        acc_tr = add[acc_tr, exp[ks * pow(p, i, q - 1) % (q - 1)]]
+    trace = np.zeros(q, dtype=np.int16)
+    trace[exp] = acc_tr
     assert int(trace.max(initial=0)) < p, "trace must land in the prime subfield"
 
     return FieldCtx(

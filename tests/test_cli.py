@@ -171,7 +171,8 @@ def test_identity_requires_both_files(tmp_path, capsys):
 def test_identity_failure_exit_code(capsys):
     rc, out, err = run_cli(
         capsys,
-        ["identity", "--field", "2", "--A", "1", "--count", "2", "--tolerance", "-1"],
+        # GF(3)'s residuals are rounding noise above 0, so tolerance 0 fails
+        ["identity", "--field", "3", "--A", "1", "--count", "2", "--tolerance", "0"],
     )
     assert rc == 1
     assert json.loads(out)["pass"] is False
@@ -278,6 +279,11 @@ def test_bad_seed_rejected(capsys):
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 120 --seed 1 --bins 0",
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 99 --seed 1",
         "clt --field 2 --A 0,1 --r 1 --m 8 --n 8 --N 120 --seed 1",
+        # an unwritable CSV path must not leave a report on stdout
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --csv-hist {bad}/h.csv",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --csv-samples {bad}/s.csv",
+        "identity --field 2 --A 1 --tolerance nan",
+        "identity --field 2 --A 1 --tolerance -1",
         # gate messages name the power, not its 9543 decimal digits
         "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method pairs",
         "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method direct",
