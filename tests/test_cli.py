@@ -279,11 +279,15 @@ def test_bad_seed_rejected(capsys):
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 120 --seed 1 --bins 0",
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 99 --seed 1",
         "clt --field 2 --A 0,1 --r 1 --m 8 --n 8 --N 120 --seed 1",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --workers 0",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --workers -3",
         # an unwritable CSV path must not leave a report on stdout
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --csv-hist {bad}/h.csv",
         "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --csv-samples {bad}/s.csv",
         "identity --field 2 --A 1 --tolerance nan",
         "identity --field 2 --A 1 --tolerance -1",
+        # 3^9 terms are within the term gate; r = 9 is past the rank gate
+        "identity --field 3 --A 1 --m 2 --n 2 --r 9 --count 1",
         # gate messages name the power, not its 9543 decimal digits
         "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method pairs",
         "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method direct",

@@ -1,9 +1,11 @@
 """Property tests of the decomposition's batched coefficient and character-sum
 routes against the per-key routes they replace, of the stacked product, code
-and rank kernels the enumerations share with mat_mul and rank, and of the
-worker-count invariance of run_clt."""
+and rank kernels the enumerations share with mat_mul and rank, of both
+routes of the product count against the product, and of the worker-count
+invariance of run_clt."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fqrank import stats
@@ -147,6 +149,65 @@ def wide_factor_pairs(draw):
 def test_product_ct_counts_the_product(case):
     x, y, subset_a = case
     assert product_ct(x, y, subset_a) == ct(mat_mul(x, y), subset_a)
+
+
+@st.composite
+def counting_stacks(draw):
+    """Stacks of 1 to 3 pairs over q <= 9 or q = 16, r <= 4 (0 included) and
+    m, n <= 40 (0 included): q^r <= m, where the rows are tallied, and
+    q^r > m both occur."""
+    q = draw(st.sampled_from(FIELDS + [16]))
+    pairs, r = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    amask = draw(st.integers(1, (1 << q) - 2))
+    return counting_stack(q, pairs, m, r, n, amask, draw(st.integers(0, 2**32 - 1)))
+
+
+def counting_stack(q, pairs, m, r, n, amask, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, q, (pairs, m, r)).astype(np.int16)
+    ys = rng.integers(0, q, (pairs, r, n)).astype(np.int16)
+    return field_from_order(q), xs, ys, amask
+
+
+def products_counted(ctx, xs, ys, amask):
+    subset_a = SubsetA(ctx.q, amask)
+    return [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), subset_a) for x, y in zip(xs, ys)]
+
+
+@FEW
+@given(counting_stacks())
+@example(counting_stack(16, 2, 40, 4, 40, 0b110, 1))
+@example(counting_stack(9, 3, 40, 1, 40, 0b1011, 2))
+@example(counting_stack(5, 1, 0, 3, 7, 0b10, 3))
+def test_product_ct_stack_counts_every_product(case):
+    """Both routes count exactly, whichever the stack takes, and the
+    transform stays within 1e-6 of the count (exactly on it for p = 2)."""
+    ctx, xs, ys, amask = case
+    want = products_counted(ctx, xs, ys, amask)
+    assert stats._product_ct_stack(ctx, xs, ys, amask).tolist() == want
+    assert product_ct(MatrixFq(ctx, xs[0]), MatrixFq(ctx, ys[0]), SubsetA(ctx.q, amask)) == want[0]
+    values = stats._transform_ct(ctx, xs, ys, amask)
+    if ctx.p == 2:
+        assert values.tolist() == want
+    else:
+        assert np.abs(values - want).max() < 1e-6
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(counting_stacks())
+def test_refused_rounding_counts_by_the_product(case):
+    """With no rounding margin every transform value is refused, and each
+    pair is counted by its product instead."""
+    ctx, xs, ys, amask = case
+    products = []
+    index_matmul = stats._index_matmul
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "_ROUND_MARGIN", 0.0)
+        patch.setattr(stats, "_index_matmul", lambda *a: products.append(1) or index_matmul(*a))
+        got = stats._product_ct_stack(ctx, xs, ys, amask).tolist()
+    assert got == products_counted(ctx, xs, ys, amask)
+    assert len(products) == len(xs)
 
 
 @st.composite

@@ -67,13 +67,16 @@ def test_random_elements_range():
 
 
 def test_random_elements_reduce_the_streams_64_bit_integers():
-    # the stream contract: entries are Generator.integers(0, 2**64) mod q
-    ctx = make_field(3, 2)
-    for shape in [(3, 4), (5,), (2, 0)]:
-        got = random_elements(ctx, SeedSpec(8).stream(2), shape)
-        rng = SeedSpec(8).stream(2)
-        words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
-        assert np.array_equal(got, (words % np.uint64(9)).astype(np.int16))
+    # the stream contract: entries are Generator.integers(0, 2**64) mod q,
+    # for the powers of two (reduced by a mask) as for the other orders
+    for q in (2, 16, 9, 5):
+        ctx = field_from_order(q)
+        for shape in [(3, 4), (5,), (2, 0), (64, 8)]:
+            got = random_elements(ctx, SeedSpec(8).stream(2), shape)
+            rng = SeedSpec(8).stream(2)
+            words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, (words % np.uint64(q)).astype(np.int16)), (q, shape)
 
 
 def test_uniform_matrix_determinism():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import math
 import os
+import time
 from itertools import product
 
 import numpy as np
@@ -205,8 +206,12 @@ def test_decompose_validation():
         decompose_ct(zero_matrix(ctx, 2, 2), zero_matrix(ctx, 1, 2), SubsetA.full(2))
     with pytest.raises(FieldMismatch):
         decompose_ct(zero_matrix(ctx, 2, 1), zero_matrix(ctx, 1, 2), SubsetA.full(3))
-    with pytest.raises(TooLargeToEnumerate):
+    # each gate names the limit it enforces
+    with pytest.raises(TooLargeToEnumerate, match=r"r = 7 > 6"):
         decompose_ct(zero_matrix(ctx, 1, 7), zero_matrix(ctx, 7, 1), SubsetA.full(2))
+    gf4096 = field_from_order(4096)
+    with pytest.raises(TooLargeToEnumerate, match=r"4096\^2 > 2\^22"):
+        decompose_ct(zero_matrix(gf4096, 1, 2), zero_matrix(gf4096, 2, 1), SubsetA.full(4096))
 
 
 def per_key_coefficients(ctx, subset_a, r, keys=None):
@@ -334,9 +339,33 @@ def test_product_ct_rank_zero():
 
 
 def test_product_ct_table_too_large():
+    """Pairs with q^(2r) > 2^22, too many for a table of every pair of row and
+    column patterns, are counted all the same, by either route."""
     ctx = field_from_order(8)
-    with pytest.raises(TooLargeToEnumerate):
-        product_ct(zero_matrix(ctx, 1, 8), zero_matrix(ctx, 8, 1), SubsetA.full(8))
+    assert product_ct(zero_matrix(ctx, 1, 8), zero_matrix(ctx, 8, 1), SubsetA.full(8)) == 1
+    stream = SeedSpec(7).stream(0)
+    for q, r, m, n in [(8, 8, 3, 4), (16, 4, 300, 280)]:  # the product, then the transform
+        ctx = field_from_order(q)
+        x, y = uniform_matrix(ctx, m, r, stream), uniform_matrix(ctx, r, n, stream)
+        for subset in (SubsetA.from_indices(q, [1]), SubsetA.nonzero(q)):
+            assert product_ct(x, y, subset) == ct(mat_mul(x, y), subset)
+
+
+def test_product_ct_large_field_takes_the_product(monkeypatch):
+    """At q = 2048, r = 2 the transform would take r q^(r+1), about 1.7e10,
+    multiply-adds per pair: an 8 x 8 clt run counts every product instead."""
+    monkeypatch.setattr(stats, "_transform_ct", None)  # any call would fail
+    ctx = field_from_order(2048)
+    subset = SubsetA.from_indices(2048, [1])
+    start = time.perf_counter()
+    report = run_clt(ctx, subset, 2, 8, 8, 100, seed=1)
+    assert time.perf_counter() - start < 1.0
+    x, y = draw_factor_pair(ctx, 8, 8, 2, SeedSpec(1).stream(0), "exact")
+    params = MomentParams(q=2048, r=2, m=8, n=8, subset=subset)
+    want = (ct(mat_mul(x, y), subset) - float(asymptotic_ct_mean(params))) / math.sqrt(
+        float(asymptotic_ct_variance(params))
+    )
+    assert report.samples[0] == want
 
 
 def test_product_ct_input_checks():
@@ -473,18 +502,22 @@ def test_run_clt_clamps_workers(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "q, m, n, r, mode, table",
+    "q, m, n, r, mode, transform",
     [
-        (2, 5, 7, 1, "exact", True),
+        (2, 5, 7, 1, "exact", True),  # q^r <= m: rows tallied too
         (3, 4, 3, 2, "product", True),
         (2, 2, 2, 2, "exact", True),  # accepts 3/8 of the candidates: several rounds
-        (16, 4, 3, 3, "exact", False),  # 16^6 > 2^22: one product at a time
+        (16, 4, 3, 3, "exact", False),  # r q^(r+1) far above (2r+1) m n: one product at a time
         (16, 3, 5, 3, "product", False),
     ],
 )
-def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, table):
+def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, transform):
     monkeypatch.setattr(stats, "_CLT_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
-    assert (q ** (2 * r) <= stats.MAX_PATTERN_TABLE) == table
+    counted = []
+    by_transform = stats._transform_ct
+    monkeypatch.setattr(
+        stats, "_transform_ct", lambda *args: counted.append(1) or by_transform(*args)
+    )
     ctx = field_from_order(q)
     subset = SubsetA.from_indices(q, [1])
     params = MomentParams(q=q, r=r, m=m, n=n, subset=subset)
@@ -493,13 +526,13 @@ def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, table):
     want = []
     for i in range(17):
         x, y = draw_factor_pair(ctx, m, n, r, SeedSpec(99).stream(i), mode)
-        c = product_ct(x, y, subset) if table else ct(mat_mul(x, y), subset)
-        want.append((c - mu) / sigma)
+        want.append((ct(mat_mul(x, y), subset) - mu) / sigma)
     want = np.array(want)
     # ranges that start and stop inside blocks, as the worker pool splits them
     for lo, hi in [(0, 17), (0, 7), (7, 16), (16, 17), (4, 5)]:
         got = stats._clt_values(ctx, subset, r, m, n, mode, 99, lo, hi)
         assert got.tobytes() == want[lo:hi].tobytes()
+    assert bool(counted) == transform
 
 
 def test_run_clt_product_mode():
