@@ -31,8 +31,8 @@ from .counting import (
     tv_closed_form_exact,
 )
 from .field import FieldCtx, FqrankError, parse_field_spec
-from .matrices import SubsetA, dump_matrix, load_matrix, mat_mul
-from .sampling import SeedSpec, draw_factor_pair, uniform_matrix
+from .matrices import MatrixFq, SubsetA, _index_matmul, dump_matrix, load_matrix
+from .sampling import SeedSpec, _draw_seeded_block, uniform_matrix
 from .stats import decompose_ct, exact_distribution, normal_cdf, run_clt
 
 
@@ -154,17 +154,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     m, n, r = args.m, args.n, args.r
-    spec = SeedSpec(_seed_flag(args.seed))
+    seed = _seed_flag(args.seed)
     count = _count_flag(args.count)
     try:
-        mats = [
-            mat_mul(*draw_factor_pair(ctx, m, n, r, spec.stream(i), args.mode))
-            for i in range(count)
-        ]
+        lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, 0, count, args.mode)
     except FqrankError as exc:  # the draw checks the shape flags for its mode
         raise UsageError(f"--m/--n/--r: {exc}") from exc
+    mats = _index_matmul(ctx, lefts, rights)
     if args.format == "text":
-        sys.stdout.write("\n".join(dump_matrix(mat) for mat in mats))
+        sys.stdout.write("\n".join(dump_matrix(MatrixFq(ctx, mat)) for mat in mats))
     else:
         out = {
             "q": ctx.q,
@@ -173,7 +171,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "r": r,
             "mode": args.mode,
             "seed": args.seed,
-            "matrices": [mat.data.tolist() for mat in mats],
+            "matrices": mats.tolist(),
         }
         _emit(out, sys.stdout)
     return 0

@@ -15,6 +15,14 @@ Factors are drawn for a block of streams at once (`_draw_factor_stacks`);
 the rejection loop redraws only the rejected matrices, each from its own
 stream, so every stream is consumed exactly as when it is drawn alone.
 `draw_factor_pair` is the one-stream caller.
+
+`_draw_seeded_block` draws the streams of one seed and a range of indices
+with no generator per stream: a single Philox, reset to key (seed, i) and
+counter 0, gives stream i's words, all of a pair's first candidates in one
+call.  Only streams with a rejected first candidate are drawn again, from
+their start, through `_draw_factor_stacks`.  `clt` and `sample` draw through
+it; `SeedSpec.stream` and `draw_factor_pair` stay the per-stream route it is
+checked against.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from .field import FieldCtx, FqrankError
 from .matrices import MatrixFq, _rank_stack, mat_mul
 
 REJECTION_CAP = 10_000
+# Below this expected share of pairs that keep their first candidates, a seeded
+# block is drawn by the rejection loop alone (see `_draw_seeded_block`).
+_ONE_CALL_MIN_RATE = 0.5
 
 
 class RejectionOverflow(RuntimeError):
@@ -49,7 +60,9 @@ class SeedSpec:
     def stream(self, index: int) -> np.random.Generator:
         if not 0 <= index < 2**64:
             raise FqrankError("sample index must fit in 64 bits")
-        return np.random.Generator(np.random.Philox(key=[self.master_seed, index]))
+        # a uint64 key: a list with a word past 2**63 - 1 goes through float64
+        key = np.array([self.master_seed, index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -88,8 +101,11 @@ def random_elements(
     stream position, of rng.integers(0, 2**64, dtype=np.uint64), without
     the argument handling that is most of that call's cost on small shapes.
     """
-    raw = rng.bit_generator.random_raw(size=shape)
-    q = ctx.q
+    return _residues(ctx.q, rng.bit_generator.random_raw(size=shape))
+
+
+def _residues(q: int, raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words reduced mod q, as int16 element indices."""
     if q & (q - 1) == 0:  # the same residues as % q, for a third of its cost
         return (raw & np.uint64(q - 1)).astype(np.int16)
     return (raw % np.uint64(q)).astype(np.int16)
@@ -214,20 +230,87 @@ def _draw_factor_stacks(
     (B, m, r) and right (B, r, n) factors, pair k drawn from stream k exactly
     as draw_factor_pair draws it (all left draws of a stream come before its
     right draws)."""
+    _check_factor_shape(m, n, r, mode)
     if mode == "exact":
-        if r < 0 or r > min(m, n):
-            raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
         return (
             _reject_full_rank(ctx, m, r, rngs, telemetry, max_attempts),
             _reject_full_rank(ctx, r, n, rngs, telemetry, max_attempts),
         )
-    if mode == "product":
+    return (
+        np.stack([random_elements(ctx, rng, (m, r)) for rng in rngs]),
+        np.stack([random_elements(ctx, rng, (r, n)) for rng in rngs]),
+    )
+
+
+def _check_factor_shape(m: int, n: int, r: int, mode: str) -> None:
+    if mode == "exact":
+        if r < 0 or r > min(m, n):
+            raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
+    elif mode == "product":
         if r < 1:
             raise RankOutOfRange(f"inner dimension must be >= 1, got {r}")
         if m < 0 or n < 0:
             raise FqrankError(f"dimensions must be >= 0, got {m} x {n}")
-        return (
-            np.stack([random_elements(ctx, rng, (m, r)) for rng in rngs]),
-            np.stack([random_elements(ctx, rng, (r, n)) for rng in rngs]),
+    else:
+        raise FqrankError(f"unknown mode {mode!r} (expected 'exact' or 'product')")
+
+
+def _draw_seeded_block(
+    ctx: FieldCtx,
+    m: int,
+    n: int,
+    r: int,
+    seed: int,
+    lo: int,
+    hi: int,
+    mode: str,
+    telemetry: RejectionTelemetry | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_draw_factor_stacks over the streams SeedSpec(seed).stream(i) for i in
+    [lo, hi): the same stacks and the same telemetry totals.
+
+    One Philox serves the block: setting its state to key (seed, i) and
+    counter 0 gives stream i's words without building a generator.  Each
+    stream's first m*r + r*n words come in one call, which is the whole draw
+    in product mode.  In exact mode they are a pair's first left and right
+    candidates; a stream with a rejected candidate is drawn again from its
+    start by `_draw_factor_stacks`, so it counts in `telemetry` once.  Where
+    the expected share of pairs that keep their first candidates is below
+    _ONE_CALL_MIN_RATE, the block goes to `_draw_factor_stacks` directly.
+    """
+    spec = SeedSpec(seed)
+    _check_factor_shape(m, n, r, mode)
+    if not 0 <= lo <= hi <= 2**64:
+        raise FqrankError("sample index must fit in 64 bits")
+    if mode == "exact" and (
+        expected_full_rank_rate(ctx.q, m, r) * expected_full_rank_rate(ctx.q, r, n)
+        < _ONE_CALL_MIN_RATE
+    ):
+        rngs = [spec.stream(i) for i in range(lo, hi)]
+        return _draw_factor_stacks(ctx, m, n, r, rngs, mode, telemetry=telemetry)
+    split, words = m * r, m * r + r * n
+    raw = np.empty((hi - lo, words), dtype=np.uint64)
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bg.state  # counter 0 and an empty buffer, restored for every stream
+    key = state["state"]["key"]
+    for k, i in enumerate(range(lo, hi)):
+        key[1] = i
+        bg.state = state
+        raw[k] = bg.random_raw(words)
+    elements = _residues(ctx.q, raw)
+    lefts = elements[:, :split].reshape(hi - lo, m, r)
+    rights = elements[:, split:].reshape(hi - lo, r, n)
+    if mode == "product":
+        return lefts, rights
+    kept = (_rank_stack(ctx, lefts) == r) & (_rank_stack(ctx, rights) == r)
+    if telemetry is not None:  # a kept pair is one accepted attempt per factor
+        first_tries = 2 * int(kept.sum())
+        telemetry.attempts += first_tries
+        telemetry.accepted += first_tries
+    redo = np.flatnonzero(~kept)
+    if redo.size:
+        rngs = [spec.stream(lo + int(k)) for k in redo]
+        lefts[redo], rights[redo] = _draw_factor_stacks(
+            ctx, m, n, r, rngs, mode, telemetry=telemetry
         )
-    raise FqrankError(f"unknown mode {mode!r} (expected 'exact' or 'product')")
+    return lefts, rights

@@ -56,7 +56,7 @@ from .matrices import (
     ct,
     mat_mul,
 )
-from .sampling import SeedSpec, _draw_factor_stacks
+from .sampling import _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
@@ -474,7 +474,8 @@ def ks_distance(values: np.ndarray) -> float:
     n = len(xs)
     if n == 0:
         raise FqrankError("need at least one sample")
-    cdf = np.array([normal_cdf(v) for v in xs])
+    # normal_cdf at every point, with math.erf's own values
+    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(xs / math.sqrt(2.0)).astype(float))
     upper = (np.arange(1, n + 1) / n - cdf).max()
     lower = (cdf - np.arange(0, n) / n).max()
     return float(max(upper, lower))
@@ -537,13 +538,11 @@ def _clt_values(
     params = MomentParams(q=ctx.q, r=r, m=m, n=n, subset=subset_a)
     mu = float(asymptotic_ct_mean(params))
     sigma = math.sqrt(float(asymptotic_ct_variance(params)))
-    spec = SeedSpec(seed)
     block = max(1, _CLT_BLOCK_ENTRIES // max(1, (m + n) * r))
     out = np.empty(hi - lo, dtype=np.float64)
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
-        rngs = [spec.stream(i) for i in range(start, stop)]
-        lefts, rights = _draw_factor_stacks(ctx, m, n, r, rngs, mode)
+        lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, start, stop, mode)
         cts = _product_ct_stack(ctx, lefts, rights, subset_a.mask)
         out[start - lo : stop - lo] = (cts - mu) / sigma
     return out

@@ -3,14 +3,16 @@ import time
 import numpy as np
 import pytest
 
+from fqrank import sampling
 from fqrank.counting import RankOutOfRange, rank_count
-from fqrank.field import field_from_order, make_field
-from fqrank.matrices import mat_mul, rank
+from fqrank.field import FqrankError, field_from_order, make_field
+from fqrank.matrices import MatrixFq, mat_mul, rank
 from fqrank.sampling import (
     RejectionOverflow,
     RejectionTelemetry,
     SeedSpec,
     _draw_factor_stacks,
+    _draw_seeded_block,
     draw_factor_pair,
     expected_full_rank_rate,
     product_sampler,
@@ -35,6 +37,15 @@ def test_seed_spec_streams_are_distinct():
     c = SeedSpec(124).stream(0).integers(0, 1 << 30, size=16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_seed_spec_key_is_seed_and_index():
+    # every 64-bit word reaches the key unrounded: no two seeds share a stream
+    for seed, index in [(0, 3), ((1 << 63) + 1, 3), ((1 << 64) - 1, 0), (5, (1 << 64) - 1)]:
+        key = SeedSpec(seed).stream(index).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, index]
+    top = SeedSpec((1 << 64) - 1).stream(0).bit_generator.random_raw(4)
+    assert not np.array_equal(top, SeedSpec(0).stream(0).bit_generator.random_raw(4))
 
 
 def test_seed_spec_validation():
@@ -267,3 +278,68 @@ def test_block_draws_are_per_stream_draws():
         assert (block.attempts, block.accepted) == (single.attempts, single.accepted)
         if mode == "exact":
             assert block.accepted == 80 and block.attempts > 120
+
+
+@pytest.mark.parametrize("min_rate", [0.0, sampling._ONE_CALL_MIN_RATE, 2.0])
+@pytest.mark.parametrize("seed", [5, (1 << 64) - 1])
+@pytest.mark.parametrize("mode", ["exact", "product"])
+@pytest.mark.parametrize("q, m, n, r", [(2, 2, 2, 2), (3, 8, 8, 2)])
+def test_seeded_block_is_per_stream_draws(monkeypatch, q, m, n, r, mode, seed, min_rate):
+    # min_rate 0 takes the one-call round even at q=2, m=n=r=2, where 3/8 of
+    # the candidates are full rank; 2 sends every block to the rejection loop
+    monkeypatch.setattr(sampling, "_ONE_CALL_MIN_RATE", min_rate)
+    looped = []  # streams the block hands to the rejection loop
+    stacks = sampling._draw_factor_stacks
+
+    def counted(ctx, m, n, r, rngs, *args, **kwargs):
+        looped.append(len(rngs))
+        return stacks(ctx, m, n, r, rngs, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "_draw_factor_stacks", counted)
+    ctx = field_from_order(q)
+    one_call = mode == "product" or (
+        expected_full_rank_rate(q, m, r) * expected_full_rank_rate(q, r, n) >= min_rate
+    )
+    rejected = set()
+    for lo, hi in [(0, 40), (7, 33), (39, 40)]:
+        block = RejectionTelemetry()
+        looped.clear()
+        lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, lo, hi, mode, block)
+        in_loop = sum(looped)
+        assert lefts.shape == (hi - lo, m, r) and rights.shape == (hi - lo, r, n)
+        single = RejectionTelemetry()
+        redrawn = 0
+        for k, i in enumerate(range(lo, hi)):
+            alone = RejectionTelemetry()
+            x, y = draw_factor_pair(ctx, m, n, r, SeedSpec(seed).stream(i), mode, telemetry=alone)
+            assert np.array_equal(x.data, lefts[k]) and np.array_equal(y.data, rights[k])
+            single.attempts += alone.attempts
+            single.accepted += alone.accepted
+            if alone.attempts > 2:
+                redrawn += 1
+                first = random_elements(ctx, SeedSpec(seed).stream(i), (m, r))
+                rejected.add("left" if rank(MatrixFq(ctx, first)) < r else "right")
+        assert (block.attempts, block.accepted) == (single.attempts, single.accepted)
+        assert in_loop == (redrawn if one_call else hi - lo)
+    if mode == "product":
+        assert single.attempts == 0
+    elif q == 2:
+        assert rejected == {"left", "right"}
+
+
+def test_seeded_block_index_range():
+    ctx = make_field(2, 1)
+    top = 1 << 64
+    lefts, rights = _draw_seeded_block(ctx, 3, 3, 1, 9, top - 2, top, "exact")
+    for k, i in enumerate([top - 2, top - 1]):
+        x, y = draw_factor_pair(ctx, 3, 3, 1, SeedSpec(9).stream(i), "exact")
+        assert np.array_equal(x.data, lefts[k]) and np.array_equal(y.data, rights[k])
+    for lo, hi in [(top - 1, top + 1), (-1, 2)]:
+        with pytest.raises(FqrankError):
+            _draw_seeded_block(ctx, 3, 3, 1, 9, lo, hi, "exact")
+    with pytest.raises(FqrankError):
+        _draw_seeded_block(ctx, 3, 3, 1, top, 0, 2, "exact")
+    with pytest.raises(RankOutOfRange):
+        _draw_seeded_block(ctx, 3, 3, 4, 9, 0, 2, "exact")
+    with pytest.raises(FqrankError):
+        _draw_seeded_block(ctx, 3, 3, 1, 9, 0, 2, "bogus")
