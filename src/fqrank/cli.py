@@ -33,7 +33,13 @@ from .counting import (
 from .field import FieldCtx, FqrankError, parse_field_spec
 from .matrices import MatrixFq, SubsetA, _index_matmul, dump_matrix, load_matrix
 from .sampling import SeedSpec, _draw_seeded_block, uniform_matrix
-from .stats import decompose_ct, exact_distribution, normal_cdf, run_clt
+from .stats import (
+    _CLT_BLOCK_ENTRIES,
+    _normal_cdf_array,
+    decompose_ct,
+    exact_distribution,
+    run_clt,
+)
 
 
 class UsageError(FqrankError):
@@ -156,13 +162,22 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     m, n, r = args.m, args.n, args.r
     seed = _seed_flag(args.seed)
     count = _count_flag(args.count)
-    try:
-        lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, 0, count, args.mode)
-    except FqrankError as exc:  # the draw checks the shape flags for its mode
-        raise UsageError(f"--m/--n/--r: {exc}") from exc
-    mats = _index_matmul(ctx, lefts, rights)
+    # blocks of bounded size, so only the output grows with --count
+    block = max(1, _CLT_BLOCK_ENTRIES // max(1, (m + n) * r + m * n))
+    mats: list = []
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        try:
+            lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, start, stop, args.mode)
+        except FqrankError as exc:  # the draw checks the shape flags for its mode
+            raise UsageError(f"--m/--n/--r: {exc}") from exc
+        products = _index_matmul(ctx, lefts, rights)
+        if args.format == "text":
+            mats.extend(dump_matrix(MatrixFq(ctx, mat)) for mat in products)
+        else:
+            mats.extend(products.tolist())
     if args.format == "text":
-        sys.stdout.write("\n".join(dump_matrix(MatrixFq(ctx, mat)) for mat in mats))
+        sys.stdout.write("\n".join(mats))
     else:
         out = {
             "q": ctx.q,
@@ -171,7 +186,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "r": r,
             "mode": args.mode,
             "seed": args.seed,
-            "matrices": mats.tolist(),
+            "matrices": mats,
         }
         _emit(out, sys.stdout)
     return 0
@@ -312,8 +327,9 @@ def _cmd_clt(args: argparse.Namespace) -> int:
     if args.csv_samples is not None:
         with open(args.csv_samples, "w", encoding="utf-8") as fh:
             fh.write("sample,normal_cdf\n")
-            for v in np.sort(report.samples):
-                fh.write(f"{v:.12g},{normal_cdf(float(v)):.12g}\n")
+            xs = np.sort(report.samples)
+            for v, cdf in zip(xs, _normal_cdf_array(xs).tolist()):
+                fh.write(f"{v:.12g},{cdf:.12g}\n")
     _emit(report.to_dict(), sys.stdout)
     return 0
 

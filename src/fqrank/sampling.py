@@ -38,9 +38,6 @@ from .field import FieldCtx, FqrankError
 from .matrices import MatrixFq, _rank_stack, mat_mul
 
 REJECTION_CAP = 10_000
-# Below this expected share of pairs that keep their first candidates, a seeded
-# block is drawn by the rejection loop alone (see `_draw_seeded_block`).
-_ONE_CALL_MIN_RATE = 0.5
 
 
 class RejectionOverflow(RuntimeError):
@@ -274,20 +271,12 @@ def _draw_seeded_block(
     stream's first m*r + r*n words come in one call, which is the whole draw
     in product mode.  In exact mode they are a pair's first left and right
     candidates; a stream with a rejected candidate is drawn again from its
-    start by `_draw_factor_stacks`, so it counts in `telemetry` once.  Where
-    the expected share of pairs that keep their first candidates is below
-    _ONE_CALL_MIN_RATE, the block goes to `_draw_factor_stacks` directly.
+    start by `_draw_factor_stacks`, so it counts in `telemetry` once.
     """
     spec = SeedSpec(seed)
     _check_factor_shape(m, n, r, mode)
     if not 0 <= lo <= hi <= 2**64:
         raise FqrankError("sample index must fit in 64 bits")
-    if mode == "exact" and (
-        expected_full_rank_rate(ctx.q, m, r) * expected_full_rank_rate(ctx.q, r, n)
-        < _ONE_CALL_MIN_RATE
-    ):
-        rngs = [spec.stream(i) for i in range(lo, hi)]
-        return _draw_factor_stacks(ctx, m, n, r, rngs, mode, telemetry=telemetry)
     split, words = m * r, m * r + r * n
     raw = np.empty((hi - lo, words), dtype=np.uint64)
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))

@@ -464,7 +464,13 @@ def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
 
 
 def normal_cdf(t: float) -> float:
-    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+    return float(_normal_cdf_array(t))
+
+
+def _normal_cdf_array(t: np.ndarray) -> np.ndarray:
+    """The standard normal CDF at every point of t, from math.erf's values."""
+    erf = np.frompyfunc(math.erf, 1, 1)(np.asarray(t, dtype=np.float64) / math.sqrt(2.0))
+    return 0.5 * (1.0 + np.asarray(erf, dtype=np.float64))
 
 
 def ks_distance(values: np.ndarray) -> float:
@@ -474,8 +480,7 @@ def ks_distance(values: np.ndarray) -> float:
     n = len(xs)
     if n == 0:
         raise FqrankError("need at least one sample")
-    # normal_cdf at every point, with math.erf's own values
-    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(xs / math.sqrt(2.0)).astype(float))
+    cdf = _normal_cdf_array(xs)
     upper = (np.arange(1, n + 1) / n - cdf).max()
     lower = (cdf - np.arange(0, n) / n).max()
     return float(max(upper, lower))

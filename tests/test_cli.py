@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import fqrank
+from fqrank import cli
 from fqrank.cli import main
 from fqrank.field import make_field
-from fqrank.matrices import dump_matrix, load_matrix, matrix, rank
+from fqrank.matrices import dump_matrix, load_matrix, mat_mul, matrix, rank
+from fqrank.sampling import SeedSpec, draw_factor_pair
 
 
 def run_cli(capsys, argv):
@@ -81,6 +83,26 @@ def test_sample_json(capsys):
     ctx = make_field(2, 1)
     for rows in doc["matrices"]:
         assert rank(matrix(ctx, rows)) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("mode", ["exact", "product"])
+def test_sample_blocks_are_per_stream_products(capsys, monkeypatch, mode, fmt):
+    # 60 entries per block: 2 samples of 3x4 from rank-2 factors, so 7 blocks
+    monkeypatch.setattr(cli, "_CLT_BLOCK_ENTRIES", 60)
+    argv = [
+        "sample", "--field", "3", "--m", "3", "--n", "4", "--r", "2",
+        "--count", "13", "--seed", "11", "--mode", mode, "--format", fmt,
+    ]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0 and err == ""
+    ctx = make_field(3, 1)
+    spec = SeedSpec(11)
+    mats = [mat_mul(*draw_factor_pair(ctx, 3, 4, 2, spec.stream(i), mode)) for i in range(13)]
+    if fmt == "text":
+        assert out == "\n".join(dump_matrix(mat) for mat in mats)
+    else:
+        assert json.loads(out)["matrices"] == [mat.data.tolist() for mat in mats]
 
 
 def test_sample_product_mode_needs_positive_rank(capsys):

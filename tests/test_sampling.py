@@ -280,14 +280,10 @@ def test_block_draws_are_per_stream_draws():
             assert block.accepted == 80 and block.attempts > 120
 
 
-@pytest.mark.parametrize("min_rate", [0.0, sampling._ONE_CALL_MIN_RATE, 2.0])
 @pytest.mark.parametrize("seed", [5, (1 << 64) - 1])
 @pytest.mark.parametrize("mode", ["exact", "product"])
 @pytest.mark.parametrize("q, m, n, r", [(2, 2, 2, 2), (3, 8, 8, 2)])
-def test_seeded_block_is_per_stream_draws(monkeypatch, q, m, n, r, mode, seed, min_rate):
-    # min_rate 0 takes the one-call round even at q=2, m=n=r=2, where 3/8 of
-    # the candidates are full rank; 2 sends every block to the rejection loop
-    monkeypatch.setattr(sampling, "_ONE_CALL_MIN_RATE", min_rate)
+def test_seeded_block_is_per_stream_draws(monkeypatch, q, m, n, r, mode, seed):
     looped = []  # streams the block hands to the rejection loop
     stacks = sampling._draw_factor_stacks
 
@@ -297,9 +293,6 @@ def test_seeded_block_is_per_stream_draws(monkeypatch, q, m, n, r, mode, seed, m
 
     monkeypatch.setattr(sampling, "_draw_factor_stacks", counted)
     ctx = field_from_order(q)
-    one_call = mode == "product" or (
-        expected_full_rank_rate(q, m, r) * expected_full_rank_rate(q, r, n) >= min_rate
-    )
     rejected = set()
     for lo, hi in [(0, 40), (7, 33), (39, 40)]:
         block = RejectionTelemetry()
@@ -320,7 +313,7 @@ def test_seeded_block_is_per_stream_draws(monkeypatch, q, m, n, r, mode, seed, m
                 first = random_elements(ctx, SeedSpec(seed).stream(i), (m, r))
                 rejected.add("left" if rank(MatrixFq(ctx, first)) < r else "right")
         assert (block.attempts, block.accepted) == (single.attempts, single.accepted)
-        assert in_loop == (redrawn if one_call else hi - lo)
+        assert in_loop == redrawn
     if mode == "product":
         assert single.attempts == 0
     elif q == 2:
