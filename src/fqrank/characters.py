@@ -30,6 +30,7 @@ from .counting import entry_bias
 from .field import FieldCtx, FqrankError, _power_at_most
 
 MAX_TUPLE_TABLE = 1 << 20
+_OFF_UNITS_TOL = 1e-12  # fourier_transform refuses more mass than this off the units
 
 
 class BadSubset(FqrankError):
@@ -271,23 +272,22 @@ def mobius_reconstruct(components: Mapping[IndexSubset, FunctionTable], r: int) 
 # ---------------------------------------------------------------------------
 
 
-def fourier_transform(
-    f: FunctionTable, table: CharacterTable, tol: float = 1e-12
-) -> np.ndarray:
+def fourier_transform(f: FunctionTable, table: CharacterTable) -> np.ndarray:
     """Normalised transform of a function supported on tuples of units.
 
     Returns an array of shape (q-1,)*t whose [j1, ..., jt] entry is
     (q-1)^(-t) * sum f(a) * conj(chi_j1(a_1)) * ... * conj(chi_jt(a_t)).
-    Raises NotSupportedOnUnits if f has mass > tol on a zero coordinate, as
-    the inversion formula only holds on the unit part of the domain.
+    Raises NotSupportedOnUnits if f has mass > _OFF_UNITS_TOL (1e-12) on a
+    zero coordinate, as the inversion formula only holds on the unit part
+    of the domain.
     """
     q = table.field.q
     if f.q != q:
         raise FqrankError(f"function over GF({f.q}), table over GF({q})")
     _check_tuple_cap(q, f.arity)
     off = off_units_magnitude(f)
-    if off > tol:
-        raise NotSupportedOnUnits(f"mass {off:g} on a zero coordinate exceeds {tol:g}")
+    if off > _OFF_UNITS_TOL:
+        raise NotSupportedOnUnits(f"mass {off:g} on a zero coordinate exceeds {_OFF_UNITS_TOL:g}")
     return units_transform(f, table)
 
 

@@ -32,14 +32,8 @@ from .counting import (
 )
 from .field import FieldCtx, FqrankError, parse_field_spec
 from .matrices import MatrixFq, SubsetA, _index_matmul, dump_matrix, load_matrix
-from .sampling import SeedSpec, _draw_seeded_block, uniform_matrix
-from .stats import (
-    _CLT_BLOCK_ENTRIES,
-    _normal_cdf_array,
-    decompose_ct,
-    exact_distribution,
-    run_clt,
-)
+from .sampling import SeedSpec, _blocks, _draw_seeded_block, uniform_matrix
+from .stats import _normal_cdf_array, decompose_ct, exact_distribution, run_clt
 
 
 class UsageError(FqrankError):
@@ -163,10 +157,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     seed = _seed_flag(args.seed)
     count = _count_flag(args.count)
     # blocks of bounded size, so only the output grows with --count
-    block = max(1, _CLT_BLOCK_ENTRIES // max(1, (m + n) * r + m * n))
     mats: list = []
-    for start in range(0, count, block):
-        stop = min(start + block, count)
+    for start, stop in _blocks(0, count, (m + n) * r + m * n):
         try:
             lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, start, stop, args.mode)
         except FqrankError as exc:  # the draw checks the shape flags for its mode

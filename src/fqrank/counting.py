@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FqrankError
-from .matrices import SubsetA
+from .matrices import FieldMismatch, SubsetA
 
 
 class RankOutOfRange(FqrankError):
@@ -26,6 +26,7 @@ class RankOutOfRange(FqrankError):
 
 
 def _check_rank(r: int, *dims: int) -> None:
+    """The one rank-range check: 0 <= r <= min(dims), else RankOutOfRange."""
     if r < 0 or (dims and r > min(dims)):
         raise RankOutOfRange(f"rank {r} not in [0, {min(dims) if dims else 0}]")
 
@@ -90,7 +91,8 @@ def subset_bias(q: int, subset: SubsetA) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Parameters of the normalised entry-count statistic."""
+    """Parameters of the normalised entry-count statistic: m, n >= 1, r in
+    [0, min(m, n)] (else RankOutOfRange), a subset over GF(q) (else FieldMismatch)."""
 
     q: int
     r: int
@@ -101,14 +103,9 @@ class MomentParams:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise FqrankError(f"dimensions must be >= 1, got {self.m} x {self.n}")
-        if not 0 <= self.r <= min(self.m, self.n):
-            raise RankOutOfRange(
-                f"rank {self.r} not in [0, min({self.m}, {self.n})]"
-            )
+        _check_rank(self.r, self.m, self.n)
         if self.subset.q != self.q:
-            raise FqrankError(
-                f"subset over GF({self.subset.q}), params say GF({self.q})"
-            )
+            raise FieldMismatch(f"subset over GF({self.subset.q}), field is GF({self.q})")
 
 
 def asymptotic_ct_mean(params: MomentParams) -> Fraction:

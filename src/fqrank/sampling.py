@@ -21,23 +21,25 @@ with no generator per stream: a single Philox, reset to key (seed, i) and
 counter 0, gives stream i's words, all of a pair's first candidates in one
 call.  Only streams with a rejected first candidate are drawn again, from
 their start, through `_draw_factor_stacks`.  `clt` and `sample` draw through
-it; `SeedSpec.stream` and `draw_factor_pair` stay the per-stream route it is
-checked against.
+it, one of `_blocks` at a time; `SeedSpec.stream` and `draw_factor_pair` stay
+the per-stream route it is checked against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import RankOutOfRange
+from .counting import RankOutOfRange, _check_rank
 from .field import FieldCtx, FqrankError
 from .matrices import MatrixFq, _rank_stack, mat_mul
 
-REJECTION_CAP = 10_000
+REJECTION_CAP = 10_000  # attempts per matrix before the rejection loop gives up
+_BLOCK_ENTRIES = 1 << 17  # entries one block of `_blocks` holds at once (clt and sample)
 
 
 class RejectionOverflow(RuntimeError):
@@ -46,20 +48,30 @@ class RejectionOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Derives one independent generator stream per sample index."""
+    """Derives one independent generator stream per sample index; the seed
+    and the index are integers (Python or numpy) in [0, 2^64)."""
 
     master_seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
-            raise FqrankError("master_seed must fit in 64 bits")
+        object.__setattr__(self, "master_seed", _word(self.master_seed, "master_seed"))
 
     def stream(self, index: int) -> np.random.Generator:
-        if not 0 <= index < 2**64:
-            raise FqrankError("sample index must fit in 64 bits")
         # a uint64 key: a list with a word past 2**63 - 1 goes through float64
-        key = np.array([self.master_seed, index], dtype=np.uint64)
+        key = np.array([self.master_seed, _word(index, "sample index")], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _word(value: int, what: str) -> int:
+    """value as an int in [0, 2^64), one word of a Philox key; only
+    integers pass, so no float is truncated into another stream's key."""
+    try:
+        word = operator.index(value)
+    except TypeError:
+        raise FqrankError(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= word < 2**64:
+        raise FqrankError(f"{what} must fit in 64 bits")
+    return word
 
 
 @dataclass
@@ -121,19 +133,19 @@ def _reject_full_rank(
     cols: int,
     rngs: Sequence[np.random.Generator],
     telemetry: RejectionTelemetry | None,
-    max_attempts: int,
 ) -> np.ndarray:
     """One uniform full-rank rows x cols matrix per stream, as an int16 stack
     in stream order.
 
     Each round draws a candidate from the stream of every matrix still
     pending and checks the ranks of the round in one `_rank_stack` call, so a
-    stream sees exactly the draws it would see on its own.
+    stream sees exactly the draws it would see on its own.  After
+    REJECTION_CAP rounds (read at each call) it raises RejectionOverflow.
     """
     target = min(rows, cols)
     out = np.empty((len(rngs), rows, cols), dtype=np.int16)
     pending = list(range(len(rngs)))
-    for _ in range(max_attempts):
+    for _ in range(REJECTION_CAP):
         for k in pending:
             out[k] = random_elements(ctx, rngs[k], (rows, cols))
         ranks = _rank_stack(ctx, out if len(pending) == len(out) else out[pending])
@@ -146,7 +158,7 @@ def _reject_full_rank(
             return out
     raise RejectionOverflow(
         f"no full-rank {rows} x {cols} matrix over GF({ctx.q}) "
-        f"in {max_attempts} attempts"
+        f"in {REJECTION_CAP} attempts"
     )
 
 
@@ -156,16 +168,14 @@ def uniform_full_rank(
     r: int,
     rng: np.random.Generator,
     telemetry: RejectionTelemetry | None = None,
-    max_attempts: int = REJECTION_CAP,
 ) -> MatrixFq:
     """Uniform m x r matrix of rank r, by rejection from uniform draws.
 
     Acceptance probability is prod_{i<r}(1 - q^(i-m)) >= 0.288 even in the
-    worst case (q=2, r=m), so the attempt cap is effectively unreachable.
+    worst case (q=2, r=m), so the attempt cap REJECTION_CAP is effectively unreachable.
     """
-    if r < 0 or r > m:
-        raise RankOutOfRange(f"rank {r} not in [0, {m}]")
-    return MatrixFq(ctx, _reject_full_rank(ctx, m, r, [rng], telemetry, max_attempts)[0])
+    _check_rank(r, m)
+    return MatrixFq(ctx, _reject_full_rank(ctx, m, r, [rng], telemetry)[0])
 
 
 def uniform_rank_r(
@@ -175,10 +185,9 @@ def uniform_rank_r(
     r: int,
     rng: np.random.Generator,
     telemetry: RejectionTelemetry | None = None,
-    max_attempts: int = REJECTION_CAP,
 ) -> MatrixFq:
     """Exactly uniform m x n matrix of rank r (product of full-rank factors)."""
-    return mat_mul(*draw_factor_pair(ctx, m, n, r, rng, "exact", max_attempts, telemetry))
+    return mat_mul(*draw_factor_pair(ctx, m, n, r, rng, "exact", telemetry))
 
 
 def product_sampler(
@@ -199,7 +208,6 @@ def draw_factor_pair(
     r: int,
     rng: np.random.Generator,
     mode: str,
-    max_attempts: int = REJECTION_CAP,
     telemetry: RejectionTelemetry | None = None,
 ) -> tuple[MatrixFq, MatrixFq]:
     """Draw the (left, right) factor pair for either sampling mode.
@@ -209,7 +217,7 @@ def draw_factor_pair(
     with no rank condition.  The left factor always consumes the stream
     first.  Rejection attempts of both factors go to `telemetry`.
     """
-    left, right = _draw_factor_stacks(ctx, m, n, r, [rng], mode, max_attempts, telemetry)
+    left, right = _draw_factor_stacks(ctx, m, n, r, [rng], mode, telemetry)
     return MatrixFq(ctx, left[0]), MatrixFq(ctx, right[0])
 
 
@@ -220,7 +228,6 @@ def _draw_factor_stacks(
     r: int,
     rngs: Sequence[np.random.Generator],
     mode: str,
-    max_attempts: int = REJECTION_CAP,
     telemetry: RejectionTelemetry | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """draw_factor_pair for a block of streams: the int16 stacks of the left
@@ -230,8 +237,8 @@ def _draw_factor_stacks(
     _check_factor_shape(m, n, r, mode)
     if mode == "exact":
         return (
-            _reject_full_rank(ctx, m, r, rngs, telemetry, max_attempts),
-            _reject_full_rank(ctx, r, n, rngs, telemetry, max_attempts),
+            _reject_full_rank(ctx, m, r, rngs, telemetry),
+            _reject_full_rank(ctx, r, n, rngs, telemetry),
         )
     return (
         np.stack([random_elements(ctx, rng, (m, r)) for rng in rngs]),
@@ -240,9 +247,9 @@ def _draw_factor_stacks(
 
 
 def _check_factor_shape(m: int, n: int, r: int, mode: str) -> None:
+    """Exact mode needs `_check_rank`'s 0 <= r <= min(m, n), product mode r >= 1."""
     if mode == "exact":
-        if r < 0 or r > min(m, n):
-            raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
+        _check_rank(r, m, n)
     elif mode == "product":
         if r < 1:
             raise RankOutOfRange(f"inner dimension must be >= 1, got {r}")
@@ -279,7 +286,7 @@ def _draw_seeded_block(
         raise FqrankError("sample index must fit in 64 bits")
     split, words = m * r, m * r + r * n
     raw = np.empty((hi - lo, words), dtype=np.uint64)
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bg = np.random.Philox(key=np.array([spec.master_seed, 0], dtype=np.uint64))
     state = bg.state  # counter 0 and an empty buffer, restored for every stream
     key = state["state"]["key"]
     for k, i in enumerate(range(lo, hi)):
@@ -300,6 +307,15 @@ def _draw_seeded_block(
     if redo.size:
         rngs = [spec.stream(lo + int(k)) for k in redo]
         lefts[redo], rights[redo] = _draw_factor_stacks(
-            ctx, m, n, r, rngs, mode, telemetry=telemetry
+            ctx, m, n, r, rngs, mode, telemetry
         )
     return lefts, rights
+
+
+def _blocks(lo: int, hi: int, entries: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [start, stop) covering [lo, hi) of _BLOCK_ENTRIES //
+    entries indices (at least one), `entries` being what one index holds in
+    the caller's block: memory stays bounded however long the range."""
+    step = max(1, _BLOCK_ENTRIES // max(1, entries))
+    for start in range(lo, hi, step):
+        yield start, min(start + step, hi)

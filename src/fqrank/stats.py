@@ -38,6 +38,7 @@ from .characters import (
 from .counting import (
     MomentParams,
     RankOutOfRange,
+    _check_rank,
     asymptotic_ct_mean,
     asymptotic_ct_variance,
     rank_count,
@@ -56,7 +57,7 @@ from .matrices import (
     ct,
     mat_mul,
 )
-from .sampling import _draw_seeded_block
+from .sampling import _blocks, _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
@@ -65,7 +66,6 @@ MAX_RANK_ENUM = 1 << 20
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
 _CHUNK = 1 << 12  # matrices (or factor pairs) decoded and reduced at once
-_CLT_BLOCK_ENTRIES = 1 << 17  # factor entries a clt block draws and counts at once
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
 _BLAS_SLAB = 1 << 18  # multiply-adds per matmul call of the character transform
 _MATMUL_PER_GATHER = 8  # transform multiply-adds that cost as much as one product gather
@@ -262,10 +262,9 @@ def _check_pair(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> None:
         )
 
 
-def decompose_ct(
-    x: MatrixFq, y: MatrixFq, subset_a: SubsetA, table: CharacterTable | None = None
-) -> Decomposition:
-    """Evaluate every term of the identity for ct_A(x @ y).
+def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
+    """Evaluate every term of the identity for ct_A(x @ y), with the cached
+    character_table of the field.
 
     x is m x r and y is r x n over the same field.  The identity is
     algebraic, valid for every pair including rank-deficient ones; the
@@ -290,10 +289,7 @@ def decompose_ct(
         raise TooLargeToEnumerate(
             f"decomposition over q^r = {ctx.q}^{r} > 2^22 character terms not supported"
         )
-    if table is None:
-        table = character_table(ctx)
-    elif table.field.q != ctx.q:
-        raise FieldMismatch(f"table over GF({table.field.q}), matrices over GF({ctx.q})")
+    table = character_table(ctx)
 
     # the identity holds for any inner dimension r, including r > min(m, n)
     # where the rank-law MomentParams would refuse; use the raw formula
@@ -329,17 +325,25 @@ def decompose_ct(
     )
 
 
-def normalized_ct(mat: MatrixFq, subset_a: SubsetA, r: int) -> float:
-    """Centered and scaled entry count (the statistic whose law approaches
-    standard normal as the dimensions grow)."""
-    params = MomentParams(q=mat.field.q, r=r, m=mat.rows, n=mat.cols, subset=subset_a)
+def _normalization(q: int, subset_a: SubsetA, r: int, m: int, n: int) -> tuple[float, float]:
+    """The centring mu and scale sigma of the normalised entry count, from
+    asymptotic_ct_mean and asymptotic_ct_variance; MomentParams checks the
+    arguments, and a zero scale raises DegenerateSubset."""
+    params = MomentParams(q=q, r=r, m=m, n=n, subset=subset_a)
     sigma2 = asymptotic_ct_variance(params)
     if sigma2 == 0:
         raise DegenerateSubset(
             f"variance scale is zero for subset of size {subset_a.size} at r={r}"
         )
-    mu = float(asymptotic_ct_mean(params))
-    return (ct(mat, subset_a) - mu) / math.sqrt(float(sigma2))
+    return float(asymptotic_ct_mean(params)), math.sqrt(float(sigma2))
+
+
+def normalized_ct(mat: MatrixFq, subset_a: SubsetA, r: int) -> float:
+    """Centered and scaled entry count (the statistic whose law approaches
+    standard normal as the dimensions grow): (ct_A(mat) - mu) / sigma with
+    `_normalization`'s constants."""
+    mu, sigma = _normalization(mat.field.q, subset_a, r, mat.rows, mat.cols)
+    return (ct(mat, subset_a) - mu) / sigma
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +544,11 @@ def _clt_values(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    params = MomentParams(q=ctx.q, r=r, m=m, n=n, subset=subset_a)
-    mu = float(asymptotic_ct_mean(params))
-    sigma = math.sqrt(float(asymptotic_ct_variance(params)))
-    block = max(1, _CLT_BLOCK_ENTRIES // max(1, (m + n) * r))
+    """The normalised entry counts of samples lo..hi-1, drawn and counted
+    in `_blocks` of factor pairs."""
+    mu, sigma = _normalization(ctx.q, subset_a, r, m, n)
     out = np.empty(hi - lo, dtype=np.float64)
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
+    for start, stop in _blocks(lo, hi, (m + n) * r):
         lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, start, stop, mode)
         cts = _product_ct_stack(ctx, lefts, rights, subset_a.mask)
         out[start - lo : stop - lo] = (cts - mu) / sigma
@@ -576,17 +578,12 @@ def run_clt(
     The report is a pure function of everything except `workers`: sample i
     always comes from stream (seed, i) and the reductions run over the
     assembled array in index order.  `workers` must be at least 1, and is
-    capped at the CPU count and at `num_samples`.
+    capped at the CPU count and at `num_samples`.  The arguments are checked
+    before any sample is drawn, the field and rank by MomentParams.
     """
     if num_samples < 100:
         raise FqrankError(f"need at least 100 samples, got {num_samples}")
-    if subset_a.q != ctx.q:
-        raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
-    params = MomentParams(q=ctx.q, r=r, m=m, n=n, subset=subset_a)
-    if asymptotic_ct_variance(params) == 0:
-        raise DegenerateSubset(
-            f"variance scale is zero for subset of size {subset_a.size} at r={r}"
-        )
+    _normalization(ctx.q, subset_a, r, m, n)
     if bins < 1:
         raise FqrankError(f"need at least one histogram bin, got {bins}")
     if workers < 1:
@@ -769,9 +766,9 @@ def exact_distribution(
     and yields both laws plus the matrix-level total variation; "direct"
     scans all m x n matrices for rank r (needs q^(mn) <= 2^22 and a rank
     count <= 2^20) and yields the rank-r law only.  "auto" prefers pairs.
+    A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
-    if r < 0 or r > min(m, n):
-        raise RankOutOfRange(f"rank {r} not in [0, {min(m, n)}]")
+    _check_rank(r, m, n)
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
     pairs_ok = _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)

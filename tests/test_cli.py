@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fqrank
-from fqrank import cli
+from fqrank import sampling
 from fqrank.cli import main
 from fqrank.field import make_field
 from fqrank.matrices import dump_matrix, load_matrix, mat_mul, matrix, rank
@@ -89,7 +89,7 @@ def test_sample_json(capsys):
 @pytest.mark.parametrize("mode", ["exact", "product"])
 def test_sample_blocks_are_per_stream_products(capsys, monkeypatch, mode, fmt):
     # 60 entries per block: 2 samples of 3x4 from rank-2 factors, so 7 blocks
-    monkeypatch.setattr(cli, "_CLT_BLOCK_ENTRIES", 60)
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 60)
     argv = [
         "sample", "--field", "3", "--m", "3", "--n", "4", "--r", "2",
         "--count", "13", "--seed", "11", "--mode", mode, "--format", fmt,

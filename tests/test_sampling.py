@@ -57,6 +57,20 @@ def test_seed_spec_validation():
         SeedSpec(1 << 64)
 
 
+def test_seed_spec_takes_only_integers():
+    # a float seed or index was truncated into the key of another stream
+    for seed, index in [(1.5, 0), (3, 2.7), ("7", 0), (3, "2"), (None, 0)]:
+        with pytest.raises(FqrankError, match="must be an integer"):
+            SeedSpec(seed).stream(index)
+    with pytest.raises(FqrankError, match="must be an integer"):
+        _draw_seeded_block(field_from_order(2), 2, 2, 1, 1.5, 0, 1, "exact")
+    top = SeedSpec(np.uint64((1 << 64) - 1))
+    assert type(top.master_seed) is int and top == SeedSpec((1 << 64) - 1)
+    for seed, index in [(np.uint64((1 << 64) - 1), np.int64(2)), (np.int32(7), np.uint8(3))]:
+        key = SeedSpec(seed).stream(index).bit_generator.state["state"]["key"]
+        assert key.tolist() == [int(seed), int(index)]
+
+
 # --- uniform entries ----------------------------------------------------------
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -169,11 +183,12 @@ def test_uniform_full_rank_rank_bounds():
     assert uniform_full_rank(ctx, 2, 0, rng).data.shape == (2, 0)
 
 
-def test_rejection_overflow():
+def test_rejection_overflow(monkeypatch):
+    monkeypatch.setattr(sampling, "REJECTION_CAP", 0)  # read at each call
     ctx = make_field(2, 1)
     rng = SeedSpec(1).stream(0)
-    with pytest.raises(RejectionOverflow):
-        uniform_full_rank(ctx, 2, 2, rng, max_attempts=0)
+    with pytest.raises(RejectionOverflow, match="in 0 attempts"):
+        uniform_full_rank(ctx, 2, 2, rng)
 
 
 # --- rank-conditioned and product samplers -----------------------------------------

@@ -20,10 +20,16 @@ from fqrank.characters import (
 )
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import field_from_order, make_field
-from fqrank import stats
+from fqrank import sampling, stats
 from fqrank.matrices import DimensionMismatch, FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
 from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance
-from fqrank.sampling import SeedSpec, draw_factor_pair, uniform_matrix
+from fqrank.sampling import (
+    SeedSpec,
+    _draw_seeded_block,
+    draw_factor_pair,
+    uniform_full_rank,
+    uniform_matrix,
+)
 from fqrank.stats import (
     DegenerateSubset,
     TooLargeToEnumerate,
@@ -277,15 +283,6 @@ def test_decompose_matches_per_key_route_gf16_r3():
     assert abs(decompose_ct(x, y, subset).main_term - per_key_main_term(x, y, coeffs)) < 1e-12
 
 
-def test_decompose_rejects_table_of_other_field():
-    ctx = make_field(3, 1)
-    with pytest.raises(FieldMismatch):
-        decompose_ct(
-            zero_matrix(ctx, 2, 1), zero_matrix(ctx, 1, 2), SubsetA.full(3),
-            character_table(make_field(5, 1)),
-        )
-
-
 def test_conditional_mean_given_left_factor():
     # for fixed x, averaging ct over every y must give n*(m*|A|/q - gamma*Z)
     for q, m, r, n in [(2, 3, 2, 3), (3, 2, 1, 2)]:
@@ -512,7 +509,7 @@ def test_run_clt_clamps_workers(monkeypatch):
     ],
 )
 def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, transform):
-    monkeypatch.setattr(stats, "_CLT_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
     counted = []
     by_transform = stats._transform_ct
     monkeypatch.setattr(
@@ -554,6 +551,33 @@ def test_run_clt_validation():
         run_clt(ctx, subset, 9, 8, 8, 200, seed=1)
     with pytest.raises(ValueError):
         run_clt(ctx, subset, 1, 8, 8, 200, seed=1, bins=0)
+
+
+@pytest.mark.parametrize("r", [-1, 3])
+def test_rank_range_is_one_check(r):
+    ctx = make_field(3, 1)
+    subset = SubsetA.from_indices(3, [1])
+    rng = SeedSpec(0).stream(0)
+    message = rf"^rank {r} not in \[0, 2\]$"
+    with pytest.raises(RankOutOfRange, match=message):
+        uniform_full_rank(ctx, 2, r, rng)
+    with pytest.raises(RankOutOfRange, match=message):
+        draw_factor_pair(ctx, 2, 2, r, rng, "exact")
+    with pytest.raises(RankOutOfRange, match=message):
+        _draw_seeded_block(ctx, 2, 2, r, 0, 0, 4, "exact")
+    with pytest.raises(RankOutOfRange, match=message):
+        exact_distribution(ctx, 2, 2, r, subset)
+    with pytest.raises(RankOutOfRange, match=message):
+        MomentParams(3, r, 2, 2, subset)
+
+
+def test_subset_over_other_field_is_field_mismatch():
+    ctx = make_field(3, 1)
+    subset = SubsetA.from_indices(5, [1])
+    with pytest.raises(FieldMismatch):
+        MomentParams(3, 1, 8, 8, subset)
+    with pytest.raises(FieldMismatch):
+        run_clt(ctx, subset, 1, 8, 8, 200, seed=1)
 
 
 # --- distribution distances ---------------------------------------------------------
