@@ -23,6 +23,8 @@ import numpy as np
 from .characters import verification_battery
 from .counting import (
     MomentParams,
+    RankOutOfRange,
+    _check_rank,
     asymptotic_ct_mean,
     asymptotic_ct_variance,
     full_rank_pair_prob_exact,
@@ -96,14 +98,17 @@ def _subset_from_args(args: argparse.Namespace, q: int) -> SubsetA:
 
 
 def _check_rank_flag(r: int, m: int, n: int) -> None:
-    if r < 0 or r > min(m, n):
-        raise UsageError(f"--r: rank {r} not in [0, min(m,n)] = [0, {min(m, n)}]")
+    try:
+        _check_rank(r, m, n)
+    except RankOutOfRange as exc:
+        raise UsageError(f"--r: {exc}") from exc
 
 
 def _seed_flag(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"--seed: {seed} does not fit in 64 bits")
-    return seed
+    try:
+        return SeedSpec(seed).master_seed
+    except FqrankError as exc:
+        raise UsageError(f"--seed: {exc}") from exc
 
 
 def _count_flag(count: int) -> int:

@@ -85,7 +85,7 @@ def entry_bias(q: int, a: int) -> Fraction:
 def subset_bias(q: int, subset: SubsetA) -> Fraction:
     """Sum of entry_bias over the subset: |A|/q - [0 in A]."""
     if subset.q != q:
-        raise FqrankError(f"subset over GF({subset.q}), expected GF({q})")
+        raise FieldMismatch(f"subset over GF({subset.q}), expected GF({q})")
     return Fraction(subset.size, q) - (1 if 0 in subset else 0)
 
 

@@ -11,18 +11,20 @@ from their full-rank sets.  Every rank-r target has exactly |GL_r(GF(q))|
 such factorisations, a constant, so the product is uniform over the rank-r
 matrices with no further correction.
 
-Factors are drawn for a block of streams at once (`_draw_factor_stacks`);
-the rejection loop redraws only the rejected matrices, each from its own
+The rejection loop (`_reject_full_rank`) draws one full-rank matrix per
+stream of a list, redrawing only the rejected matrices, each from its own
 stream, so every stream is consumed exactly as when it is drawn alone.
-`draw_factor_pair` is the one-stream caller.
+`draw_factor_pair` calls it on its one stream, left factor first.
 
 `_draw_seeded_block` draws the streams of one seed and a range of indices
 with no generator per stream: a single Philox, reset to key (seed, i) and
 counter 0, gives stream i's words, all of a pair's first candidates in one
 call.  Only streams with a rejected first candidate are drawn again, from
-their start, through `_draw_factor_stacks`.  `clt` and `sample` draw through
-it, one of `_blocks` at a time; `SeedSpec.stream` and `draw_factor_pair` stay
-the per-stream route it is checked against.
+their start, by `_reject_full_rank`: left factors, then right.  `clt` and
+`sample` draw through it, one of `_blocks` at a time; `SeedSpec.stream` and
+`draw_factor_pair` stay the per-stream route it is checked against.
+`_blocks` is the one rule that bounds a stack loop's memory, here and in
+`stats`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .field import FieldCtx, FqrankError
 from .matrices import MatrixFq, _rank_stack, mat_mul
 
 REJECTION_CAP = 10_000  # attempts per matrix before the rejection loop gives up
-_BLOCK_ENTRIES = 1 << 17  # entries one block of `_blocks` holds at once (clt and sample)
+_BLOCK_ENTRIES = 1 << 17  # entries one block of `_blocks` holds at once
 
 
 class RejectionOverflow(RuntimeError):
@@ -217,33 +219,14 @@ def draw_factor_pair(
     with no rank condition.  The left factor always consumes the stream
     first.  Rejection attempts of both factors go to `telemetry`.
     """
-    left, right = _draw_factor_stacks(ctx, m, n, r, [rng], mode, telemetry)
-    return MatrixFq(ctx, left[0]), MatrixFq(ctx, right[0])
-
-
-def _draw_factor_stacks(
-    ctx: FieldCtx,
-    m: int,
-    n: int,
-    r: int,
-    rngs: Sequence[np.random.Generator],
-    mode: str,
-    telemetry: RejectionTelemetry | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """draw_factor_pair for a block of streams: the int16 stacks of the left
-    (B, m, r) and right (B, r, n) factors, pair k drawn from stream k exactly
-    as draw_factor_pair draws it (all left draws of a stream come before its
-    right draws)."""
     _check_factor_shape(m, n, r, mode)
     if mode == "exact":
-        return (
-            _reject_full_rank(ctx, m, r, rngs, telemetry),
-            _reject_full_rank(ctx, r, n, rngs, telemetry),
-        )
-    return (
-        np.stack([random_elements(ctx, rng, (m, r)) for rng in rngs]),
-        np.stack([random_elements(ctx, rng, (r, n)) for rng in rngs]),
-    )
+        left = _reject_full_rank(ctx, m, r, [rng], telemetry)[0]
+        right = _reject_full_rank(ctx, r, n, [rng], telemetry)[0]
+    else:
+        left = random_elements(ctx, rng, (m, r))
+        right = random_elements(ctx, rng, (r, n))
+    return MatrixFq(ctx, left), MatrixFq(ctx, right)
 
 
 def _check_factor_shape(m: int, n: int, r: int, mode: str) -> None:
@@ -270,15 +253,18 @@ def _draw_seeded_block(
     mode: str,
     telemetry: RejectionTelemetry | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_draw_factor_stacks over the streams SeedSpec(seed).stream(i) for i in
-    [lo, hi): the same stacks and the same telemetry totals.
+    """The int16 stacks of the left (B, m, r) and right (B, r, n) factors of
+    the streams SeedSpec(seed).stream(i) for i in [lo, hi): pair k as
+    draw_factor_pair draws it from stream lo + k, with the same telemetry
+    totals.
 
     One Philox serves the block: setting its state to key (seed, i) and
     counter 0 gives stream i's words without building a generator.  Each
     stream's first m*r + r*n words come in one call, which is the whole draw
     in product mode.  In exact mode they are a pair's first left and right
     candidates; a stream with a rejected candidate is drawn again from its
-    start by `_draw_factor_stacks`, so it counts in `telemetry` once.
+    start by `_reject_full_rank`, left factor then right as in
+    draw_factor_pair, so it counts in `telemetry` once.
     """
     spec = SeedSpec(seed)
     _check_factor_shape(m, n, r, mode)
@@ -306,9 +292,8 @@ def _draw_seeded_block(
     redo = np.flatnonzero(~kept)
     if redo.size:
         rngs = [spec.stream(lo + int(k)) for k in redo]
-        lefts[redo], rights[redo] = _draw_factor_stacks(
-            ctx, m, n, r, rngs, mode, telemetry
-        )
+        lefts[redo] = _reject_full_rank(ctx, m, r, rngs, telemetry)
+        rights[redo] = _reject_full_rank(ctx, r, n, rngs, telemetry)
     return lefts, rights
 
 

@@ -65,12 +65,10 @@ MAX_DIRECT_SCAN = 1 << 22
 MAX_RANK_ENUM = 1 << 20
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
-_CHUNK = 1 << 12  # matrices (or factor pairs) decoded and reduced at once
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
 _BLAS_SLAB = 1 << 18  # multiply-adds per matmul call of the character transform
 _MATMUL_PER_GATHER = 8  # transform multiply-adds that cost as much as one product gather
 _ROUND_MARGIN = 0.25  # a transform count further than this from an integer is recounted
-_STACK_ENTRIES = 1 << 17  # transform values one chunk of pairs gathers at once
 
 
 class DegenerateSubset(FqrankError):
@@ -378,8 +376,8 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     0.2-2.3 ns), plus q (r+1) min(m, q^r) + n r gathers for the codes; the
     product takes (2r+1) m n gathers.  The transform also needs
     q^r <= MAX_TRANSFORM_CODES, and q^2 <= _BLAS_SLAB so that its matmul
-    calls stay on one thread (see `_transform`).  It counts chunks of
-    pairs that gather at most _STACK_ENTRIES values, so a pair with
+    calls stay on one thread (see `_transform`).  It counts `_blocks` of
+    pairs, each pair gathering q max(m, q^r) values, so a pair with
     q^r = 2^16 is counted alone.  Pairs the rounding check refuses, and
     every pair when the product is cheaper, are counted one product at a
     time.
@@ -394,10 +392,9 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
         and r * q ** (r + 1) / _MATMUL_PER_GATHER + q * (r + 1) * min(m, q**r) + n * r
         < (2 * r + 1) * m * n
     ):
-        step = max(1, _STACK_ENTRIES // (q * max(m, q**r)))
         values = np.concatenate(
-            [_transform_ct(ctx, xs[lo : lo + step], ys[lo : lo + step], amask)
-             for lo in range(0, pairs, step)]
+            [_transform_ct(ctx, xs[lo:hi], ys[lo:hi], amask)
+             for lo, hi in _blocks(0, pairs, q * max(m, q**r))]
         )
         nearest = np.rint(values.real)
         exact = np.abs(values - nearest) < _ROUND_MARGIN
@@ -654,9 +651,10 @@ class ExactDistribution:
 
 def _rank_mask(ctx: FieldCtx, stack: np.ndarray, r: int) -> np.ndarray:
     """Which matrices of the stack have rank r, by elimination on each
-    (`_rank_stack` over _CHUNK matrices at a time)."""
+    (`_rank_stack` over one of `_blocks` at a time)."""
+    rows, cols = stack.shape[1:]
     return np.concatenate(
-        [_rank_stack(ctx, stack[lo : lo + _CHUNK]) == r for lo in range(0, len(stack), _CHUNK)]
+        [_rank_stack(ctx, stack[lo:hi]) == r for lo, hi in _blocks(0, len(stack), rows * cols)]
     )
 
 
@@ -686,12 +684,11 @@ def _exact_by_pairs(
     matrix_counts = np.zeros(q ** (m * n), dtype=np.int64) if track_matrices else None
     pair_ct = np.zeros(m * n + 1, dtype=np.int64)
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    block = max(1, _CHUNK // len(ys))
-    for lo in range(0, len(xs), block):
-        prod = _index_matmul(ctx, xs[lo : lo + block, None], ys)  # x, y, m, n
+    for lo, hi in _blocks(0, len(xs), len(ys) * m * n):
+        prod = _index_matmul(ctx, xs[lo:hi, None], ys)  # x, y, m, n
         cts = member[prod].sum(axis=(2, 3))
         pair_ct += np.bincount(cts.ravel(), minlength=m * n + 1)
-        full_cts = cts[x_full[lo : lo + block]][:, y_full]
+        full_cts = cts[x_full[lo:hi]][:, y_full]
         rank_ct += np.bincount(full_cts.ravel(), minlength=m * n + 1)
         if matrix_counts is not None:
             flat = prod.reshape(prod.shape[:2] + (m * n,))
@@ -707,8 +704,8 @@ def _exact_by_pairs(
         pairs, n_rank = len(xs) * len(ys), int(rank_count(q, m, n, r))
         codes = np.nonzero(matrix_counts)[0]
         numerator = seen = 0
-        for lo in range(0, len(codes), _CHUNK):
-            part = codes[lo : lo + _CHUNK]
+        for lo, hi in _blocks(0, len(codes), m * n):
+            part = codes[lo:hi]
             hits = matrix_counts[part] * n_rank
             is_r = _rank_mask(ctx, _decode(q, part, m, n), r)
             numerator += int(np.abs(hits[is_r] - pairs).sum() + hits[~is_r].sum())
@@ -733,8 +730,8 @@ def _exact_by_direct_scan(
     total = q ** (m * n)
     member = subset_a.member_table()
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        mats = _decode(q, np.arange(start, min(start + _CHUNK, total)), m, n)
+    for lo, hi in _blocks(0, total, m * n):
+        mats = _decode(q, np.arange(lo, hi), m, n)
         full = mats[_rank_mask(ctx, mats, r)]
         rank_ct += np.bincount(member[full].sum(axis=(1, 2)), minlength=m * n + 1)
     matched = int(rank_ct.sum())

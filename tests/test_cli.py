@@ -346,6 +346,23 @@ def test_library_input_errors_exit_2(tmp_path, capsys, argv):
             "count --field 2 --m 120 --n 120 --r 60",
             "581c7226f39ddcc3e6a164fa973c90ecb2512d1f22ecfe323cdf13d5f234120d",
         ),
+        (
+            "exact --field 2 --m 4 --n 5 --r 2 --A 1",
+            "45e102ebb2c2eb9fd508b096d9ec6a8121f3573703bba3e44a2ab8026500d23a",
+        ),
+        (
+            "exact --field 3 --m 2 --n 3 --r 1 --A 1,2 --method direct",
+            "41431df9703b31ee1db16cf18d00629fc9d5149a51d18864d9789a8910ee9cbf",
+        ),
+        (
+            # at q=2, m=n=r=2 most streams are drawn again by the rejection loop
+            "sample --field 2 --m 2 --n 2 --r 2 --count 50 --seed 5",
+            "30d4e6fa4aa58e0449aaeca9f2df81466d7bc2933bd34ecc1191870483b5e7f5",
+        ),
+        (
+            "clt --field 2 --A 1 --r 2 --m 2 --n 2 --N 400 --seed 3",
+            "2a5efbf79e332a3604b1eb77aed85affc3429bf27381934e7cbcaefd07c0fb9d",
+        ),
     ],
 )
 def test_pinned_output_bytes(capsys, argv, digest):

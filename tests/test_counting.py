@@ -20,7 +20,7 @@ from fqrank.counting import (
     unconstrained_moments,
 )
 from fqrank.field import field_from_order
-from fqrank.matrices import SubsetA, matrix, rank
+from fqrank.matrices import FieldMismatch, SubsetA, matrix, rank
 
 
 def enumerate_rank_counts(q, m, n):
@@ -137,6 +137,11 @@ def test_subset_bias():
     for mask in range(1, 1 << q):
         s = SubsetA(q, mask)
         assert subset_bias(q, s) == sum(entry_bias(q, a) for a in s.members())
+
+
+def test_subset_bias_refuses_another_field():
+    with pytest.raises(FieldMismatch):
+        subset_bias(3, SubsetA.nonzero(2))
 
 
 # --- normalizing constants for centered counts ---------------------------------------

@@ -1,14 +1,14 @@
 """Property tests of the decomposition's batched coefficient and character-sum
 routes against the per-key routes they replace, of the stacked product, code
 and rank kernels the enumerations share with mat_mul and rank, of both
-routes of the product count against the product, and of the worker-count
-invariance of run_clt."""
+routes of the product count against the product, of the block ranges every
+bounded stack loop iterates, and of the worker-count invariance of run_clt."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fqrank import stats
+from fqrank import sampling, stats
 from fqrank.counting import rank_count
 from fqrank.characters import (
     all_subsets,
@@ -262,6 +262,24 @@ def test_rank_stack_tallies_rank_count(shape):
     stack = _decode(q, np.arange(q ** (rows * cols), dtype=np.int64), rows, cols)
     tally = np.bincount(_rank_stack(field_from_order(q), stack), minlength=min(rows, cols) + 1)
     assert tally.tolist() == [int(rank_count(q, rows, cols, r)) for r in range(len(tally))]
+
+
+@FEW
+@given(
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 19),
+    st.integers(0, 4 * sampling._BLOCK_ENTRIES),
+)
+@example(0, 0, 5)  # an empty range
+@example(3, 40, 0)  # no entries per index
+@example(7, 20, sampling._BLOCK_ENTRIES + 1)  # one index over the budget
+@example(10, 1 << 19, 1)  # the budget's worth of indices per block
+def test_blocks_cover_the_range_in_bounded_steps(lo, length, entries):
+    ranges = list(sampling._blocks(lo, lo + length, entries))
+    # each range starts where the last stopped, from lo up to lo + length
+    assert [lo] + [stop for _, stop in ranges] == [start for start, _ in ranges] + [lo + length]
+    step = max(1, sampling._BLOCK_ENTRIES // max(1, entries))
+    assert all(0 < stop - start <= step for start, stop in ranges)
 
 
 @st.composite

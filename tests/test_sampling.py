@@ -11,8 +11,8 @@ from fqrank.sampling import (
     RejectionOverflow,
     RejectionTelemetry,
     SeedSpec,
-    _draw_factor_stacks,
     _draw_seeded_block,
+    _reject_full_rank,
     draw_factor_pair,
     expected_full_rank_rate,
     product_sampler,
@@ -279,41 +279,41 @@ def test_draw_factor_pair_modes():
 def test_block_draws_are_per_stream_draws():
     # q=2, m=n=r=2 accepts 3/8 of the candidates: several redraw rounds
     ctx = make_field(2, 1)
-    for mode in ("exact", "product"):
-        block = RejectionTelemetry()
-        rngs = [SeedSpec(5).stream(i) for i in range(40)]
-        lefts, rights = _draw_factor_stacks(ctx, 2, 2, 2, rngs, mode, telemetry=block)
-        single = RejectionTelemetry()
-        for i, rng in enumerate(rngs):
-            alone = SeedSpec(5).stream(i)
-            x, y = draw_factor_pair(ctx, 2, 2, 2, alone, mode, telemetry=single)
-            assert np.array_equal(x.data, lefts[i]) and np.array_equal(y.data, rights[i])
-            # and the block leaves each stream where a single draw leaves it
-            assert rng.bit_generator.random_raw() == alone.bit_generator.random_raw()
-        assert (block.attempts, block.accepted) == (single.attempts, single.accepted)
-        if mode == "exact":
-            assert block.accepted == 80 and block.attempts > 120
+    block = RejectionTelemetry()
+    rngs = [SeedSpec(5).stream(i) for i in range(40)]
+    lefts = _reject_full_rank(ctx, 2, 2, rngs, block)
+    rights = _reject_full_rank(ctx, 2, 2, rngs, block)
+    single = RejectionTelemetry()
+    for i, rng in enumerate(rngs):
+        alone = SeedSpec(5).stream(i)
+        x, y = draw_factor_pair(ctx, 2, 2, 2, alone, "exact", telemetry=single)
+        assert np.array_equal(x.data, lefts[i]) and np.array_equal(y.data, rights[i])
+        # and the block leaves each stream where a single draw leaves it
+        assert rng.bit_generator.random_raw() == alone.bit_generator.random_raw()
+    assert (block.attempts, block.accepted) == (single.attempts, single.accepted)
+    assert block.accepted == 80 and block.attempts > 120
 
 
 @pytest.mark.parametrize("seed", [5, (1 << 64) - 1])
 @pytest.mark.parametrize("mode", ["exact", "product"])
 @pytest.mark.parametrize("q, m, n, r", [(2, 2, 2, 2), (3, 8, 8, 2)])
 def test_seeded_block_is_per_stream_draws(monkeypatch, q, m, n, r, mode, seed):
-    looped = []  # streams the block hands to the rejection loop
-    stacks = sampling._draw_factor_stacks
+    looped = []  # streams of each rejection-loop call, left factors then right
+    reject = sampling._reject_full_rank
 
-    def counted(ctx, m, n, r, rngs, *args, **kwargs):
+    def counted(ctx, rows, cols, rngs, *args, **kwargs):
         looped.append(len(rngs))
-        return stacks(ctx, m, n, r, rngs, *args, **kwargs)
+        return reject(ctx, rows, cols, rngs, *args, **kwargs)
 
-    monkeypatch.setattr(sampling, "_draw_factor_stacks", counted)
+    monkeypatch.setattr(sampling, "_reject_full_rank", counted)
     ctx = field_from_order(q)
     rejected = set()
     for lo, hi in [(0, 40), (7, 33), (39, 40)]:
         block = RejectionTelemetry()
         looped.clear()
         lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, lo, hi, mode, block)
-        in_loop = sum(looped)
+        assert looped[0::2] == looped[1::2]  # each left call has its right call
+        in_loop = sum(looped[0::2])
         assert lefts.shape == (hi - lo, m, r) and rights.shape == (hi - lo, r, n)
         single = RejectionTelemetry()
         redrawn = 0

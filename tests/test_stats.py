@@ -429,6 +429,28 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         assert dist.matrix_tv == tv_closed_form_exact(q, m, n, r)
 
 
+@pytest.mark.parametrize("q, m, n, r, amask", [(2, 3, 3, 2, 0b10), (3, 2, 2, 1, 0b110)])
+def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r, amask):
+    ctx, subset = field_from_order(q), SubsetA(q, amask)
+    whole = {method: exact_distribution(ctx, m, n, r, subset, method) for method in ("pairs", "direct")}
+    blocks = sampling._blocks
+    most = {}  # entries per index -> most ranges of one `_blocks` call
+
+    def counted(lo, hi, entries):
+        ranges = list(blocks(lo, hi, entries))
+        most[entries] = max(most.get(entries, 0), len(ranges))
+        return iter(ranges)
+
+    monkeypatch.setattr(stats, "_blocks", counted)
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 8)
+    # pairs: the rank masks of x and y, the blocks of x, the total-variation loop
+    loops = {"pairs": {m * r, r * n, q ** (r * n) * m * n, m * n}, "direct": {m * n}}
+    for method, entries in loops.items():
+        most.clear()
+        assert exact_distribution(ctx, m, n, r, subset, method) == whole[method]
+        assert entries <= most.keys() and all(most[k] >= 2 for k in entries)
+
+
 def test_exact_distribution_gates():
     ctx = field_from_order(4)
     with pytest.raises(TooLargeToEnumerate):
