@@ -51,6 +51,7 @@ from .matrices import (
     MatrixFq,
     SubsetA,
     _decode,
+    _digit_weights,
     _encode,
     _index_matmul,
     _rank_stack,
@@ -673,6 +674,16 @@ def _moments(dist: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
 def _exact_by_pairs(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
+    """Both laws of the entry count and matrix_tv from every factor pair.
+
+    Row i of x @ y is u @ y for u = x_i, one of the q^r row vectors, so
+    the A-count and base-q code of u @ y are tabled once per (u, y), in
+    `_blocks` of y.  A pair's count is then the sum of its m rows' table
+    entries, read in `_blocks` of x, and its product's code is
+    sum_i code(x_i @ y) q^(n i), `_encode`'s row-major code.  No product
+    is ranked: rank(XY) = r exactly when X and Y both have rank r, so
+    matrix_tv needs the tally of the full pairs' products only.
+    """
     q = ctx.q
     xs = _decode(q, np.arange(q ** (m * r), dtype=np.int64), m, r)
     ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
@@ -680,37 +691,49 @@ def _exact_by_pairs(
     y_full = _rank_mask(ctx, ys, r)
     member = subset_a.member_table()
 
+    us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
+    row_ct = np.empty((q**r, len(ys)), dtype=np.int16)
+    row_code = np.empty((q**r, len(ys)), dtype=np.int64)
+    for lo, hi in _blocks(0, len(ys), q**r * n):
+        rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # y, u, n
+        row_ct[:, lo:hi] = member[rows].sum(axis=2).T
+        row_code[:, lo:hi] = _encode(q, rows).T
+    xrow = _encode(q, xs)  # x, m: the code of each row
+
     track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
-    matrix_counts = np.zeros(q ** (m * n), dtype=np.int64) if track_matrices else None
+    full_hits: np.ndarray | int = 0  # tally of the product codes of full pairs
+    full_codes = row_code[:, y_full]
     pair_ct = np.zeros(m * n + 1, dtype=np.int64)
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    for lo, hi in _blocks(0, len(xs), len(ys) * m * n):
-        prod = _index_matmul(ctx, xs[lo:hi, None], ys)  # x, y, m, n
-        cts = member[prod].sum(axis=(2, 3))
+    held: list[np.ndarray] = []  # product codes of full pairs not yet tallied
+    for lo, hi in _blocks(0, len(xs), len(ys) * m):
+        rows = xrow[lo:hi]
+        cts = row_ct[rows].sum(axis=1)  # x, y
         pair_ct += np.bincount(cts.ravel(), minlength=m * n + 1)
-        full_cts = cts[x_full[lo:hi]][:, y_full]
-        rank_ct += np.bincount(full_cts.ravel(), minlength=m * n + 1)
-        if matrix_counts is not None:
-            flat = prod.reshape(prod.shape[:2] + (m * n,))
-            matrix_counts += np.bincount(_encode(q, flat).ravel(), minlength=len(matrix_counts))
+        full = x_full[lo:hi]
+        rank_ct += np.bincount(cts[full][:, y_full].ravel(), minlength=m * n + 1)
+        if track_matrices:  # rank(XY) = r iff rank X = rank Y = r: only full pairs make rank r
+            # the base-q^n code of the row codes is `_encode`'s code of the product
+            held.append((_digit_weights(q**n, m) @ full_codes[rows[full]]).ravel())
+            if sum(map(len, held)) >= q ** (m * n) or hi == len(xs):
+                # a bincount sweeps the whole tally, so it waits for that many codes
+                tally = np.bincount(np.concatenate(held), minlength=q ** (m * n))
+                tally += full_hits  # in place, so two tallies are held at most
+                full_hits, held = tally, []
 
     rank_dist = _law(rank_ct)
     mean, variance = _moments(rank_dist)
 
     matrix_tv: Fraction | None = None
-    if matrix_counts is not None:
-        # sum over matrices of |P(product) - P(uniform rank r)|, over the
-        # common denominator pairs * n_rank; every term fits in int64
+    if track_matrices:
+        # sum over matrices of |P(product) - P(uniform rank r)| over the common
+        # denominator pairs * n_rank: a never-hit rank-r matrix adds pairs and
+        # each non-full pair n_rank; numerator <= 2 pairs n_rank <= 2^49 in int64
         pairs, n_rank = len(xs) * len(ys), int(rank_count(q, m, n, r))
-        codes = np.nonzero(matrix_counts)[0]
-        numerator = seen = 0
-        for lo, hi in _blocks(0, len(codes), m * n):
-            part = codes[lo:hi]
-            hits = matrix_counts[part] * n_rank
-            is_r = _rank_mask(ctx, _decode(q, part, m, n), r)
-            numerator += int(np.abs(hits[is_r] - pairs).sum() + hits[~is_r].sum())
-            seen += int(is_r.sum())
-        numerator += (n_rank - seen) * pairs  # rank r but never a product
+        hits = full_hits[full_hits > 0]
+        numerator = int(np.abs(hits * n_rank - pairs).sum())
+        numerator += (n_rank - len(hits)) * pairs  # rank r but never a product
+        numerator += (pairs - int(x_full.sum()) * int(y_full.sum())) * n_rank
         matrix_tv = Fraction(numerator, pairs * n_rank)
 
     return ExactDistribution(
@@ -736,7 +759,8 @@ def _exact_by_direct_scan(
         rank_ct += np.bincount(member[full].sum(axis=(1, 2)), minlength=m * n + 1)
     matched = int(rank_ct.sum())
     expected = rank_count(q, m, n, r)
-    assert matched == expected, f"rank scan found {matched}, formula says {expected}"
+    if matched != expected:  # not an assert: python -O would strip it
+        raise RuntimeError(f"rank scan found {matched}, formula says {expected}")
     rank_dist = _law(rank_ct)
     mean, variance = _moments(rank_dist)
     return ExactDistribution(
@@ -760,7 +784,9 @@ def exact_distribution(
     """Exact law of the entry count by exhaustive enumeration.
 
     method "pairs" enumerates every factor pair (needs q^(mr+rn) <= 2^24)
-    and yields both laws plus the matrix-level total variation; "direct"
+    and yields both laws plus the matrix-level total variation, reading
+    each pair's count from tables of the q^r possible product rows (see
+    `_exact_by_pairs`), so no pair's product is formed; "direct"
     scans all m x n matrices for rank r (needs q^(mn) <= 2^22 and a rank
     count <= 2^20) and yields the rank-r law only.  "auto" prefers pairs.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.

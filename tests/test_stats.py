@@ -22,7 +22,8 @@ from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import field_from_order, make_field
 from fqrank import sampling, stats
 from fqrank.matrices import DimensionMismatch, FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
-from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance
+from fqrank.matrices import _decode, _encode, _index_matmul, _rank_stack
+from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance, rank_count
 from fqrank.sampling import (
     SeedSpec,
     _draw_seeded_block,
@@ -443,12 +444,81 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r,
 
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 8)
-    # pairs: the rank masks of x and y, the blocks of x, the total-variation loop
-    loops = {"pairs": {m * r, r * n, q ** (r * n) * m * n, m * n}, "direct": {m * n}}
+    # pairs: the rank masks of x and y, the row tables over y, the blocks of x
+    loops = {"pairs": {m * r, r * n, q**r * n, q ** (r * n) * m}, "direct": {m * n}}
     for method, entries in loops.items():
         most.clear()
         assert exact_distribution(ctx, m, n, r, subset, method) == whole[method]
         assert entries <= most.keys() and all(most[k] >= 2 for k in entries)
+
+
+def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
+    """The per-pair route: the GF(q) product of every factor pair, its
+    member count and code, and elimination on every distinct product."""
+    q = ctx.q
+    xs = _decode(q, np.arange(q ** (m * r), dtype=np.int64), m, r)
+    ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
+    x_full = _rank_stack(ctx, xs) == r
+    y_full = _rank_stack(ctx, ys) == r
+    prod = _index_matmul(ctx, xs[:, None], ys)  # x, y, m, n
+    cts = subset_a.member_table()[prod].sum(axis=(2, 3))
+    pair_ct = np.bincount(cts.ravel(), minlength=m * n + 1)
+    rank_ct = np.bincount(cts[x_full][:, y_full].ravel(), minlength=m * n + 1)
+    hits = np.bincount(_encode(q, prod.reshape(len(xs), len(ys), m * n)).ravel())
+    codes = np.nonzero(hits)[0]
+    is_r = _rank_stack(ctx, _decode(q, codes, m, n)) == r
+    pairs, n_rank = len(xs) * len(ys), int(rank_count(q, m, n, r))
+    numerator = sum(abs(int(h) * n_rank - pairs) for h in hits[codes[is_r]])
+    numerator += sum(int(h) * n_rank for h in hits[codes[~is_r]])
+    numerator += (n_rank - int(is_r.sum())) * pairs
+    rank_dist = stats._law(rank_ct)
+    mean, variance = stats._moments(rank_dist)
+    return stats.ExactDistribution(
+        rank_dist=rank_dist,
+        product_dist=stats._law(pair_ct),
+        mean=mean,
+        variance=variance,
+        matrix_tv=Fraction(numerator, pairs * n_rank),
+        method="pairs",
+    )
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, amask",
+    [
+        (2, 3, 2, 0, 0b01), (2, 2, 3, 0, 0b10),  # r = 0, with and without 0 in A
+        (2, 3, 2, 1, 0b01), (2, 2, 4, 2, 0b10), (2, 4, 5, 2, 0b10),
+        (3, 2, 3, 1, 0b011), (3, 3, 3, 2, 0b010),
+        (4, 2, 3, 1, 0b0110), (4, 3, 2, 1, 0b1001),
+        (5, 2, 2, 1, 0b00110), (5, 1, 3, 1, 0b10001),
+        (16, 1, 2, 1, 0b11), (16, 2, 1, 1, 1 << 15),
+    ],
+)
+def test_exact_by_pairs_matches_per_pair_products(q, m, n, r, amask):
+    ctx, subset = field_from_order(q), SubsetA(q, amask)
+    expected = _exact_by_pairs_oracle(ctx, m, n, r, subset)
+    assert exact_distribution(ctx, m, n, r, subset, method="pairs") == expected
+
+
+@pytest.mark.parametrize("q, m, n, r", [(2, 2, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 2, 3, 2)])
+def test_product_has_rank_r_iff_both_factors_do(q, m, n, r):
+    ctx = field_from_order(q)
+    xs = _decode(q, np.arange(q ** (m * r), dtype=np.int64), m, r)
+    ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
+    x_full = _rank_stack(ctx, xs) == r
+    y_full = _rank_stack(ctx, ys) == r
+    prod = _index_matmul(ctx, xs[:, None], ys).reshape(-1, m, n)
+    both = (x_full[:, None] & y_full[None, :]).ravel()
+    assert ((_rank_stack(ctx, prod) == r) == both).all()
+    assert both.any() and not both.all()
+
+
+def test_direct_scan_refuses_a_wrong_rank_count(monkeypatch):
+    ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
+    count = stats.rank_count
+    monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + 1)
+    with pytest.raises(RuntimeError, match="rank scan found"):
+        exact_distribution(ctx, 2, 3, 1, subset, method="direct")
 
 
 def test_exact_distribution_gates():
