@@ -206,6 +206,11 @@ def _check_subset(f: FunctionTable, subset: IndexSubset) -> None:
         raise BadSubset(f"subset over range({subset.r}), function has arity {f.arity}")
 
 
+def _check_table_field(f: FunctionTable, table: CharacterTable) -> None:
+    if f.q != table.field.q:
+        raise FqrankError(f"function over GF({f.q}), table over GF({table.field.q})")
+
+
 def _check_tuple_cap(q: int, t: int) -> None:
     if not _power_at_most(q - 1, t, MAX_TUPLE_TABLE):
         raise FqrankError(
@@ -281,10 +286,8 @@ def fourier_transform(f: FunctionTable, table: CharacterTable) -> np.ndarray:
     zero coordinate, as the inversion formula only holds on the unit part
     of the domain.
     """
-    q = table.field.q
-    if f.q != q:
-        raise FqrankError(f"function over GF({f.q}), table over GF({q})")
-    _check_tuple_cap(q, f.arity)
+    _check_table_field(f, table)
+    _check_tuple_cap(f.q, f.arity)
     off = off_units_magnitude(f)
     if off > _OFF_UNITS_TOL:
         raise NotSupportedOnUnits(f"mass {off:g} on a zero coordinate exceeds {_OFF_UNITS_TOL:g}")
@@ -298,6 +301,7 @@ def units_transform(f: FunctionTable, table: CharacterTable) -> np.ndarray:
     function supported on units this is fourier_transform.  One tensordot
     per axis, contracting the coordinates in order.
     """
+    _check_table_field(f, table)
     t = f.arity
     out = np.array(_units_block(f.values))
     conj_units = np.conj(table.mult[:, 1:])
@@ -332,6 +336,7 @@ def fourier_coefficient(
     is taken over unit tuples, where chi(0) = 0 makes the two agree for
     supported inputs and gives the canonical extension otherwise.
     """
+    _check_table_field(f, table)
     q = table.field.q
     if len(chis) != f.arity:
         raise FqrankError(f"{len(chis)} characters for arity {f.arity}")
@@ -381,15 +386,11 @@ def mobius_fourier_reconstruct(f: FunctionTable, table: CharacterTable) -> Funct
     Expands every Moebius component in characters and sums the expansions
     back over the subset lattice; the result must equal f.
     """
-    r = f.arity
-    q = f.q
-    out = np.zeros((q,) * r, dtype=np.complex128)
-    for subset in all_subsets(r):
-        comp = mobius_component(f, subset)
-        back = fourier_inverse(fourier_transform(comp, table), table)
-        shape = tuple(q if k in subset else 1 for k in range(r))
-        out += back.values.reshape(shape)
-    return FunctionTable(q, out)
+    back = {
+        subset: fourier_inverse(fourier_transform(mobius_component(f, subset), table), table)
+        for subset in all_subsets(f.arity)
+    }
+    return mobius_reconstruct(back, f.arity)
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,10 @@ def _subset_from_args(args: argparse.Namespace, q: int) -> SubsetA:
         ) from exc
     if not indices:
         raise UsageError("--A: subset is empty")
-    for a in indices:
-        if not 0 <= a < q:
-            raise UsageError(f"--A: element {a} outside range({q})")
-    return SubsetA.from_indices(q, indices)
+    try:
+        return SubsetA.from_indices(q, indices)
+    except FqrankError as exc:
+        raise UsageError(f"--A: {exc}") from exc
 
 
 def _check_rank_flag(r: int, m: int, n: int) -> None:
@@ -346,19 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_field(p: argparse.ArgumentParser) -> None:
         p.add_argument("--field", required=True, help="field order, 'p^e' or a prime power")
 
+    def add_shape(p: argparse.ArgumentParser, m=None, n=None, r=None) -> None:
+        for flag, default in (("--m", m), ("--n", n), ("--r", r)):
+            p.add_argument(flag, type=int, default=default, required=default is None)
+
     p_count = sub.add_parser("count", help="closed-form counts and moment constants")
     add_field(p_count)
-    p_count.add_argument("--m", type=int, required=True)
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--r", type=int, required=True)
+    add_shape(p_count)
     p_count.add_argument("--A", help="entry subset: indices like 1,2 or nonzero/zero")
     p_count.set_defaults(handler=_cmd_count)
 
     p_sample = sub.add_parser("sample", help="draw matrices from the samplers")
     add_field(p_sample)
-    p_sample.add_argument("--m", type=int, required=True)
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--r", type=int, required=True)
+    add_shape(p_sample)
     p_sample.add_argument("--count", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--mode", choices=["exact", "product"], default="exact")
@@ -367,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact entry-count law by enumeration")
     add_field(p_exact)
-    p_exact.add_argument("--m", type=int, required=True)
-    p_exact.add_argument("--n", type=int, required=True)
-    p_exact.add_argument("--r", type=int, required=True)
+    add_shape(p_exact)
     p_exact.add_argument("--A", required=True)
     p_exact.add_argument("--method", choices=["auto", "pairs", "direct"], default="auto")
     p_exact.set_defaults(handler=_cmd_exact)
@@ -377,9 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident = sub.add_parser("identity", help="verify the entry-count decomposition")
     add_field(p_ident)
     p_ident.add_argument("--A", required=True)
-    p_ident.add_argument("--m", type=int, default=4)
-    p_ident.add_argument("--n", type=int, default=4)
-    p_ident.add_argument("--r", type=int, default=2)
+    add_shape(p_ident, 4, 4, 2)
     p_ident.add_argument("--count", type=int, default=20)
     p_ident.add_argument("--seed", type=int, default=0)
     p_ident.add_argument("--x-file", help="left factor in matrix text format")
@@ -397,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clt = sub.add_parser("clt", help="Monte Carlo normality report")
     add_field(p_clt)
     p_clt.add_argument("--A", required=True)
-    p_clt.add_argument("--r", type=int, required=True)
-    p_clt.add_argument("--m", type=int, required=True)
-    p_clt.add_argument("--n", type=int, required=True)
+    add_shape(p_clt)
     p_clt.add_argument("--N", type=int, required=True)
     p_clt.add_argument("--seed", type=int, required=True)
     p_clt.add_argument("--mode", choices=["exact", "product"], default="exact")

@@ -55,14 +55,7 @@ def _power_at_most(base: int, exp: int, cap: int) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -91,29 +84,22 @@ def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> lis
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _poly_mod(prod, modulus, p)
+
+
+def _poly_mod(poly: list[int], modulus: list[int], p: int) -> list[int]:
+    """Remainder of poly modulo a monic polynomial, padded to deg(modulus)."""
+    rem = list(poly)
     deg = len(modulus) - 1
-    for k in range(len(prod) - 1, deg - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(deg):
-                prod[k - deg + j] = (prod[k - deg + j] - c * modulus[j]) % p
-    out = prod[:deg]
-    out += [0] * (deg - len(out))
-    return out
-
-
-def _poly_divides(den: list[int], num: list[int], p: int) -> bool:
-    """True when the monic polynomial ``den`` divides ``num`` over GF(p)."""
-    rem = list(num)
-    dd = len(den) - 1
-    for k in range(len(rem) - 1, dd - 1, -1):
+    for k in range(len(rem) - 1, deg - 1, -1):
         c = rem[k]
         if c:
             rem[k] = 0
-            for j in range(dd):
-                rem[k - dd + j] = (rem[k - dd + j] - c * den[j]) % p
-    return not any(rem[:dd])
+            for j in range(deg):
+                rem[k - deg + j] = (rem[k - deg + j] - c * modulus[j]) % p
+    out = rem[:deg]
+    out += [0] * (deg - len(out))
+    return out
 
 
 def _index_digits(idx: int, p: int, length: int) -> list[int]:
@@ -132,20 +118,16 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     orders supported here (worst case p=2, e=12: 126 divisor candidates).
     """
     deg = len(poly) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for low in range(p**d):
             den = _index_digits(low, p, d) + [1]
-            if _poly_divides(den, poly, p):
+            if not any(_poly_mod(poly, den, p)):
                 return False
     return True
 
 
 def _smallest_irreducible(p: int, e: int) -> list[int]:
     """Monic irreducible of degree e over GF(p) with the smallest index."""
-    if e == 1:
-        return [0, 1]
     for low in range(p**e):
         cand = _index_digits(low, p, e) + [1]
         if _is_irreducible(cand, p):
@@ -340,14 +322,16 @@ def _find_generator(p: int, e: int, modulus: list[int]) -> int:
 def make_field(p: int, e: int) -> FieldCtx:
     """Construct (and cache) the field GF(p^e).
 
-    Raises :class:`CompositeCharacteristic` if p is not prime,
-    :class:`FieldTooLarge` if p**e exceeds ``MAX_ORDER``, and
-    :class:`FqrankError` for a non-positive extension degree.
+    Raises :class:`FieldTooLarge` if p**e exceeds ``MAX_ORDER`` (first, for
+    any p > MAX_ORDER), :class:`CompositeCharacteristic` if p is not prime,
+    and :class:`FqrankError` for a non-positive extension degree.
     """
     if not isinstance(p, int) or not isinstance(e, int):
         raise TypeError("p and e must be plain ints")
     if e < 1:
         raise FqrankError(f"extension degree must be >= 1, got {e}")
+    if p > MAX_ORDER:  # before the primality test, whose trial division grows as sqrt(p)
+        raise FieldTooLarge(f"characteristic {p} exceeds the supported maximum order {MAX_ORDER}")
     if not _is_prime(p):
         raise CompositeCharacteristic(f"characteristic {p} is not prime")
     q = p**e

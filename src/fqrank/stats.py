@@ -50,6 +50,7 @@ from .matrices import (
     FieldMismatch,
     MatrixFq,
     SubsetA,
+    _check_same_field,
     _decode,
     _digit_weights,
     _encode,
@@ -63,7 +64,6 @@ from .sampling import _blocks, _draw_seeded_block
 MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
 MAX_DIRECT_SCAN = 1 << 22
-MAX_RANK_ENUM = 1 << 20
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
@@ -251,8 +251,7 @@ class Decomposition:
 
 
 def _check_pair(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> None:
-    if x.field.q != y.field.q:
-        raise FieldMismatch(f"GF({x.field.q}) vs GF({y.field.q})")
+    _check_same_field(x, y)
     if x.cols != y.rows:
         raise DimensionMismatch(f"inner dimensions differ: {x.shape} x {y.shape}")
     if subset_a.q != x.field.q:
@@ -380,8 +379,8 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     calls stay on one thread (see `_transform`).  It counts `_blocks` of
     pairs, each pair gathering q max(m, q^r) values, so a pair with
     q^r = 2^16 is counted alone.  Pairs the rounding check refuses, and
-    every pair when the product is cheaper, are counted one product at a
-    time.
+    every pair when the product is cheaper, are counted by their products,
+    formed in `_blocks` of pairs.
     """
     pairs, m, r = xs.shape
     n, q = ys.shape[-1], ctx.q
@@ -401,8 +400,10 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
         exact = np.abs(values - nearest) < _ROUND_MARGIN
         cts[exact] = nearest[exact]
     member = SubsetA(q, amask).member_table()
-    for k in np.flatnonzero(~exact):  # one product at a time, so memory stays at one product
-        cts[k] = member[_index_matmul(ctx, xs[k], ys[k])].sum()
+    redo = np.flatnonzero(~exact)
+    for lo, hi in _blocks(0, len(redo), m * n):
+        block = redo[lo:hi]
+        cts[block] = member[_index_matmul(ctx, xs[block], ys[block])].sum(axis=(1, 2))
     return cts
 
 
@@ -787,18 +788,15 @@ def exact_distribution(
     and yields both laws plus the matrix-level total variation, reading
     each pair's count from tables of the q^r possible product rows (see
     `_exact_by_pairs`), so no pair's product is formed; "direct"
-    scans all m x n matrices for rank r (needs q^(mn) <= 2^22 and a rank
-    count <= 2^20) and yields the rank-r law only.  "auto" prefers pairs.
+    scans all m x n matrices for rank r (needs q^(mn) <= 2^22) and yields
+    the rank-r law only.  "auto" prefers pairs.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
     pairs_ok = _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)
-    direct_ok = (
-        _power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
-        and rank_count(ctx.q, m, n, r) <= MAX_RANK_ENUM
-    )
+    direct_ok = _power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
     if method == "auto":
         method = "pairs" if pairs_ok else "direct" if direct_ok else ""
         if not method:

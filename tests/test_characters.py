@@ -27,6 +27,7 @@ from fqrank.characters import (
     orthogonality_residuals,
     restrict_embed,
     sum_indicator,
+    units_transform,
     verification_battery,
 )
 from fqrank.field import FqrankError, field_from_order, make_field
@@ -210,6 +211,20 @@ def test_fourier_requires_unit_support():
     table = character_table(make_field(3, 1))
     with pytest.raises(NotSupportedOnUnits):
         fourier_transform(FunctionTable(3, np.array([1.0, 0.0, 0.0])), table)
+
+
+def test_transforms_refuse_a_function_over_another_field():
+    table = character_table(make_field(3, 1))
+    f = FunctionTable(5, np.ones((5, 5)))
+    calls = [
+        lambda: fourier_transform(f, table),
+        lambda: units_transform(f, table),
+        lambda: fourier_coefficient(f, (0, 1), table),
+        lambda: component_transform_from_embedded(f, IndexSubset.full(2), (0, 1), table),
+    ]
+    for call in calls:
+        with pytest.raises(FqrankError, match=r"function over GF\(5\), table over GF\(3\)"):
+            call()
 
 
 def test_fourier_round_trip_random():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fqrank
-from fqrank import sampling
+from fqrank import cli, sampling
 from fqrank.cli import main
 from fqrank.field import make_field
 from fqrank.matrices import dump_matrix, load_matrix, mat_mul, matrix, rank
@@ -213,6 +213,15 @@ def test_lemmas_pass(capsys):
         assert entry["residual"] <= entry["tolerance"]
 
 
+def test_lemmas_failure_exit_code(capsys, monkeypatch):
+    failing = {"orthogonality": {"residual": 1.0, "tolerance": 0.0, "ok": False}}
+    monkeypatch.setattr(cli, "verification_battery", lambda *args, **kwargs: failing)
+    rc, out, err = run_cli(capsys, ["lemmas", "--field", "2"])
+    assert rc == 1
+    assert json.loads(out)["all_ok"] is False
+    assert err == "lemma checks failed: orthogonality\n"
+
+
 # --- clt ------------------------------------------------------------------------
 
 def test_clt_report(capsys):
@@ -269,6 +278,24 @@ def test_bad_subset_rejected(capsys):
         capsys, ["exact", "--field", "2", "--m", "2", "--n", "2", "--r", "1", "--A", "7"]
     )
     assert rc == 2 and "--A" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", "element 5 outside range(2)"),
+        ("x", "expected comma-separated element indices or nonzero/zero, got 'x'"),
+        (",", "subset is empty"),
+    ],
+)
+def test_subset_flag_messages(capsys, text, message):
+    argv = ["count", "--field", "2", "--m", "2", "--n", "2", "--r", "1", "--A", text]
+    assert run_cli(capsys, argv) == (2, "", f"error: --A: {message}\n")
+
+
+def test_identity_refuses_a_negative_rank(capsys):
+    argv = ["identity", "--field", "3", "--A", "1", "--r", "-1"]
+    assert run_cli(capsys, argv) == (2, "", "error: --r: rank -1 is negative\n")
 
 
 def test_bad_rank_rejected(capsys):
@@ -362,6 +389,19 @@ def test_library_input_errors_exit_2(tmp_path, capsys, argv):
         (
             "clt --field 2 --A 1 --r 2 --m 2 --n 2 --N 400 --seed 3",
             "2a5efbf79e332a3604b1eb77aed85affc3429bf27381934e7cbcaefd07c0fb9d",
+        ),
+        (
+            "lemmas --field 9 --r 3 --seed 5",
+            "2c56154ea0109824aa3bdefd78b869b0c3d4f64ad842795c8f4035ef9e98296c",
+        ),
+        (
+            # every pair takes the product route
+            "clt --field 3 --A 1 --r 2 --m 2 --n 2 --N 400 --seed 3",
+            "53a70e83dd12f395a091edb0526fad6bcdfa39a1598477e80a4ef80115c458a0",
+        ),
+        (
+            "clt --field 256 --A 1 --r 2 --m 8 --n 8 --N 200 --seed 1",
+            "bf16ce45853b28103b6cf93c632c864e71b090067e47092917a76f845ca9bdf7",
         ),
     ],
 )

@@ -82,6 +82,10 @@ def test_rejects_oversized_order():
         make_field(2, 13)
     with pytest.raises(FieldTooLarge):
         make_field(5, 6)
+    # refused before trial division, which would take minutes on these
+    for p in (1000000000000000003, 2 * 1000000000000000003):
+        with pytest.raises(FieldTooLarge, match="characteristic"):
+            make_field(p, 1)
 
 
 def test_rejects_bad_degree():

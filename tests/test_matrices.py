@@ -88,6 +88,21 @@ def test_matrix_rejects_non_integer_entries():
     assert MatrixFq(make_field(3, 1), np.array([[1.0, 2.0]])).data.tolist() == [[1, 2]]
 
 
+@pytest.mark.parametrize(
+    "dtype, value",
+    [(np.int8, 3), (np.int8, -1), (np.uint8, 255), (np.int16, 3), (np.int16, -1), (np.int16, -32768)],
+)
+def test_matrix_rejects_small_integers_out_of_range(dtype, value):
+    with pytest.raises(FqrankError, match=r"range\(3\)"):
+        MatrixFq(make_field(3, 1), np.array([[1, value]], dtype=dtype))
+
+
+@pytest.mark.parametrize("data", [np.array([[1 + 0j]]), np.array([["1"]])])
+def test_matrix_refuses_non_integer_dtypes(data):
+    with pytest.raises(FqrankError, match="integers in range"):
+        MatrixFq(make_field(3, 1), data)
+
+
 def test_matrix_from_lists_out_of_int16_range():
     with pytest.raises(FqrankError, match="range"):
         matrix(make_field(3, 1), [[70000]])

@@ -198,16 +198,36 @@ def test_product_ct_stack_counts_every_product(case):
 @given(counting_stacks())
 def test_refused_rounding_counts_by_the_product(case):
     """With no rounding margin every transform value is refused, and each
-    pair is counted by its product instead."""
+    pair is counted by its product instead, multiplied exactly once."""
     ctx, xs, ys, amask = case
-    products = []
+    products = []  # pairs per _index_matmul call
     index_matmul = stats._index_matmul
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats, "_ROUND_MARGIN", 0.0)
-        patch.setattr(stats, "_index_matmul", lambda *a: products.append(1) or index_matmul(*a))
+        patch.setattr(
+            stats, "_index_matmul", lambda *a: products.append(len(a[1])) or index_matmul(*a)
+        )
         got = stats._product_ct_stack(ctx, xs, ys, amask).tolist()
     assert got == products_counted(ctx, xs, ys, amask)
-    assert len(products) == len(xs)
+    assert sum(products) == len(xs)
+
+
+@pytest.mark.parametrize("q, m, r, n", [(3, 4, 2, 5), (16, 3, 1, 6), (4, 5, 3, 2), (2, 3, 0, 4)])
+def test_product_fallback_counts_in_blocks(q, m, r, n):
+    """With room for two products per block, the product route counts a
+    stack of seven pairs in four blocks, each pair as by itself."""
+    ctx, xs, ys, amask = counting_stack(q, 7, m, r, n, 0b10, 5)
+    blocks = []
+    index_matmul = stats._index_matmul
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "_ROUND_MARGIN", 0.0)
+        patch.setattr(sampling, "_BLOCK_ENTRIES", 2 * m * n)
+        patch.setattr(
+            stats, "_index_matmul", lambda *a: blocks.append(len(a[1])) or index_matmul(*a)
+        )
+        got = stats._product_ct_stack(ctx, xs, ys, amask).tolist()
+    assert got == products_counted(ctx, xs, ys, amask)
+    assert blocks == [2, 2, 2, 1]
 
 
 @st.composite

@@ -19,7 +19,7 @@ from fqrank.characters import (
     sum_indicator,
 )
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
-from fqrank.field import field_from_order, make_field
+from fqrank.field import FqrankError, field_from_order, make_field
 from fqrank import sampling, stats
 from fqrank.matrices import DimensionMismatch, FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
 from fqrank.matrices import _decode, _encode, _index_matmul, _rank_stack
@@ -531,6 +531,21 @@ def test_exact_distribution_gates():
         exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4))
     with pytest.raises(RankOutOfRange):
         exact_distribution(ctx, 2, 2, 3, SubsetA.nonzero(4))
+
+
+def test_exact_distribution_argument_errors():
+    ctx = make_field(3, 1)
+    with pytest.raises(FieldMismatch, match=r"subset over GF\(2\), field is GF\(3\)"):
+        exact_distribution(ctx, 2, 2, 1, SubsetA.from_indices(2, [1]))
+    with pytest.raises(FqrankError, match="unknown method 'bogus'"):
+        exact_distribution(ctx, 2, 2, 1, SubsetA.nonzero(3), method="bogus")
+
+
+def test_direct_scan_admits_any_rank_count(monkeypatch):
+    # 2^22 matrices of which (2^11 - 1)(2^11 - 2) > 2^20 have rank 2: the scan
+    # tallies counts block by block, so the rank count bounds no memory
+    monkeypatch.setattr(stats, "_exact_by_direct_scan", lambda *args: "scanned")
+    assert exact_distribution(make_field(2, 1), 2, 11, 2, SubsetA.from_indices(2, [1])) == "scanned"
 
 
 # --- Monte Carlo normality reports -----------------------------------------------------
