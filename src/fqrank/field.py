@@ -344,9 +344,16 @@ def make_field(p: int, e: int) -> FieldCtx:
 
 
 def field_from_order(q: int) -> FieldCtx:
-    """Construct GF(q) from a prime-power order."""
+    """Construct GF(q) from a prime-power order.
+
+    Raises :class:`FieldTooLarge` for q > ``MAX_ORDER`` before factoring q,
+    whose trial division grows as sqrt(q), and :class:`CompositeCharacteristic`
+    if q is not a prime power.
+    """
     if q < 2:
         raise FqrankError(f"field order must be >= 2, got {q}")
+    if q > MAX_ORDER:
+        raise FieldTooLarge(f"order {q} exceeds the supported maximum {MAX_ORDER}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise CompositeCharacteristic(f"{q} is not a prime power")

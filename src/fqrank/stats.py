@@ -358,8 +358,9 @@ def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
     ct_A(XY) = (1/q) sum_a c_A(a) sum_i H^_Y(a x_i), with
     c_A(a) = sum_{s in A} conj psi(a s): no term is formed per entry of
     the m x n product.  The count is exact: for p = 2 every partial sum is
-    an integer in float64, and for odd p a value further than
-    `_ROUND_MARGIN` from an integer is counted again by the product.
+    an integer held exactly (in float32 below 2^24, else float64; see
+    `_transform_ct`), and for odd p a value further than `_ROUND_MARGIN`
+    from an integer is counted again by the product.
     The one-pair caller of `_product_ct_stack`.
     """
     _check_pair(x, y, subset_a)
@@ -414,14 +415,20 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     Pair k's codes are offset by k * q^r, so one bincount tallies every
     pair's column histogram and one gather reads every pair's transform.
     When q^r <= m the rows are tallied as well, and sum_i H^_Y(a x_i) is
-    taken as sum_c G_X(c) H^_Y(a c) over the q^r codes c.
+    taken as sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every
+    value of every pass of `_transform` is a signed sum of the n column
+    counts, so it runs in float32, exact below 2^24, when n < 2^24 (float64
+    otherwise); the sums gathered from it, up to m n, accumulate in float64.
     """
     q, (pairs, m, r) = ctx.q, xs.shape
     size = q**r
     table = character_table(ctx).add  # psi(a b)
     weights = table[:, SubsetA(q, amask).member_table()].conj().sum(axis=1)  # c_A(a)
-    if ctx.p == 2:  # psi is exactly +-1, so every sum below is an integer
-        table, weights = np.ascontiguousarray(table.real), weights.real
+    n = ys.shape[-1]
+    if ctx.p == 2:  # psi is exactly +-1, so every value of hat is an integer of size <= n
+        exact = np.float32 if n < 1 << 24 else np.float64  # float32 holds integers to 2^24
+        table, weights = table.real.astype(exact), weights.real
+    wide = weights.dtype  # float64 or complex128: the gathered sums reach m * n
     offsets = np.arange(pairs)[:, None] * size
 
     def tally(vectors: np.ndarray) -> np.ndarray:
@@ -432,10 +439,10 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     if size <= m:
         patterns = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0, :]
         multiples = _encode(q, ctx.mul_table[:, patterns])  # code of a c, per a and c
-        sums = (hat[:, multiples] * tally(xs)[:, None, :]).sum(axis=2)
+        sums = (hat.astype(wide, copy=False)[:, multiples] * tally(xs)[:, None, :]).sum(axis=2)
     else:
         multiples = _encode(q, ctx.mul_table[:, xs]) + offsets  # code of a x_i, per a, pair, i
-        sums = hat.ravel()[multiples].sum(axis=2).T
+        sums = hat.ravel()[multiples].sum(axis=2, dtype=wide).T
     return (sums * weights).sum(axis=1) / q  # not a BLAS call: see _transform
 
 

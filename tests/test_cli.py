@@ -353,6 +353,15 @@ def test_library_input_errors_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", ["8192", "10000", "1000000000000000003"])
+def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
+    """Prime, prime power or composite, an order past 4096 gets one message;
+    trial division of the prime 1000000000000000003 would run for minutes."""
+    rc, out, err = run_cli(capsys, ["count", "--field", order, "--m", "2", "--n", "2", "--r", "1"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: --field: order {order} exceeds the supported maximum 4096\n"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -402,6 +411,30 @@ def test_library_input_errors_exit_2(tmp_path, capsys, argv):
         (
             "clt --field 256 --A 1 --r 2 --m 8 --n 8 --N 200 --seed 1",
             "bf16ce45853b28103b6cf93c632c864e71b090067e47092917a76f845ca9bdf7",
+        ),
+        (
+            # q^r > m: each pair gathers its own codes from a float32 transform
+            "clt --field 16 --A 1 --r 4 --m 256 --n 256 --N 100 --seed 2",
+            "306a488cf5c31777fce30403cd2edf51eb5d7b45672f1b62832228a1096be314",
+        ),
+        (
+            "clt --field 16 --A 1 --r 4 --m 256 --n 256 --N 100 --seed 2 --workers 2",
+            "306a488cf5c31777fce30403cd2edf51eb5d7b45672f1b62832228a1096be314",
+        ),
+        (
+            # odd p: the transform stays complex
+            "clt --field 9 --A 1,2 --r 3 --m 64 --n 64 --N 200 --seed 4",
+            "9176c22ba151975fc038d12aea41e4c613ed23405f9a3e418529e39367ac13a4",
+        ),
+        (
+            # a 6 x 2 factor over GF(2) has a singular leading 2 x 2 block
+            # 5/8 of the time, and then is ranked in full
+            "sample --field 2 --m 6 --n 3 --r 2 --count 50 --seed 9",
+            "6aa5f6a9cd90c5c9cc87a9f67730d22c34e9c130cf1ee7ee8c10be0d8e0f0a3c",
+        ),
+        (
+            "sample --field 16 --m 9 --n 4 --r 3 --count 20 --seed 6 --format json",
+            "2caa1c3bf2ec1b156b84d5cc633e646ebcec9aca0886cf146aa40c8aff55b69b",
         ),
     ],
 )

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fqrank import field
 from fqrank.field import (
     CompositeCharacteristic,
     DivisionByZero,
@@ -86,6 +87,18 @@ def test_rejects_oversized_order():
     for p in (1000000000000000003, 2 * 1000000000000000003):
         with pytest.raises(FieldTooLarge, match="characteristic"):
             make_field(p, 1)
+
+
+def test_field_from_order_refuses_large_orders_before_factoring(monkeypatch):
+    """An order past MAX_ORDER is refused at once, prime or composite: trial
+    division of 1000000000000000003 would run for minutes."""
+    def no_factoring(n):
+        raise AssertionError(f"_prime_factors({n}) called")
+
+    monkeypatch.setattr(field, "_prime_factors", no_factoring)
+    for q in (4097, 8192, 10000, 1000000000000000003):
+        with pytest.raises(FieldTooLarge, match=f"^order {q} exceeds the supported maximum 4096$"):
+            field_from_order(q)
 
 
 def test_rejects_bad_degree():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from fqrank import matrices
 from fqrank.field import FqrankError, make_field, field_from_order
 from fqrank.matrices import (
     DimensionMismatch,
     FieldMismatch,
     MatrixFq,
     SubsetA,
+    _index_matmul,
+    _rank_stack,
     ct,
     dump_matrix,
     identity_matrix,
@@ -218,6 +221,102 @@ def test_rank_of_product_bounded():
         x = random_mat(ctx, 4, 2, rng)
         y = random_mat(ctx, 2, 4, rng)
         assert rank(mat_mul(x, y)) <= min(rank(x), rank(y))
+
+
+def certificate_stack(ctx, rows, cols, seed):
+    """40 random rows x cols matrices: a third as drawn, a third with the
+    leading block's first line along the long side zeroed (a singular block,
+    though the matrix is often of full rank), and a third of rank below
+    min(rows, cols), as products through a smaller inner size."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    stack = rng.integers(0, ctx.q, (40, rows, cols)).astype(np.int16)
+    if rows >= cols:
+        stack[13:26, 0, :] = 0
+    else:
+        stack[13:26, :, 0] = 0
+    left = rng.integers(0, ctx.q, (14, rows, k - 1)).astype(np.int16)
+    right = rng.integers(0, ctx.q, (14, k - 1, cols)).astype(np.int16)
+    stack[26:] = _index_matmul(ctx, left, right)
+    return stack
+
+
+def recording_eliminate(monkeypatch):
+    """The shapes of the stacks `_rank_stack` hands to `_eliminate`, in order."""
+    shapes = []
+    eliminate = matrices._eliminate
+    monkeypatch.setattr(
+        matrices, "_eliminate", lambda *args: shapes.append(args[1].shape) or eliminate(*args)
+    )
+    return shapes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+def test_rank_stack_is_rank_with_the_leading_block_certificate(monkeypatch, q, r, shape):
+    """Tall and wide stacks rank their leading blocks first and then, in
+    full, the matrices whose block is singular; a square stack is ranked
+    once."""
+    shapes = recording_eliminate(monkeypatch)
+    ctx = field_from_order(q)
+    rows, cols = {"tall": (6 * r, r), "wide": (r, 6 * r), "square": (r, r)}[shape]
+    stack = certificate_stack(ctx, rows, cols, seed=100 * q + 10 * r + len(shape))
+    want = [rank(MatrixFq(ctx, mat)) for mat in stack]
+    assert _rank_stack(ctx, stack).tolist() == want
+    assert shapes[0] == (40, r, r)
+    if shape == "square":
+        assert shapes == [(40, r, r)]
+    else:
+        singular = int((np.array([rank(MatrixFq(ctx, mat[:r, :r])) for mat in stack]) < r).sum())
+        assert shapes[1:] == [(singular, rows, cols)]
+
+
+def test_rank_stack_skips_the_certificate_where_it_cannot_pay(monkeypatch):
+    """A 2 x 2 block over GF(2) is invertible with probability 3/8, which
+    spares less than its own 4 entries of a 4 x 2 or 2 x 5 matrix (the
+    factors of the 4 x 5 rank-2 enumeration): those are ranked in one pass."""
+    shapes = recording_eliminate(monkeypatch)
+    ctx = make_field(2, 1)
+    for rows, cols in [(4, 2), (2, 5)]:
+        stack = certificate_stack(ctx, rows, cols, seed=rows)
+        shapes.clear()
+        assert _rank_stack(ctx, stack).tolist() == [rank(MatrixFq(ctx, mat)) for mat in stack]
+        assert shapes == [(40, rows, cols)]
+
+
+def test_rank_stack_singular_leading_blocks():
+    """Full rank behind a singular leading block is found by the full
+    elimination, and a rank-deficient matrix keeps its rank."""
+    ctx = make_field(2, 1)
+    tall = np.zeros((6, 8, 2), dtype=np.int16)
+    tall[:, 2:] = [[1, 0], [0, 1], [1, 1], [0, 0], [1, 0], [0, 1]]
+    tall[0, :2] = [[1, 0], [0, 1]]  # certified by its leading block
+    tall[1, :2] = [[0, 0], [0, 0]]  # zero leading block, rank 2
+    tall[2, :2] = [[1, 1], [1, 1]]  # singular leading block, rank 2
+    tall[3] = [[1, 1]] * 8  # rank 1
+    tall[4] = 0  # rank 0
+    tall[5] = [[0, 1]] * 8  # rank 1 behind a zero first column
+    want = [2, 2, 2, 1, 0, 1]
+    assert _rank_stack(ctx, tall).tolist() == want
+    assert _rank_stack(ctx, tall.swapaxes(1, 2)).tolist() == want
+
+
+def test_rank_stack_eliminates_only_leading_blocks_when_all_are_invertible(monkeypatch):
+    shapes = recording_eliminate(monkeypatch)
+    ctx = field_from_order(16)
+    rng = np.random.default_rng(5)
+    tall = rng.integers(0, 16, (30, 12, 4)).astype(np.int16)
+    tall[:, :4, :4] = np.triu(rng.integers(0, 16, (30, 4, 4))) | np.eye(4, dtype=np.int16)
+    for stack in (tall, tall.swapaxes(1, 2)):
+        shapes.clear()
+        assert _rank_stack(ctx, stack).tolist() == [4] * 30
+        assert shapes == [(30, 4, 4)]
+    # a singular leading block sends its matrix, and only it, to the full elimination
+    tall[7, 0] = 0
+    shapes.clear()
+    assert _rank_stack(ctx, tall).tolist() == [4] * 30
+    assert shapes == [(30, 4, 4), (1, 12, 4)]
 
 
 # --- entry subsets and counting statistics -----------------------------------

@@ -22,6 +22,7 @@ from fqrank.matrices import (
     MatrixFq,
     SubsetA,
     _decode,
+    _eliminate,
     _index_matmul,
     _rank_stack,
     ct,
@@ -277,11 +278,24 @@ def test_rank_stack_tallies_rank_count(shape):
     """Every matrix of the shape, ranked in one stack: the tally is rank_count.
 
     A slip in clearing the rows below a pivot can keep the tally, since that
-    clearing permutes the matrices; the per-matrix test above catches it."""
+    clearing permutes the matrices; the per-matrix test above catches it.
+    The zero matrix has a singular leading block, so a non-square stack
+    reaches the full elimination."""
     q, rows, cols = shape
     stack = _decode(q, np.arange(q ** (rows * cols), dtype=np.int64), rows, cols)
-    tally = np.bincount(_rank_stack(field_from_order(q), stack), minlength=min(rows, cols) + 1)
+    shapes = []
+
+    def eliminate(ctx, stack):
+        shapes.append(stack.shape[1:])
+        return _eliminate(ctx, stack)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fqrank.matrices._eliminate", eliminate)
+        ranks = _rank_stack(field_from_order(q), stack)
+    tally = np.bincount(ranks, minlength=min(rows, cols) + 1)
     assert tally.tolist() == [int(rank_count(q, rows, cols, r)) for r in range(len(tally))]
+    if len(stack) > 1 and min(rows, cols) > 0:
+        assert shapes[-1] == (rows, cols)
 
 
 @FEW

@@ -21,7 +21,17 @@ from fqrank.characters import (
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import FqrankError, field_from_order, make_field
 from fqrank import sampling, stats
-from fqrank.matrices import DimensionMismatch, FieldMismatch, SubsetA, ct, mat_mul, matrix, rank, zero_matrix
+from fqrank.matrices import (
+    DimensionMismatch,
+    FieldMismatch,
+    MatrixFq,
+    SubsetA,
+    ct,
+    mat_mul,
+    matrix,
+    rank,
+    zero_matrix,
+)
 from fqrank.matrices import _decode, _encode, _index_matmul, _rank_stack
 from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance, rank_count
 from fqrank.sampling import (
@@ -364,6 +374,85 @@ def test_product_ct_large_field_takes_the_product(monkeypatch):
         float(asymptotic_ct_variance(params))
     )
     assert report.samples[0] == want
+
+
+@pytest.mark.parametrize(
+    "q, r, m, n",
+    [
+        (2, 2, 9, 7),  # q^r <= m: the rows are tallied too
+        (2, 4, 9, 7),  # q^r > m: each pair gathers its own codes
+        (4, 1, 6, 5),
+        (4, 3, 6, 5),
+        (9, 1, 12, 4),
+        (9, 2, 12, 4),
+        (16, 1, 20, 30),
+        (16, 3, 20, 30),
+        (256, 1, 300, 3),
+        (256, 2, 5, 3),
+    ],
+)
+def test_transform_ct_is_float32_for_p_2_and_complex_otherwise(monkeypatch, q, r, m, n):
+    """The transform runs on a float32 table for p = 2 and a complex one for
+    odd p, and either way gives the product counts: exactly for p = 2."""
+    tables = []
+    transform = stats._transform
+    monkeypatch.setattr(
+        stats, "_transform", lambda *args: tables.append(args[1].dtype) or transform(*args)
+    )
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q + r)
+    xs = rng.integers(0, q, (3, m, r)).astype(np.int16)
+    ys = rng.integers(0, q, (3, r, n)).astype(np.int16)
+    for amask in (0b10, 0b11):
+        subset = SubsetA(q, amask)
+        want = [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), subset) for x, y in zip(xs, ys)]
+        values = stats._transform_ct(ctx, xs, ys, amask)
+        if ctx.p == 2:
+            assert values.dtype == np.float64 and values.tolist() == want
+        else:
+            assert np.abs(values - want).max() < 1e-6
+    assert tables == [np.float32 if ctx.p == 2 else np.complex128] * 2
+
+
+def test_transform_ct_keeps_float64_from_2_to_the_24_columns(monkeypatch):
+    """2^24 + 1 zero columns: every value of the transform is 2^24 + 1, which
+    float32 would round to 2^24, so the count of A = {0} is 2^24 + 1."""
+    hats = []
+    transform = stats._transform
+    monkeypatch.setattr(stats, "_transform", lambda *a: hats.append(transform(*a)) or hats[-1])
+    n = (1 << 24) + 1
+    ctx = field_from_order(2)
+    ys = np.zeros((1, 1, n), dtype=np.int16)
+    values = stats._transform_ct(ctx, np.zeros((1, 1, 1), dtype=np.int16), ys, 0b01)
+    assert hats[0].dtype == np.float64 and hats[0].tolist() == [[n, n]]
+    assert values.tolist() == [n]
+
+
+@pytest.mark.parametrize("q, r, pairs", [(2, 4, 3), (16, 4, 2), (256, 2, 3), (3, 5, 2)])
+def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
+    """No matmul call of the transform contracts more than _BLAS_SLAB
+    multiply-adds, and the slabs give the one-call product."""
+    sizes = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    ctx = field_from_order(q)
+    table = character_table(ctx).add
+    if ctx.p == 2:
+        table = table.real.astype(np.float32)
+    rng = np.random.default_rng(q * r)
+    hist = rng.integers(0, 50, (pairs, q**r))
+    monkeypatch.setattr(np, "matmul", recording)
+    got = stats._transform(hist, table, r)
+    assert sizes and max(sizes) <= stats._BLAS_SLAB
+    assert sum(sizes) == r * pairs * q ** (r + 1)
+    monkeypatch.setattr(stats, "_BLAS_SLAB", r * pairs * q ** (r + 1))
+    sizes.clear()
+    assert np.array_equal(got, stats._transform(hist, table, r))
+    assert len(sizes) == r  # one call per pass
 
 
 def test_product_ct_input_checks():
