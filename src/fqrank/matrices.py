@@ -7,7 +7,8 @@ keeps rank-0 factorisations free of special cases.
 
 The enumeration oracles work on stacks of index arrays instead: `_index_matmul`
 is the one GF(q) product formula and `_encode`/`_decode` the one spelling of
-a matrix as an integer code.
+a matrix as an integer code, which the enumeration oracles and the
+character-transform count in `fqrank.stats` share.
 """
 
 from __future__ import annotations
@@ -138,8 +139,19 @@ def _digit_weights(q: int, width: int) -> np.ndarray:
 def _encode(q: int, digits: np.ndarray) -> np.ndarray:
     """Integer code of each vector along the last axis: its entries as base-q
     digits, least significant first.  A matrix is coded by its row-major
-    (C-order) flattening."""
-    return digits.astype(np.int64) @ _digit_weights(q, digits.shape[-1])
+    (C-order) flattening.
+
+    Summed by Horner's rule from the last digit down, in int64: the same
+    integers as the weighted sum `digits @ _digit_weights(q, width)`,
+    wrapping mod 2^64 where it does, without that product's int64 matmul.
+    Width 0 gives zeros."""
+    if digits.shape[-1] == 0:
+        return np.zeros(digits.shape[:-1], dtype=np.int64)
+    codes = digits[..., -1].astype(np.int64)
+    for k in range(digits.shape[-1] - 2, -1, -1):
+        codes *= q
+        codes += digits[..., k]
+    return codes
 
 
 def _decode(q: int, codes: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -259,7 +259,8 @@ def _draw_seeded_block(
     totals.
 
     One Philox serves the block: setting its state to key (seed, i) and
-    counter 0 gives stream i's words without building a generator.  Each
+    counter 0, from a state dict of Python lists reused for every stream,
+    gives stream i's words without building a generator.  Each
     stream's first m*r + r*n words come in one call, which is the whole draw
     in product mode.  In exact mode they are a pair's first left and right
     candidates; a stream with a rejected candidate is drawn again from its
@@ -273,7 +274,13 @@ def _draw_seeded_block(
     split, words = m * r, m * r + r * n
     raw = np.empty((hi - lo, words), dtype=np.uint64)
     bg = np.random.Philox(key=np.array([spec.master_seed, 0], dtype=np.uint64))
-    state = bg.state  # counter 0 and an empty buffer, restored for every stream
+    # counter 0 and an empty buffer, restored for every stream; numpy reads
+    # a state of Python lists word by word, in less than half the time of arrays
+    state = {
+        **bg.state,
+        "state": {"counter": [0] * 4, "key": [spec.master_seed, 0]},
+        "buffer": [0] * 4,
+    }
     key = state["state"]["key"]
     for k, i in enumerate(range(lo, hi)):
         key[1] = i

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -412,13 +411,15 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     """ct_A(x @ y) of each pair by the character identity, unrounded (real
     for p = 2, complex otherwise).
 
-    Pair k's codes are offset by k * q^r, so one bincount tallies every
-    pair's column histogram and one gather reads every pair's transform.
-    When q^r <= m the rows are tallied as well, and sum_i H^_Y(a x_i) is
-    taken as sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every
-    value of every pass of `_transform` is a signed sum of the n column
-    counts, so it runs in float32, exact below 2^24, when n < 2^24 (float64
-    otherwise); the sums gathered from it, up to m n, accumulate in float64.
+    The histograms are laid out codes first, pair k of B at code * B + k, so
+    one bincount tallies every pair's column histogram, `_transform` works
+    on it in place, and one gather reads every pair's transform.  The codes
+    of a x_i come from one `np.take` of the product table.  When q^r <= m
+    the rows are tallied as well, and sum_i H^_Y(a x_i) is taken as
+    sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every value of
+    every pass of `_transform` is a signed sum of the n column counts, so it
+    runs in float32, exact below 2^24, when n < 2^24 (float64 otherwise);
+    the sums gathered from it, up to m n, accumulate in float64.
     """
     q, (pairs, m, r) = ctx.q, xs.shape
     size = q**r
@@ -429,43 +430,56 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
         exact = np.float32 if n < 1 << 24 else np.float64  # float32 holds integers to 2^24
         table, weights = table.real.astype(exact), weights.real
     wide = weights.dtype  # float64 or complex128: the gathered sums reach m * n
-    offsets = np.arange(pairs)[:, None] * size
+    offsets = np.arange(pairs)[:, None]
 
     def tally(vectors: np.ndarray) -> np.ndarray:
-        codes = _encode(q, vectors) + offsets
-        return np.bincount(codes.ravel(), minlength=pairs * size).reshape(pairs, size)
+        codes = _encode(q, vectors) * pairs + offsets
+        return np.bincount(codes.ravel(), minlength=size * pairs).reshape(size, pairs)
 
-    hat = _transform(tally(ys.swapaxes(1, 2)), table, r)
+    hat = _transform(tally(ys.swapaxes(1, 2)), table, r)  # (q^r, B)
     if size <= m:
         patterns = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0, :]
         multiples = _encode(q, ctx.mul_table[:, patterns])  # code of a c, per a and c
-        sums = (hat.astype(wide, copy=False)[:, multiples] * tally(xs)[:, None, :]).sum(axis=2)
+        sums = (hat.astype(wide, copy=False)[multiples] * tally(xs)).sum(axis=1).T
     else:
-        multiples = _encode(q, ctx.mul_table[:, xs]) + offsets  # code of a x_i, per a, pair, i
+        # code of a x_i, per a, pair, i, at its place in hat
+        multiples = _encode(q, np.take(ctx.mul_table, xs, axis=1)) * pairs + offsets
         sums = hat.ravel()[multiples].sum(axis=2, dtype=wide).T
     return (sums * weights).sum(axis=1) / q  # not a BLAS call: see _transform
 
 
 def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
-    """The character transform of each row of hist (B, q^r): table applied
-    along each of the r digit axes.
+    """The character transform of each column of hist (q^r, B): table
+    applied along each of the r digit axes of the codes.
 
-    Each pass contracts the last axis (digit 0 first) and moves the result
-    to the front, so after r passes the digits are back in code order.
-    The contraction runs in slabs of _BLAS_SLAB multiply-adds: OpenBLAS
-    starts its threads above that size, and under the clt worker pool
-    they only contend for the same cores.
+    Pass k views the array as (q^(r-1-k), q, q^k B), digit k in the middle,
+    and writes table^T @ each (q, q^k B) slice into a second buffer, so no
+    pass moves an axis; when q^k B is 1 it is one (rows, q) @ table product.
+    No matmul call contracts more than _BLAS_SLAB multiply-adds, batch items
+    included: OpenBLAS starts its threads above that size, and beside the
+    other clt worker processes they only contend for the same cores.
     """
     q = len(table)
-    out = hist.astype(table.dtype)
-    step = max(1, _BLAS_SLAB // (q * q))
-    for _ in range(r):
-        rows = out.reshape(-1, q)
-        res = np.empty_like(rows)
-        for lo in range(0, len(rows), step):
-            np.matmul(rows[lo : lo + step], table, out=res[lo : lo + step])
-        out = res.reshape(len(hist), -1, q).swapaxes(1, 2).reshape(len(hist), -1)
-    return out
+    pairs = hist.shape[1]
+    src = hist.astype(table.dtype)
+    dst = np.empty_like(src)
+    for k in range(r):
+        cols = q**k * pairs
+        if cols == 1:
+            rows, out = src.reshape(-1, q), dst.reshape(-1, q)
+            step = max(1, _BLAS_SLAB // (q * q))
+            for lo in range(0, len(rows), step):
+                np.matmul(rows[lo : lo + step], table, out=out[lo : lo + step])
+        else:
+            slabs, out = src.reshape(-1, q, cols), dst.reshape(-1, q, cols)
+            width = min(cols, max(1, _BLAS_SLAB // (q * q)))
+            items = max(1, _BLAS_SLAB // (q * q * width))
+            for lo in range(0, len(slabs), items):
+                for left in range(0, cols, width):
+                    part = np.s_[lo : lo + items, :, left : left + width]
+                    np.matmul(table.T, slabs[part], out=out[part])
+        src, dst = dst, src
+    return src
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +575,25 @@ def _clt_values(
     return out
 
 
-def _clt_chunk(packed: tuple) -> np.ndarray:
-    p, e, amask, r, m, n, mode, seed, lo, hi = packed
-    ctx = make_field(p, e)
-    return _clt_values(ctx, SubsetA(ctx.q, amask), r, m, n, mode, seed, lo, hi)
+def _clt_worker(job: tuple, conn) -> None:
+    """Count one chunk of a clt run in a worker process and send its values,
+    or the exception that stopped it, over the one-way pipe `conn`."""
+    p, e, amask, r, m, n, mode, seed, lo, hi = job
+    try:
+        ctx = make_field(p, e)
+        result = _clt_values(ctx, SubsetA(ctx.q, amask), r, m, n, mode, seed, lo, hi)
+    except BaseException as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_clt(
@@ -584,8 +613,16 @@ def run_clt(
     The report is a pure function of everything except `workers`: sample i
     always comes from stream (seed, i) and the reductions run over the
     assembled array in index order.  `workers` must be at least 1, and is
-    capped at the CPU count and at `num_samples`.  The arguments are checked
-    before any sample is drawn, the field and rank by MomentParams.
+    capped at the CPUs the process may run on and at `num_samples`.  It is
+    the number of processes that count, the caller included: the samples
+    are split into `workers` chunks, the caller counts chunk 0, and each
+    other chunk runs in its own `multiprocessing.Process`, started with its
+    job before the caller begins and sending back its values, or its
+    exception, over a one-way pipe.  Every worker is joined before this
+    returns or raises; after an error any still running is terminated.  A
+    worker that dies without a message raises RuntimeError.  The arguments
+    are checked before any sample is drawn, the field and rank by
+    MomentParams.
     """
     if num_samples < 100:
         raise FqrankError(f"need at least 100 samples, got {num_samples}")
@@ -595,18 +632,43 @@ def run_clt(
     if workers < 1:
         raise FqrankError(f"need at least one worker, got {workers}")
 
-    workers = min(workers, os.cpu_count() or 1, num_samples)
+    workers = min(workers, _usable_cpus(), num_samples)
     if workers <= 1:
         values = _clt_values(ctx, subset_a, r, m, n, mode, seed, 0, num_samples)
     else:
-        bounds = np.linspace(0, num_samples, workers + 1).astype(int)
-        jobs = [
-            (ctx.p, ctx.e, subset_a.mask, r, m, n, mode, seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = np.concatenate(list(pool.map(_clt_chunk, jobs)))
+        import multiprocessing
+
+        bounds = np.linspace(0, num_samples, workers + 1).astype(int).tolist()
+        started = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                job = (ctx.p, ctx.e, subset_a.mask, r, m, n, mode, seed, lo, hi)
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(target=_clt_worker, args=(job, sender))
+                proc.start()
+                sender.close()  # the worker holds the only send end: its exit means EOF
+                started.append((proc, receiver))
+            chunks = [_clt_values(ctx, subset_a, r, m, n, mode, seed, 0, bounds[1])]
+            for proc, receiver in started:
+                try:
+                    result = receiver.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"a clt worker exited with code {proc.exitcode} and sent no result"
+                    ) from None
+                if isinstance(result, BaseException):
+                    raise result
+                chunks.append(result)
+            values = np.concatenate(chunks)
+        except BaseException:
+            for proc, _ in started:
+                proc.terminate()
+            raise
+        finally:
+            for proc, receiver in started:
+                proc.join()
+                receiver.close()
 
     mean = float(values.mean())
     variance = float(values.var())

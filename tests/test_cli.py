@@ -422,6 +422,19 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "306a488cf5c31777fce30403cd2edf51eb5d7b45672f1b62832228a1096be314",
         ),
         (
+            "clt --field 16 --A 1 --r 4 --m 256 --n 256 --N 100 --seed 2 --workers 3",
+            "306a488cf5c31777fce30403cd2edf51eb5d7b45672f1b62832228a1096be314",
+        ),
+        (
+            # q^r > m, 2000 pairs to a block: the codes-first layout with many pairs
+            "clt --field 3 --A 1 --r 2 --m 8 --n 8 --N 2000 --seed 7",
+            "e56b548097ce45a3694e4f4d9cc40fb34d9479e21abdb5e35f3850f00c6614df",
+        ),
+        (
+            "clt --field 3 --A 1 --r 2 --m 8 --n 8 --N 2000 --seed 7 --workers 2",
+            "e56b548097ce45a3694e4f4d9cc40fb34d9479e21abdb5e35f3850f00c6614df",
+        ),
+        (
             # odd p: the transform stays complex
             "clt --field 9 --A 1,2 --r 3 --m 64 --n 64 --N 200 --seed 4",
             "9176c22ba151975fc038d12aea41e4c613ed23405f9a3e418529e39367ac13a4",

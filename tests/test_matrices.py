@@ -8,6 +8,8 @@ from fqrank.matrices import (
     FieldMismatch,
     MatrixFq,
     SubsetA,
+    _digit_weights,
+    _encode,
     _index_matmul,
     _rank_stack,
     ct,
@@ -158,6 +160,22 @@ def test_mat_mul_against_scalar_loop():
                     for t in range(k):
                         acc = ctx.add(acc, ctx.mul(int(x.data[i, t]), int(y.data[t, j])))
                     assert prod.data[i, j] == acc
+
+
+@pytest.mark.parametrize(
+    "q, width",
+    [(2, 0), (3, 1), (16, 5), (256, 2), (16, 17), (3, 45)],  # 16^16 and 3^40 overflow int64
+)
+def test_encode_is_the_weighted_digit_sum(q, width):
+    """Horner's codes are the int64 weighted sum's, wrapping where it wraps,
+    on contiguous stacks and on swapped-axes views."""
+    rng = np.random.default_rng(q + width)
+    digits = rng.integers(0, q, (4, 3, width)).astype(np.int16)
+    want = digits.astype(np.int64) @ _digit_weights(q, width)
+    got = _encode(q, digits)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    view = rng.integers(0, q, (4, width, 3)).astype(np.int16).swapaxes(1, 2)
+    assert np.array_equal(_encode(q, view), view.astype(np.int64) @ _digit_weights(q, width))
 
 
 def test_mat_mul_shape_mismatch():

@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +418,44 @@ def test_transform_ct_is_float32_for_p_2_and_complex_otherwise(monkeypatch, q, r
     assert tables == [np.float32 if ctx.p == 2 else np.complex128] * 2
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 16])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_transform_is_the_kronecker_power(q, r, pairs):
+    """Each column of the (q^r, pairs) histogram is multiplied by the r-fold
+    Kronecker power of the table, digit 0 least significant: exactly for
+    p = 2, to 1e-9 for odd p.  Output code c = (a_0, ..., a_(r-1)) is row
+    kron(table[:, a_(r-1)], ..., table[:, a_0]) of that power, built for
+    every code up to q^r = 256 and for 64 random codes above."""
+    ctx = field_from_order(q)
+    table = character_table(ctx).add
+    if ctx.p == 2:
+        table = table.real.astype(np.float32)
+    rng = np.random.default_rng(q * 10 + r)
+    hist = rng.integers(0, 20, (q**r, pairs))
+    got = stats._transform(hist, table, r)
+    assert got.shape == (q**r, pairs) and got.dtype == table.dtype
+    codes = np.arange(q**r) if q**r <= 256 else rng.choice(q**r, 64, replace=False)
+    for code in codes.tolist():
+        row = np.ones(1, dtype=np.complex128)
+        for a in _decode(q, np.array(code), 1, r).ravel().tolist():
+            row = np.kron(table[:, a], row)  # digit k varies with stride q^k
+        want = row @ hist
+        if ctx.p == 2:
+            assert np.array_equal(got[code], want.real)
+        else:
+            assert np.abs(got[code] - want).max() < 1e-9
+
+
+def test_product_codes_by_take_are_the_fancy_index():
+    for q, shape in [(16, (1, 512, 4)), (3, (2000, 8, 2)), (4, (3, 0, 2))]:
+        ctx = field_from_order(q)
+        xs = np.random.default_rng(q).integers(0, q, shape).astype(np.int16)
+        taken = np.take(ctx.mul_table, xs, axis=1)
+        assert taken.dtype == ctx.mul_table.dtype
+        assert np.array_equal(taken, ctx.mul_table[:, xs])
+
+
 def test_transform_ct_keeps_float64_from_2_to_the_24_columns(monkeypatch):
     """2^24 + 1 zero columns: every value of the transform is 2^24 + 1, which
     float32 would round to 2^24, so the count of A = {0} is 2^24 + 1."""
@@ -424,19 +466,21 @@ def test_transform_ct_keeps_float64_from_2_to_the_24_columns(monkeypatch):
     ctx = field_from_order(2)
     ys = np.zeros((1, 1, n), dtype=np.int16)
     values = stats._transform_ct(ctx, np.zeros((1, 1, 1), dtype=np.int16), ys, 0b01)
-    assert hats[0].dtype == np.float64 and hats[0].tolist() == [[n, n]]
+    assert hats[0].dtype == np.float64 and hats[0].tolist() == [[n], [n]]  # (q^r, pairs)
     assert values.tolist() == [n]
 
 
-@pytest.mark.parametrize("q, r, pairs", [(2, 4, 3), (16, 4, 2), (256, 2, 3), (3, 5, 2)])
+@pytest.mark.parametrize("q, r, pairs", [(2, 4, 3), (16, 4, 2), (16, 4, 1), (256, 2, 3), (3, 5, 2)])
 def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     """No matmul call of the transform contracts more than _BLAS_SLAB
-    multiply-adds, and the slabs give the one-call product."""
+    multiply-adds, counting every item of a batched call, and the slabs
+    give the one-call-per-pass product."""
     sizes = []
     matmul = np.matmul
 
     def recording(a, b, out=None):
-        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        items = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        sizes.append(items * a.shape[-2] * a.shape[-1] * b.shape[-1])
         return matmul(a, b, out=out)
 
     ctx = field_from_order(q)
@@ -444,7 +488,7 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     if ctx.p == 2:
         table = table.real.astype(np.float32)
     rng = np.random.default_rng(q * r)
-    hist = rng.integers(0, 50, (pairs, q**r))
+    hist = rng.integers(0, 50, (q**r, pairs))
     monkeypatch.setattr(np, "matmul", recording)
     got = stats._transform(hist, table, r)
     assert sizes and max(sizes) <= stats._BLAS_SLAB
@@ -664,34 +708,142 @@ def test_run_clt_reproducible_and_worker_invariant():
     assert run_clt(ctx, subset, 1, 8, 8, 120, seed=4).to_dict() != a.to_dict()
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor and records the requested pool size."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+def _count_starts(monkeypatch) -> list:
+    """Record every process start, in this process, from here on."""
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda proc: starts.append(1) or start(proc)
+    )
+    return starts
 
 
 def test_run_clt_clamps_workers(monkeypatch):
-    monkeypatch.setattr(stats, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    """workers is capped at the CPUs the process may run on: with an
+    affinity of one CPU no process starts, however many are asked for."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    starts = _count_starts(monkeypatch)
     ctx = make_field(2, 1)
     subset = SubsetA.from_indices(2, [1])
     one = run_clt(ctx, subset, 1, 8, 8, 120, seed=3)
-    many = run_clt(ctx, subset, 1, 8, 8, 120, seed=3, workers=10**6)
-    assert all(size <= (os.cpu_count() or 1) for size in _InProcessPool.sizes)
+    many = run_clt(ctx, subset, 1, 8, 8, 120, seed=3, workers=4)
+    huge = run_clt(ctx, subset, 1, 8, 8, 120, seed=3, workers=10**6)
+    assert starts == []
+    assert many.to_dict() == huge.to_dict() == one.to_dict()
+    assert np.array_equal(many.samples, one.samples)
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert stats._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert stats._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_clt_starts_one_process_per_extra_worker(monkeypatch, workers):
+    """workers=k counts in k processes, the caller included: k - 1 starts,
+    and the samples of workers=1."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    ctx = make_field(3, 1)
+    subset = SubsetA.from_indices(3, [1])
+    one = run_clt(ctx, subset, 2, 8, 8, 150, seed=5)
+    starts = _count_starts(monkeypatch)
+    many = run_clt(ctx, subset, 2, 8, 8, 150, seed=5, workers=workers)
+    assert len(starts) == workers - 1
     assert many.to_dict() == one.to_dict()
     assert np.array_equal(many.samples, one.samples)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_chunks(monkeypatch, fail):
+    """Two usable CPUs, forked workers (so they see the patch), and a
+    `_clt_values` that calls fail(lo) before counting its chunk."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    values = stats._clt_values
+
+    def chunk(*args):
+        fail(args[-2])
+        return values(*args)
+
+    monkeypatch.setattr(stats, "_clt_values", chunk)
+
+
+def _run_two_workers():
+    ctx = make_field(2, 1)
+    return run_clt(ctx, SubsetA.from_indices(2, [1]), 1, 8, 8, 120, seed=3, workers=2)
+
+
+def test_run_clt_raises_a_worker_error_with_its_type(monkeypatch):
+    def fail(lo):
+        if lo > 0:
+            raise DegenerateSubset(f"chunk from {lo}")
+
+    _failing_chunks(monkeypatch, fail)
+    with pytest.raises(DegenerateSubset, match="chunk from 60"):
+        _run_two_workers()
+    assert multiprocessing.active_children() == []
+
+
+def test_run_clt_worker_that_dies_silently_is_not_a_usage_error(monkeypatch):
+    """A worker gone without a message is a RuntimeError, not an
+    FqrankError, so the CLI exits 1 and not 2."""
+    def fail(lo):
+        if lo > 0:
+            os._exit(3)
+
+    _failing_chunks(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="exited with code 3") as info:
+        _run_two_workers()
+    assert not isinstance(info.value, FqrankError)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_clt_error_in_callers_chunk_leaves_no_worker(monkeypatch):
+    def fail(lo):
+        if lo == 0:
+            raise DegenerateSubset("caller's chunk")
+        time.sleep(30)  # still running when the caller fails
+
+    _failing_chunks(monkeypatch, fail)
+    t0 = time.perf_counter()
+    with pytest.raises(DegenerateSubset, match="caller's chunk"):
+        _run_two_workers()
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - t0 < 20  # terminated, not waited for
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing, os, sys
+import numpy as np
+from fqrank import make_field, SubsetA, run_clt
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    os.sched_getaffinity = lambda pid: {0, 1}
+    ctx = make_field(3, 1)
+    subset = SubsetA.from_indices(3, [1])
+    one = run_clt(ctx, subset, 2, 8, 8, 150, seed=5)
+    two = run_clt(ctx, subset, 2, 8, 8, 150, seed=5, workers=2)
+    assert multiprocessing.get_start_method() == "spawn"
+    sys.stdout.write(str(np.array_equal(one.samples, two.samples) and one.to_dict() == two.to_dict()))
+"""
+
+
+def test_run_clt_workers_under_spawn(tmp_path):
+    """Spawned workers import fqrank afresh and count the same samples."""
+    script = tmp_path / "spawn_clt.py"
+    script.write_text(_SPAWN_SCRIPT)
+    src = str(Path(stats.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True"
 
 
 @pytest.mark.parametrize(
