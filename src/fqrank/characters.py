@@ -86,22 +86,15 @@ def character_table(ctx: FieldCtx) -> CharacterTable:
 def orthogonality_residuals(table: CharacterTable) -> dict[str, float]:
     """Max deviations of the four character orthogonality relations."""
     q = table.field.q
-    a_ind = np.zeros(q)
-    a_ind[0] = 1.0
-    one_ind = np.zeros(q)
-    one_ind[1] = 1.0
-    chi_ind = np.zeros(q - 1)
-    chi_ind[0] = 1.0
-    psi_ind = np.zeros(q)
-    psi_ind[0] = 1.0
+    ind = np.eye(q)  # row k: the indicator of index k
     return {
-        "additive_char_sum": float(np.abs(table.add.sum(axis=0) / q - a_ind).max()),
+        "additive_char_sum": float(np.abs(table.add.sum(axis=0) / q - ind[0]).max()),
         "multiplicative_char_sum": float(
-            np.abs(table.mult.sum(axis=0) / (q - 1) - one_ind).max()
+            np.abs(table.mult.sum(axis=0) / (q - 1) - ind[1]).max()
         ),
-        "additive_element_sum": float(np.abs(table.add.sum(axis=1) / q - psi_ind).max()),
+        "additive_element_sum": float(np.abs(table.add.sum(axis=1) / q - ind[0]).max()),
         "multiplicative_element_sum": float(
-            np.abs(table.mult.sum(axis=1) / (q - 1) - chi_ind).max()
+            np.abs(table.mult.sum(axis=1) / (q - 1) - ind[0, : q - 1]).max()
         ),
     }
 

@@ -296,10 +296,10 @@ def _find_generator(p: int, e: int, modulus: list[int]) -> int:
     if q == 2:
         return 1
     factors = _prime_factors(q - 1)
-    weights = [p**i for i in range(e)]
+    one = _index_digits(1, p, e)
 
     def raw_pow(base: list[int], k: int) -> list[int]:
-        result = _index_digits(1, p, e)
+        result = one
         sq = list(base)
         while k:
             if k & 1:
@@ -310,15 +310,12 @@ def _find_generator(p: int, e: int, modulus: list[int]) -> int:
 
     for cand in range(2, q):
         digits = _index_digits(cand, p, e)
-        if all(
-            sum(d * w for d, w in zip(raw_pow(digits, (q - 1) // f), weights)) != 1
-            for f in factors
-        ):
+        if all(raw_pow(digits, (q - 1) // f) != one for f in factors):
             return cand
     raise AssertionError("no generator found")  # unreachable
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the cached GF(2)
 def make_field(p: int, e: int) -> FieldCtx:
     """Construct (and cache) the field GF(p^e).
 

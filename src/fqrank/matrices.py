@@ -104,9 +104,7 @@ def zero_matrix(ctx: FieldCtx, m: int, n: int) -> MatrixFq:
 
 
 def identity_matrix(ctx: FieldCtx, n: int) -> MatrixFq:
-    data = np.zeros((n, n), dtype=np.int16)
-    np.fill_diagonal(data, 1)
-    return MatrixFq(ctx, data)
+    return MatrixFq(ctx, np.eye(n, dtype=np.int16))
 
 
 def _check_same_field(a: MatrixFq, b: MatrixFq) -> None:

@@ -56,7 +56,6 @@ from .matrices import (
     _index_matmul,
     _rank_stack,
     ct,
-    mat_mul,
 )
 from .sampling import _blocks, _draw_seeded_block
 
@@ -261,7 +260,7 @@ def _check_pair(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> None:
 
 def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     """Evaluate every term of the identity for ct_A(x @ y), with the cached
-    character_table of the field.
+    character_table of the field; ct_value is `product_ct`'s count.
 
     x is m x r and y is r x n over the same field.  The identity is
     algebraic, valid for every pair including rank-deficient ones; the
@@ -314,7 +313,7 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     zero_col_term = -gamma * m * (count_zero_cols(y) - float(ew))
 
     return Decomposition(
-        ct_value=ct(mat_mul(x, y), subset_a),
+        ct_value=product_ct(x, y, subset_a),
         mean_term=mean_term,
         main_term=main,
         zero_row_term=zero_row_term,
@@ -671,11 +670,11 @@ def run_clt(
                 receiver.close()
 
     mean = float(values.mean())
-    variance = float(values.var())
-    if variance > 0:
+    # equal samples: var() lands a few ulps above 0, as their mean is rounded
+    variance, skewness = 0.0, 0.0
+    if values.max() > values.min():
+        variance = float(values.var())
         skewness = float(((values - mean) ** 3).mean() / variance**1.5)
-    else:
-        skewness = 0.0
     lo_edge, hi_edge = _CLT_HIST_RANGE
     edges = np.linspace(lo_edge, hi_edge, bins + 1)
     counts, _ = np.histogram(np.clip(values, lo_edge, hi_edge), bins=edges)
@@ -735,10 +734,17 @@ def _law(counts: np.ndarray) -> dict[int, Fraction]:
     return {value: Fraction(cnt, total) for value, cnt in enumerate(counts.tolist()) if cnt}
 
 
-def _moments(dist: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
-    mean = sum((Fraction(v) * p for v, p in dist.items()), Fraction(0))
-    second = sum((Fraction(v) ** 2 * p for v, p in dist.items()), Fraction(0))
-    return mean, second - mean**2
+def _exact_result(
+    method: str, rank_ct: np.ndarray, pair_ct: np.ndarray | None = None,
+    matrix_tv: Fraction | None = None,
+) -> ExactDistribution:
+    """The ExactDistribution of an enumeration's tallies of entry counts:
+    rank_ct over the rank-r matrices, pair_ct (pairs only) over all pairs."""
+    rank_dist = _law(rank_ct)
+    mean = sum((Fraction(v) * p for v, p in rank_dist.items()), Fraction(0))
+    second = sum((Fraction(v) ** 2 * p for v, p in rank_dist.items()), Fraction(0))
+    product_dist = None if pair_ct is None else _law(pair_ct)
+    return ExactDistribution(rank_dist, product_dist, mean, second - mean**2, matrix_tv, method)
 
 
 def _exact_by_pairs(
@@ -791,9 +797,6 @@ def _exact_by_pairs(
                 tally += full_hits  # in place, so two tallies are held at most
                 full_hits, held = tally, []
 
-    rank_dist = _law(rank_ct)
-    mean, variance = _moments(rank_dist)
-
     matrix_tv: Fraction | None = None
     if track_matrices:
         # sum over matrices of |P(product) - P(uniform rank r)| over the common
@@ -806,14 +809,7 @@ def _exact_by_pairs(
         numerator += (pairs - int(x_full.sum()) * int(y_full.sum())) * n_rank
         matrix_tv = Fraction(numerator, pairs * n_rank)
 
-    return ExactDistribution(
-        rank_dist=rank_dist,
-        product_dist=_law(pair_ct),
-        mean=mean,
-        variance=variance,
-        matrix_tv=matrix_tv,
-        method="pairs",
-    )
+    return _exact_result("pairs", rank_ct, pair_ct, matrix_tv)
 
 
 def _exact_by_direct_scan(
@@ -825,22 +821,13 @@ def _exact_by_direct_scan(
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
     for lo, hi in _blocks(0, total, m * n):
         mats = _decode(q, np.arange(lo, hi), m, n)
-        full = mats[_rank_mask(ctx, mats, r)]
+        full = mats[_rank_stack(ctx, mats) == r]
         rank_ct += np.bincount(member[full].sum(axis=(1, 2)), minlength=m * n + 1)
     matched = int(rank_ct.sum())
     expected = rank_count(q, m, n, r)
     if matched != expected:  # not an assert: python -O would strip it
         raise RuntimeError(f"rank scan found {matched}, formula says {expected}")
-    rank_dist = _law(rank_ct)
-    mean, variance = _moments(rank_dist)
-    return ExactDistribution(
-        rank_dist=rank_dist,
-        product_dist=None,
-        mean=mean,
-        variance=variance,
-        matrix_tv=None,
-        method="direct",
-    )
+    return _exact_result("direct", rank_ct)
 
 
 def exact_distribution(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fqrank.characters import (
+    BadSubset,
     FunctionTable,
     IndexSubset,
     MissingComponent,
@@ -358,3 +359,56 @@ def test_verification_battery_refuses_huge_rank_quickly():
     with pytest.raises(FqrankError, match=r"3\^10000000"):
         verification_battery(make_field(2, 2), r=10**7)
     assert time.perf_counter() - start < 1.0  # no 3^(10^7) is built
+
+
+GF3 = field_from_order(3)
+TABLE3 = character_table(GF3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IndexSubset(2, 4), BadSubset, "mask 0x4 out of range for r=2"),
+        (
+            lambda: restrict_embed(FunctionTable(2, np.zeros((2, 2))), IndexSubset(3, 1)),
+            BadSubset,
+            r"subset over range\(3\), function has arity 2",
+        ),
+        (lambda: mobius_reconstruct({}, 2), MissingComponent, "empty subset, r=2"),
+        (
+            lambda: fourier_inverse(np.zeros((3, 3)), TABLE3),
+            FqrankError,
+            r"expected shape \(2, 2\), got \(3, 3\)",
+        ),
+        (
+            lambda: fourier_coefficient(FunctionTable(3, np.zeros(3)), (0, 0), TABLE3),
+            FqrankError,
+            "2 characters for arity 1",
+        ),
+        (
+            lambda: fourier_coefficient(FunctionTable(3, np.zeros(3)), (2,), TABLE3),
+            FqrankError,
+            r"character index 2 outside range\(2\)",
+        ),
+        (
+            lambda: component_transform_from_embedded(
+                FunctionTable(3, np.zeros((3, 3))), IndexSubset(2, 0b11), (0,), TABLE3
+            ),
+            FqrankError,
+            "1 characters for subset of size 2",
+        ),
+        (lambda: sum_indicator(GF3, 3, 2), FqrankError, r"element 3 outside range\(3\)"),
+        (lambda: sum_indicator(GF3, 0, -1), FqrankError, "arity must be >= 0, got -1"),
+        (lambda: jacobi_embedded_trivial(3, 1, -1), FqrankError, "tsize must be >= 0, got -1"),
+        (lambda: jacobi_component_trivial(3, 1, -1), FqrankError, "ssize must be >= 0, got -1"),
+    ],
+    ids=[
+        "index-subset-mask-past-r", "restrict-arity-mismatch", "reconstruct-without-empty",
+        "inverse-shape", "coefficient-arity", "coefficient-character-index",
+        "component-transform-arity", "sum-indicator-element", "sum-indicator-arity",
+        "jacobi-embedded-size", "jacobi-component-size",
+    ],
+)
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

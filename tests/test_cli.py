@@ -43,6 +43,15 @@ def test_count_with_subset(capsys):
     assert doc["mean"]["exact"] == "1"
     assert doc["variance"]["exact"] == "1"
     assert doc["subset_bias"]["exact"] == "1/2"
+    # the zeros of a 2 x 2 matrix are 4 minus its ones: the mean moves, the variance stays
+    rc, out, _ = run_cli(
+        capsys, ["count", "--field", "2", "--m", "2", "--n", "2", "--r", "1", "--A", "zero"]
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["A"] == [0]
+    assert doc["mean"]["exact"] == "3"
+    assert doc["variance"]["exact"] == "1"
 
 
 def test_count_deterministic_output(capsys):
@@ -238,6 +247,15 @@ def test_clt_report(capsys):
     assert "workers" not in doc
 
 
+def test_clt_equal_samples_have_zero_variance_and_skewness(capsys):
+    # [1] is the only rank-1 1 x 1 matrix over GF(2): every sample is the same
+    argv = "clt --field 2 --A 1 --r 1 --m 1 --n 1 --N 100 --seed 0".split()
+    rc, out, _ = run_cli(capsys, argv)
+    doc = json.loads(out)
+    assert rc == 0 and max(doc["histogram"]["counts"]) == 100
+    assert (doc["variance"], doc["skewness"]) == (0.0, 0.0)
+
+
 def test_clt_worker_invariance(capsys):
     base = ["clt", "--field", "2", "--A", "1", "--r", "1", "--m", "8", "--n", "8",
             "--N", "120", "--seed", "3"]
@@ -322,6 +340,7 @@ def test_bad_seed_rejected(capsys):
         "identity --field 2 --A 1 --x-file {bad} --y-file {bad}",
         "identity --field 2 --A 1 --count 0",
         "sample --field 2 --m 2 --n 2 --r 1 --count -2",
+        "sample --field 2 --m -1 --n 2 --r 1 --mode product",
         "lemmas --field 2 --r -1",
         "lemmas --field 2 --r 2 --trials 0",
         "lemmas --field 2 --seed -5",

@@ -19,7 +19,7 @@ from fqrank.counting import (
     tv_closed_form_exact,
     unconstrained_moments,
 )
-from fqrank.field import field_from_order
+from fqrank.field import FqrankError, field_from_order
 from fqrank.matrices import FieldMismatch, SubsetA, matrix, rank
 
 
@@ -193,3 +193,17 @@ def test_unconstrained_moments():
     assert mean == 4 and var == Fraction(2, 3) * Fraction(1, 3) * 6
     mean, var = unconstrained_moments(2, SubsetA.full(2), 3, 3)
     assert (mean, var) == (9, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_count(1, 2, 2, 1), "field order must be >= 2, got 1"),
+        (lambda: full_rank_pair_prob_exact(1, 2, 2, 1), "field order must be >= 2, got 1"),
+        (lambda: entry_bias(3, 3), r"element 3 outside range\(3\)"),
+    ],
+    ids=["rank-count-order-1", "pair-prob-order-1", "bias-element-past-q"],
+)
+def test_input_errors(call, message):
+    with pytest.raises(FqrankError, match=message):
+        call()

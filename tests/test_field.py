@@ -8,6 +8,7 @@ from fqrank.field import (
     CompositeCharacteristic,
     DivisionByZero,
     FieldTooLarge,
+    FqrankError,
     field_from_order,
     make_field,
     parse_field_spec,
@@ -244,6 +245,8 @@ def test_scalar_operations():
     assert ctx.pow(0, 5) == 0
     assert ctx.pow(g, -1) == ctx.inv(g)
     assert ctx.sub(5, 5) == 0
+    assert ctx.add(g, ctx.neg(g)) == 0 and ctx.neg(0) == 0
+    assert repr(ctx) == "FieldCtx(q=9, p=3, e=2)"
     assert ctx.log(ctx.pow(g, 3)) == 3
     assert list(ctx.elements()) == list(range(9))
     assert list(ctx.units()) == list(range(1, 9))
@@ -289,3 +292,17 @@ def test_add_and_neg_are_digit_wise(p, e):
         da, db = ctx.element_digits(a), ctx.element_digits(b)
         assert ctx.add_table[a, b] == compose((x + y) % p for x, y in zip(da, db))
         assert ctx.neg_table[a] == compose(-x % p for x in da)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # GF(2) cached first: 2.0 == 2, so a cache that ignores types would return it
+        (lambda: (make_field(2, 1), make_field(2.0, 1)), TypeError, "plain ints"),
+        (lambda: parse_field_spec("x^2"), FqrankError, r"expected 'p\^e' or a prime power"),
+    ],
+    ids=["float-characteristic", "non-numeric-spec"],
+)
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

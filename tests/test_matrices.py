@@ -121,6 +121,7 @@ def test_matrix_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != matrix(make_field(5, 1), [[1, 2], [0, 1]])
+    assert a.__eq__(1) is NotImplemented and a != 1
 
 
 def test_matrix_data_is_read_only():
@@ -399,3 +400,16 @@ def test_load_matrix_errors():
         load_matrix("")
     with pytest.raises(FieldMismatch):
         load_matrix(good, ctx=make_field(3, 1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SubsetA(2, 4), "mask out of range for q=2"),
+        (lambda: load_matrix("2 2\n0 1\n1 0\n"), "header must be 'm n q'"),
+    ],
+    ids=["subset-mask-past-q", "header-without-order"],
+)
+def test_input_errors(call, message):
+    with pytest.raises(FqrankError, match=message):
+        call()

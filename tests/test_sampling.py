@@ -351,3 +351,22 @@ def test_seeded_block_index_range():
         _draw_seeded_block(ctx, 3, 3, 4, 9, 0, 2, "exact")
     with pytest.raises(FqrankError):
         _draw_seeded_block(ctx, 3, 3, 1, 9, 0, 2, "bogus")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: expected_full_rank_rate(1, 2, 2), "field order must be >= 2, got 1"),
+        (lambda: expected_full_rank_rate(2, -1, 2), "dimensions must be >= 0, got -1 x 2"),
+        (
+            lambda: draw_factor_pair(
+                make_field(2, 1), -1, 2, 1, np.random.default_rng(0), "product"
+            ),
+            "dimensions must be >= 0, got -1 x 2",
+        ),
+    ],
+    ids=["rate-order-1", "rate-negative-rows", "product-pair-negative-rows"],
+)
+def test_input_errors(call, message):
+    with pytest.raises(FqrankError, match=message):
+        call()

@@ -604,16 +604,7 @@ def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
     numerator = sum(abs(int(h) * n_rank - pairs) for h in hits[codes[is_r]])
     numerator += sum(int(h) * n_rank for h in hits[codes[~is_r]])
     numerator += (n_rank - int(is_r.sum())) * pairs
-    rank_dist = stats._law(rank_ct)
-    mean, variance = stats._moments(rank_dist)
-    return stats.ExactDistribution(
-        rank_dist=rank_dist,
-        product_dist=stats._law(pair_ct),
-        mean=mean,
-        variance=variance,
-        matrix_tv=Fraction(numerator, pairs * n_rank),
-        method="pairs",
-    )
+    return stats._exact_result("pairs", rank_ct, pair_ct, Fraction(numerator, pairs * n_rank))
 
 
 @pytest.mark.parametrize(
