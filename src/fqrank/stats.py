@@ -15,6 +15,7 @@ sample array in index order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -719,15 +720,6 @@ class ExactDistribution:
     method: str
 
 
-def _rank_mask(ctx: FieldCtx, stack: np.ndarray, r: int) -> np.ndarray:
-    """Which matrices of the stack have rank r, by elimination on each
-    (`_rank_stack` over one of `_blocks` at a time)."""
-    rows, cols = stack.shape[1:]
-    return np.concatenate(
-        [_rank_stack(ctx, stack[lo:hi]) == r for lo, hi in _blocks(0, len(stack), rows * cols)]
-    )
-
-
 def _law(counts: np.ndarray) -> dict[int, Fraction]:
     """The law of a tally of entry counts, ascending over the values seen."""
     total = int(counts.sum())
@@ -747,66 +739,97 @@ def _exact_result(
     return ExactDistribution(rank_dist, product_dist, mean, second - mean**2, matrix_tv, method)
 
 
+def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
+    """One full-rank m x r matrix per orbit of GL_r(q) acting on the right,
+    as an int16 (k, m, r) stack: those whose transpose is in reduced row
+    echelon form, k = [m r]_q of them.
+
+    Column i holds a 1 at its pivot row p_i (p_0 < ... < p_(r-1)), zeros
+    above it and at the other pivot rows, and any entries below it; every
+    full-rank X is rep @ G for exactly one rep and one G in GL_r(q).
+    """
+    stacks = []
+    for pivots in itertools.combinations(range(m), r):
+        free = [(row, i) for i, p in enumerate(pivots) for row in range(p + 1, m) if row not in pivots]
+        reps = np.zeros((q ** len(free), m, r), dtype=np.int16)
+        reps[:, list(pivots), list(range(r))] = 1
+        codes = np.arange(len(reps), dtype=np.int64)
+        reps[:, [row for row, _ in free], [i for _, i in free]] = _decode(q, codes, 1, len(free))[:, 0]
+        stacks.append(reps)
+    return np.concatenate(stacks)
+
+
 def _exact_by_pairs(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
-    """Both laws of the entry count and matrix_tv from every factor pair.
+    """Both laws of the entry count and matrix_tv over every factor pair,
+    without listing the pairs.
 
     Row i of x @ y is u @ y for u = x_i, one of the q^r row vectors, so
     the A-count and base-q code of u @ y are tabled once per (u, y), in
-    `_blocks` of y.  A pair's count is then the sum of its m rows' table
-    entries, read in `_blocks` of x, and its product's code is
-    sum_i code(x_i @ y) q^(n i), `_encode`'s row-major code.  No product
-    is ranked: rank(XY) = r exactly when X and Y both have rank r, so
-    matrix_tv needs the tally of the full pairs' products only.
+    `_blocks` of y; y has rank r exactly when u @ y != 0 for every u != 0.
+    - Over all x the rows are iid uniform over the u's, so the law of the
+      count given y is the m-fold convolution of the histogram of
+      row_ct[y] (over u), and the product law sums these over y.
+    - Each full-rank x is rep @ G for exactly one orbit representative rep
+      (`_orbit_representatives`) and G in GL_r, and G @ y permutes the
+      full-rank y's.  So rep @ y over the reps and full-rank y's lists each
+      rank-r matrix once (the rank law), and a full pair's product is hit
+      |GL_r| times as often.  A pair's count is the sum of its m rows'
+      table entries and its product's code is sum_i code(x_i @ y) q^(n i),
+      `_encode`'s row-major code.  No product is ranked: rank(XY) = r
+      exactly when X and Y both have rank r, so matrix_tv needs the full
+      pairs' products only.
     """
     q = ctx.q
-    xs = _decode(q, np.arange(q ** (m * r), dtype=np.int64), m, r)
     ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
-    x_full = _rank_mask(ctx, xs, r)
-    y_full = _rank_mask(ctx, ys, r)
     member = subset_a.member_table()
 
     us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
-    row_ct = np.empty((q**r, len(ys)), dtype=np.int16)
-    row_code = np.empty((q**r, len(ys)), dtype=np.int64)
+    row_ct = np.empty((len(ys), q**r), dtype=np.int16)
+    row_code = np.empty((len(ys), q**r), dtype=np.int64)
     for lo, hi in _blocks(0, len(ys), q**r * n):
         rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # y, u, n
-        row_ct[:, lo:hi] = member[rows].sum(axis=2).T
-        row_code[:, lo:hi] = _encode(q, rows).T
-    xrow = _encode(q, xs)  # x, m: the code of each row
+        row_ct[lo:hi] = member[rows].sum(axis=2)
+        row_code[lo:hi] = _encode(q, rows)
+    y_full = (row_code[:, 1:] != 0).all(axis=1)  # u = 0 is code 0
 
-    track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
-    full_hits: np.ndarray | int = 0  # tally of the product codes of full pairs
-    full_codes = row_code[:, y_full]
     pair_ct = np.zeros(m * n + 1, dtype=np.int64)
+    for lo, hi in _blocks(0, len(ys), m * n + 1):
+        offsets = (n + 1) * np.arange(hi - lo)[:, None]
+        hist = np.bincount((row_ct[lo:hi] + offsets).ravel(), minlength=(hi - lo) * (n + 1))
+        hist = hist.reshape(hi - lo, n + 1).T  # one row's count, y
+        law = np.zeros((m * n + 1, hi - lo), dtype=np.int64)  # count, y: how many x give it
+        law[0] = 1
+        for k in range(m):  # law is over k rows so far, whose counts are at most k n
+            low, law = law[: k * n + 1], np.zeros_like(law)
+            for v in range(n + 1):
+                law[v : v + len(low)] += hist[v] * low
+        pair_ct += law.sum(axis=1)
+
+    reps = _orbit_representatives(q, m, r)
+    gl = int(rank_count(q, r, r, r))  # |GL_r|
+    full_ct, full_code = row_ct[y_full].T, row_code[y_full].T  # u, full-rank y
+    n_full = full_ct.shape[1]
+    track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    held: list[np.ndarray] = []  # product codes of full pairs not yet tallied
-    for lo, hi in _blocks(0, len(xs), len(ys) * m):
-        rows = xrow[lo:hi]
-        cts = row_ct[rows].sum(axis=1)  # x, y
-        pair_ct += np.bincount(cts.ravel(), minlength=m * n + 1)
-        full = x_full[lo:hi]
-        rank_ct += np.bincount(cts[full][:, y_full].ravel(), minlength=m * n + 1)
-        if track_matrices:  # rank(XY) = r iff rank X = rank Y = r: only full pairs make rank r
-            # the base-q^n code of the row codes is `_encode`'s code of the product
-            held.append((_digit_weights(q**n, m) @ full_codes[rows[full]]).ravel())
-            if sum(map(len, held)) >= q ** (m * n) or hi == len(xs):
-                # a bincount sweeps the whole tally, so it waits for that many codes
-                tally = np.bincount(np.concatenate(held), minlength=q ** (m * n))
-                tally += full_hits  # in place, so two tallies are held at most
-                full_hits, held = tally, []
+    codes: list[np.ndarray] = []  # product codes of the reps' pairs
+    for lo, hi in _blocks(0, len(reps), n_full * m):
+        rows = _encode(q, reps[lo:hi])  # rep, m: the code of each row
+        rank_ct += np.bincount(full_ct[rows].sum(axis=1).ravel(), minlength=m * n + 1)
+        if track_matrices:  # the base-q^n code of the row codes is `_encode`'s code
+            codes.append((_digit_weights(q**n, m) @ full_code[rows]).ravel())
 
     matrix_tv: Fraction | None = None
     if track_matrices:
         # sum over matrices of |P(product) - P(uniform rank r)| over the common
         # denominator pairs * n_rank: a never-hit rank-r matrix adds pairs and
         # each non-full pair n_rank; numerator <= 2 pairs n_rank <= 2^49 in int64
-        pairs, n_rank = len(xs) * len(ys), int(rank_count(q, m, n, r))
-        hits = full_hits[full_hits > 0]
+        pairs, n_rank = q ** (m * r) * len(ys), int(rank_count(q, m, n, r))
+        hits = gl * np.unique(np.concatenate(codes), return_counts=True)[1]
         numerator = int(np.abs(hits * n_rank - pairs).sum())
         numerator += (n_rank - len(hits)) * pairs  # rank r but never a product
-        numerator += (pairs - int(x_full.sum()) * int(y_full.sum())) * n_rank
+        numerator += (pairs - len(reps) * gl * n_full) * n_rank
         matrix_tv = Fraction(numerator, pairs * n_rank)
 
     return _exact_result("pairs", rank_ct, pair_ct, matrix_tv)
@@ -840,12 +863,18 @@ def exact_distribution(
 ) -> ExactDistribution:
     """Exact law of the entry count by exhaustive enumeration.
 
-    method "pairs" enumerates every factor pair (needs q^(mr+rn) <= 2^24)
-    and yields both laws plus the matrix-level total variation, reading
-    each pair's count from tables of the q^r possible product rows (see
-    `_exact_by_pairs`), so no pair's product is formed; "direct"
-    scans all m x n matrices for rank r (needs q^(mn) <= 2^22) and yields
-    the rank-r law only.  "auto" prefers pairs.
+    method "pairs" covers every factor pair (needs q^(mr+rn) <= 2^24) and
+    yields both laws plus the matrix-level total variation (when
+    q^(mn) <= 2^24), from tables of the q^r possible product rows u @ Y
+    (see `_exact_by_pairs`), with no product formed or ranked:
+    - Y has rank r exactly when u @ Y != 0 for every u != 0;
+    - X's rows are iid uniform, so given Y the count's law over all X is
+      the m-fold convolution of the histogram of Y's q^r row counts;
+    - each full-rank X is rep @ G for exactly one of the [m r]_q orbit
+      representatives and one G in GL_r, so pairing each representative
+      with every full-rank Y lists each rank-r matrix once.
+    "direct" scans all m x n matrices for rank r (needs q^(mn) <= 2^22)
+    and yields the rank-r law only.  "auto" prefers pairs.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)

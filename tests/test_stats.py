@@ -1,5 +1,6 @@
 """Character sums, the product-count decomposition, exact laws, and CLT runs."""
 
+import dataclasses
 from fractions import Fraction
 import math
 import multiprocessing
@@ -577,8 +578,10 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r,
 
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 8)
-    # pairs: the rank masks of x and y, the row tables over y, the blocks of x
-    loops = {"pairs": {m * r, r * n, q**r * n, q ** (r * n) * m}, "direct": {m * n}}
+    # pairs: the row tables over y, the convolution over y, the blocks of
+    # orbit representatives (each against the full-rank y's)
+    y_full = int(rank_count(q, r, n, r))
+    loops = {"pairs": {q**r * n, m * n + 1, y_full * m}, "direct": {m * n}}
     for method, entries in loops.items():
         most.clear()
         assert exact_distribution(ctx, m, n, r, subset, method) == whole[method]
@@ -616,12 +619,37 @@ def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
         (4, 2, 3, 1, 0b0110), (4, 3, 2, 1, 0b1001),
         (5, 2, 2, 1, 0b00110), (5, 1, 3, 1, 0b10001),
         (16, 1, 2, 1, 0b11), (16, 2, 1, 1, 1 << 15),
+        (2, 3, 3, 3, 0b10), (3, 2, 2, 2, 0b110),  # one orbit: [r r]_q = 1
     ],
 )
 def test_exact_by_pairs_matches_per_pair_products(q, m, n, r, amask):
     ctx, subset = field_from_order(q), SubsetA(q, amask)
     expected = _exact_by_pairs_oracle(ctx, m, n, r, subset)
     assert exact_distribution(ctx, m, n, r, subset, method="pairs") == expected
+
+
+def test_exact_by_pairs_without_matrices(monkeypatch):
+    # q^(mn) = 2^9 over the gate, q^(mr+rn) = 2^6 under it: the same laws, no matrix_tv
+    monkeypatch.setattr(stats, "MAX_PAIR_ENUM", 1 << 8)
+    ctx, subset = field_from_order(2), SubsetA(2, 0b10)
+    expected = dataclasses.replace(_exact_by_pairs_oracle(ctx, 3, 3, 1, subset), matrix_tv=None)
+    assert exact_distribution(ctx, 3, 3, 1, subset, method="pairs") == expected
+
+
+@pytest.mark.parametrize("q, m, r", [(2, 4, 2), (3, 3, 2), (4, 3, 1), (2, 3, 3), (2, 3, 0), (3, 0, 0)])
+def test_orbit_representatives_meet_each_full_rank_matrix_once(q, m, r):
+    ctx = field_from_order(q)
+    reps = stats._orbit_representatives(q, m, r)
+    gl = int(rank_count(q, r, r, r))
+    assert len(reps) * gl == rank_count(q, m, r, r)  # [m r]_q representatives
+    assert reps.shape[1:] == (m, r) and (_rank_stack(ctx, reps) == r).all()
+    gs = _decode(q, np.arange(q ** (r * r), dtype=np.int64), r, r)
+    gs = gs[_rank_stack(ctx, gs) == r]
+    xs = _decode(q, np.arange(q ** (m * r), dtype=np.int64), m, r)
+    full = np.arange(len(xs))[_rank_stack(ctx, xs) == r]  # sorted, distinct codes
+    products = _index_matmul(ctx, reps[:, None], gs)
+    products = _encode(q, products.reshape(len(reps) * len(gs), m * r))
+    assert np.array_equal(np.sort(products), full)  # every full-rank x as rep @ G, once
 
 
 @pytest.mark.parametrize("q, m, n, r", [(2, 2, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 2, 3, 2)])
