@@ -206,20 +206,24 @@ def rank(mat: MatrixFq) -> int:
 def _rank_stack(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
     """Rank of every matrix in an int16 (B, rows, cols) stack.
 
-    With k = min(rows, cols), a leading k x k block of rank k certifies that
-    its matrix has rank k, so `_eliminate` may rank the blocks first and
-    then only the other matrices in full.  A uniform block is invertible
-    with probability P = prod_{i=1..k} (1 - q^-i), about 0.93 at q = 16,
-    and the blocks are tried only when the entries they are expected to
-    spare, P rows cols, exceed their own k^2: never for a square stack, nor
-    for a 4 x 2 one over GF(2), where the second pass would cost more than
-    the first saves.  A stack of one matrix goes through `rank`, which is
-    the faster route at that size.
+    With k = min(rows, cols) = 1 each matrix is a vector, of rank 1 exactly
+    when it is nonzero: that test comes first, for a stack of any size, so
+    no vector is eliminated or wrapped in a MatrixFq.  Otherwise a stack of
+    one matrix goes through `rank`, which is the faster route at that size.
+    For larger k, a leading k x k block of rank k certifies that its matrix
+    has rank k, so `_eliminate` may rank the blocks first and then only the
+    other matrices in full.  A uniform block is invertible with probability
+    P = prod_{i=1..k} (1 - q^-i), about 0.93 at q = 16, and the blocks are
+    tried only when the entries they are expected to spare, P rows cols,
+    exceed their own k^2: never for a square stack, nor for a 4 x 2 one
+    over GF(2), where the second pass would cost more than the first saves.
     """
     count, rows, cols = stack.shape
+    k = min(rows, cols)
+    if k == 1:
+        return stack.any(axis=(1, 2)).astype(np.int64)
     if count == 1:
         return np.array([rank(MatrixFq(ctx, stack[0]))])
-    k = min(rows, cols)
     invertible = math.prod(1 - ctx.q**-i for i in range(1, k + 1))
     if invertible * rows * cols <= k * k:
         return _eliminate(ctx, stack)

@@ -116,9 +116,15 @@ def random_elements(
 
 
 def _residues(q: int, raw: np.ndarray) -> np.ndarray:
-    """Raw 64-bit words reduced mod q, as int16 element indices."""
-    if q & (q - 1) == 0:  # the same residues as % q, for a third of its cost
-        return (raw & np.uint64(q - 1)).astype(np.int16)
+    """Raw 64-bit words reduced mod q, as int16 element indices.
+
+    For q a power of two the residue is the word's low log2(q) bits.  As
+    q <= MAX_ORDER = 2^12 divides 2^16, those bits lie in the low 16 bits,
+    which the wrapping int16 cast keeps, so one cast and an int16 mask give
+    the residues of % q with no uint64 temporary.  Other q take % q.
+    """
+    if q & (q - 1) == 0:
+        return raw.astype(np.int16) & np.int16(q - 1)
     return (raw % np.uint64(q)).astype(np.int16)
 
 

@@ -411,10 +411,12 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     """ct_A(x @ y) of each pair by the character identity, unrounded (real
     for p = 2, complex otherwise).
 
-    The histograms are laid out codes first, pair k of B at code * B + k, so
-    one bincount tallies every pair's column histogram, `_transform` works
-    on it in place, and one gather reads every pair's transform.  The codes
-    of a x_i come from one `np.take` of the product table.  When q^r <= m
+    One bincount tallies every pair's histogram into pair-major bins, pair
+    k of B at k * q^r + code, so the counts of a pair lie together.  The
+    (B, q^r) tally is viewed transposed, codes first: `_transform` copies
+    it C-ordered into that layout and works on it in place, and one gather
+    reads every pair's transform at code * B + k.  The codes of a x_i come
+    from one `np.take` of the product table.  When q^r <= m
     the rows are tallied as well, and sum_i H^_Y(a x_i) is taken as
     sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every value of
     every pass of `_transform` is a signed sum of the n column counts, so it
@@ -433,8 +435,8 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     offsets = np.arange(pairs)[:, None]
 
     def tally(vectors: np.ndarray) -> np.ndarray:
-        codes = _encode(q, vectors) * pairs + offsets
-        return np.bincount(codes.ravel(), minlength=size * pairs).reshape(size, pairs)
+        codes = _encode(q, vectors) + size * offsets
+        return np.bincount(codes.ravel(), minlength=size * pairs).reshape(pairs, size).T
 
     hat = _transform(tally(ys.swapaxes(1, 2)), table, r)  # (q^r, B)
     if size <= m:
@@ -458,10 +460,13 @@ def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
     No matmul call contracts more than _BLAS_SLAB multiply-adds, batch items
     included: OpenBLAS starts its threads above that size, and beside the
     other clt worker processes they only contend for the same cores.
+    The passes reshape and write with `out=`, which on a strided array
+    would land in temporary copies, so hist is copied C-ordered whatever
+    its own layout (a transposed tally among them).
     """
     q = len(table)
     pairs = hist.shape[1]
-    src = hist.astype(table.dtype)
+    src = hist.astype(table.dtype, order="C")
     dst = np.empty_like(src)
     for k in range(r):
         cols = q**k * pairs

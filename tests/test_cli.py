@@ -468,6 +468,25 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "sample --field 16 --m 9 --n 4 --r 3 --count 20 --seed 6 --format json",
             "2caa1c3bf2ec1b156b84d5cc633e646ebcec9aca0886cf146aa40c8aff55b69b",
         ),
+        (
+            # r = 1: both factors are vectors, ranked by a nonzero test
+            "sample --field 8 --m 6 --n 5 --r 1 --count 4 --format json",
+            "77ce3071003d69536c3e234a17d6ca488fef0c8ce6e8685adc22fb970aa739de",
+        ),
+        (
+            # odd q: residues by % q; vector factors; the row tally at q^r <= m
+            "clt --field 3 --A 1 --r 1 --m 64 --n 64 --N 500 --seed 9",
+            "aebb6870205c141acf23c004021957cacbfd36f6db8ceb0aebf8a94e5ffe8605",
+        ),
+        (
+            "clt --field 3 --A 1 --r 1 --m 64 --n 64 --N 500 --seed 9 --workers 2",
+            "aebb6870205c141acf23c004021957cacbfd36f6db8ceb0aebf8a94e5ffe8605",
+        ),
+        (
+            # power-of-two residues, and pair-major tallies of both factors at B > 1
+            "clt --field 4 --A 1,2 --r 2 --m 16 --n 16 --N 300 --seed 4",
+            "11fa9faaadea90f39e317d649e3c7528ff418e369596359570754f1a5023f374",
+        ),
     ],
 )
 def test_pinned_output_bytes(capsys, argv, digest):

@@ -276,19 +276,44 @@ def recording_eliminate(monkeypatch):
 def test_rank_stack_is_rank_with_the_leading_block_certificate(monkeypatch, q, r, shape):
     """Tall and wide stacks rank their leading blocks first and then, in
     full, the matrices whose block is singular; a square stack is ranked
-    once."""
+    once; vectors (r = 1) are ranked by a nonzero test, with no elimination."""
     shapes = recording_eliminate(monkeypatch)
     ctx = field_from_order(q)
     rows, cols = {"tall": (6 * r, r), "wide": (r, 6 * r), "square": (r, r)}[shape]
     stack = certificate_stack(ctx, rows, cols, seed=100 * q + 10 * r + len(shape))
     want = [rank(MatrixFq(ctx, mat)) for mat in stack]
     assert _rank_stack(ctx, stack).tolist() == want
+    if r == 1:
+        assert shapes == []
+        return
     assert shapes[0] == (40, r, r)
     if shape == "square":
         assert shapes == [(40, r, r)]
     else:
         singular = int((np.array([rank(MatrixFq(ctx, mat[:r, :r])) for mat in stack]) < r).sum())
         assert shapes[1:] == [(singular, rows, cols)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16])
+def test_rank_stack_ranks_vectors_by_a_nonzero_test(monkeypatch, q):
+    """A stack of 1 x n or n x 1 matrices, one matrix alone included, has
+    `rank`'s ranks, int64, with no elimination and no call of `rank`."""
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+    cases = []
+    for count, rows, cols in [(30, 7, 1), (30, 1, 7), (1, 7, 1), (1, 1, 7), (9, 1, 1), (1, 1, 1)]:
+        stack = rng.integers(0, q, (count, rows, cols)).astype(np.int16)
+        stack[::3] = 0
+        stack[1::3] = 0
+        stack[1::3, -1, -1] = q - 1  # nonzero only in its last entry
+        for s in (stack, np.zeros_like(stack)):
+            cases.append((s, [rank(MatrixFq(ctx, mat)) for mat in s]))
+    shapes = recording_eliminate(monkeypatch)
+    monkeypatch.setattr(matrices, "rank", None)
+    for stack, want in cases:
+        got = _rank_stack(ctx, stack)
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert shapes == []
 
 
 def test_rank_stack_skips_the_certificate_where_it_cannot_pay(monkeypatch):

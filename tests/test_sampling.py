@@ -5,7 +5,7 @@ import pytest
 
 from fqrank import sampling
 from fqrank.counting import RankOutOfRange, rank_count
-from fqrank.field import FqrankError, field_from_order, make_field
+from fqrank.field import MAX_ORDER, FqrankError, field_from_order, make_field
 from fqrank.matrices import MatrixFq, mat_mul, rank
 from fqrank.sampling import (
     RejectionOverflow,
@@ -102,6 +102,22 @@ def test_random_elements_reduce_the_streams_64_bit_integers():
             words = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
             assert got.dtype == np.int16
             assert np.array_equal(got, (words % np.uint64(q)).astype(np.int16)), (q, shape)
+
+
+def test_residues_of_a_power_of_two_order_are_the_words_mod_q():
+    """The int16 cast and mask give raw % q for every power of two up to
+    MAX_ORDER, at the words whose low 16 bits wrap in the cast, and keep
+    the words' shape."""
+    edges = [0, 2**15 - 1, 2**15, 2**16 - 1, 2**16, 2**63, 2**64 - 1]
+    words = np.concatenate([
+        np.array(edges, dtype=np.uint64),
+        np.random.Philox(11).random_raw(4096),
+    ]).reshape(-1, 1)
+    for e in range(1, MAX_ORDER.bit_length()):
+        q = 1 << e
+        got = sampling._residues(q, words)
+        assert got.dtype == np.int16 and got.shape == words.shape
+        assert np.array_equal(got, words % np.uint64(q)), q
 
 
 def test_uniform_matrix_determinism():

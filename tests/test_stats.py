@@ -448,6 +448,45 @@ def test_transform_is_the_kronecker_power(q, r, pairs):
             assert np.abs(got[code] - want).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "q, r, m, n",
+    [
+        (2, 1, 6, 9),  # q^r <= m: both factors tallied
+        (3, 2, 12, 5),
+        (2, 3, 5, 6),  # q^r > m: the columns tallied, the rows gathered
+        (3, 2, 4, 7),
+    ],
+)
+def test_transform_ct_counts_every_pair_of_a_stack(q, r, m, n):
+    """Many pairs in one call, each with its own histograms: every count is
+    its pair's product count, on both branches."""
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(10 * q + r)
+    pairs = 11
+    xs = rng.integers(0, q, (pairs, m, r)).astype(np.int16)
+    ys = rng.integers(0, q, (pairs, r, n)).astype(np.int16)
+    xs[3], ys[5] = 0, 0
+    subset = SubsetA(q, 0b10)
+    want = [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), subset) for x, y in zip(xs, ys)]
+    values = stats._transform_ct(ctx, xs, ys, subset.mask)
+    assert np.abs(values - want).max() < 1e-6
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (16, 2)])
+def test_transform_of_a_strided_histogram_is_that_of_its_contiguous_copy(q, r):
+    """`_transform` writes its passes through reshapes and `out=`, which on
+    a strided array would write into copies; the transposed (pairs, q^r)
+    tally `_transform_ct` hands it must transform as its C-ordered copy."""
+    ctx = field_from_order(q)
+    table = character_table(ctx).add
+    if ctx.p == 2:
+        table = table.real.astype(np.float32)
+    hist = np.random.default_rng(q + r).integers(0, 20, (5, q**r)).T
+    assert not hist.flags.c_contiguous
+    got = stats._transform(hist, table, r)
+    assert np.array_equal(got, stats._transform(np.ascontiguousarray(hist), table, r))
+
+
 def test_product_codes_by_take_are_the_fancy_index():
     for q, shape in [(16, (1, 512, 4)), (3, (2000, 8, 2)), (4, (3, 0, 2))]:
         ctx = field_from_order(q)
