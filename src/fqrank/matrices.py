@@ -179,8 +179,12 @@ def rank(mat: MatrixFq) -> int:
     Row echelon reduction with the first nonzero entry of the working column
     as pivot; elimination uses vectorised table gathers per pivot.
     """
-    ctx = mat.field
-    a = mat.data.copy()
+    return _rank_array(mat.field, mat.data)
+
+
+def _rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
+    """`rank` of an int16 (rows, cols) array of element indices, unchecked."""
+    a = a.copy()
     m, n = a.shape
     r = 0
     for col in range(n):
@@ -208,8 +212,8 @@ def _rank_stack(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
 
     With k = min(rows, cols) = 1 each matrix is a vector, of rank 1 exactly
     when it is nonzero: that test comes first, for a stack of any size, so
-    no vector is eliminated or wrapped in a MatrixFq.  Otherwise a stack of
-    one matrix goes through `rank`, which is the faster route at that size.
+    no vector is eliminated.  Otherwise a stack of one matrix goes through
+    `_rank_array`, `rank`'s elimination, the faster route at that size.
     For larger k, a leading k x k block of rank k certifies that its matrix
     has rank k, so `_eliminate` may rank the blocks first and then only the
     other matrices in full.  A uniform block is invertible with probability
@@ -223,7 +227,7 @@ def _rank_stack(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
     if k == 1:
         return stack.any(axis=(1, 2)).astype(np.int64)
     if count == 1:
-        return np.array([rank(MatrixFq(ctx, stack[0]))])
+        return np.array([_rank_array(ctx, stack[0])])
     invertible = math.prod(1 - ctx.q**-i for i in range(1, k + 1))
     if invertible * rows * cols <= k * k:
         return _eliminate(ctx, stack)

@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -744,35 +745,43 @@ def _exact_result(
     return ExactDistribution(rank_dist, product_dist, mean, second - mean**2, matrix_tv, method)
 
 
-def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
-    """One full-rank m x r matrix per orbit of GL_r(q) acting on the right,
-    as an int16 (k, m, r) stack: those whose transpose is in reduced row
-    echelon form, k = [m r]_q of them.
+def _orbit_representatives(q: int, m: int, r: int, entries: int) -> Iterator[np.ndarray]:
+    """One full-rank m x r matrix per orbit of GL_r(q) acting on the right:
+    those whose transpose is in reduced row echelon form, [m r]_q of them,
+    yielded as int16 (k, m, r) stacks of `_blocks(0, [m r]_q, entries)`.
 
     Column i holds a 1 at its pivot row p_i (p_0 < ... < p_(r-1)), zeros
     above it and at the other pivot rows, and any entries below it; every
-    full-rank X is rep @ G for exactly one rep and one G in GL_r(q).
+    full-rank X is rep @ G for exactly one rep and one G in GL_r(q).  The
+    reps are listed pivot set by pivot set, in the order of their free
+    entries' codes, so a block may span pivot sets.
     """
-    stacks = []
+    sets, stop = [], 0  # each pivot set's first and stop rep index, pivots and free entries
     for pivots in itertools.combinations(range(m), r):
         free = [(row, i) for i, p in enumerate(pivots) for row in range(p + 1, m) if row not in pivots]
-        reps = np.zeros((q ** len(free), m, r), dtype=np.int16)
-        reps[:, list(pivots), list(range(r))] = 1
-        codes = np.arange(len(reps), dtype=np.int64)
-        reps[:, [row for row, _ in free], [i for _, i in free]] = _decode(q, codes, 1, len(free))[:, 0]
-        stacks.append(reps)
-    return np.concatenate(stacks)
+        sets.append((stop, stop + q ** len(free), pivots, free))
+        stop += q ** len(free)
+    for lo, hi in _blocks(0, stop, entries):
+        reps = np.zeros((hi - lo, m, r), dtype=np.int16)
+        for first, last, pivots, free in sets:
+            a, b = max(lo, first), min(hi, last)
+            if a < b:
+                part = reps[a - lo : b - lo]  # a view: its writes land in reps
+                part[:, list(pivots), list(range(r))] = 1
+                codes = np.arange(a - first, b - first, dtype=np.int64)
+                part[:, [row for row, _ in free], [i for _, i in free]] = _decode(q, codes, 1, len(free))[:, 0]
+        yield reps
 
 
 def _exact_by_pairs(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
     """Both laws of the entry count and matrix_tv over every factor pair,
-    without listing the pairs.
+    without listing the pairs, in one pass over `_blocks` of the y codes.
 
     Row i of x @ y is u @ y for u = x_i, one of the q^r row vectors, so
-    the A-count and base-q code of u @ y are tabled once per (u, y), in
-    `_blocks` of y; y has rank r exactly when u @ y != 0 for every u != 0.
+    each block tables the A-count and base-q code of u @ y for its y's;
+    y has rank r exactly when u @ y != 0 for every u != 0.
     - Over all x the rows are iid uniform over the u's, so the law of the
       count given y is the m-fold convolution of the histogram of
       row_ct[y] (over u), and the product law sums these over y.
@@ -785,24 +794,23 @@ def _exact_by_pairs(
       `_encode`'s row-major code.  No product is ranked: rank(XY) = r
       exactly when X and Y both have rank r, so matrix_tv needs the full
       pairs' products only.
+    Memory is bounded by `_blocks`: only the tallies and matrix_tv's codes,
+    one int64 per rank-r matrix, outlive a block.
     """
     q = ctx.q
-    ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
     member = subset_a.member_table()
-
     us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
-    row_ct = np.empty((len(ys), q**r), dtype=np.int16)
-    row_code = np.empty((len(ys), q**r), dtype=np.int64)
-    for lo, hi in _blocks(0, len(ys), q**r * n):
-        rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # y, u, n
-        row_ct[lo:hi] = member[rows].sum(axis=2)
-        row_code[lo:hi] = _encode(q, rows)
-    y_full = (row_code[:, 1:] != 0).all(axis=1)  # u = 0 is code 0
-
+    track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
     pair_ct = np.zeros(m * n + 1, dtype=np.int64)
-    for lo, hi in _blocks(0, len(ys), m * n + 1):
+    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
+    codes: list[np.ndarray] = []  # product codes of the reps' pairs
+    for lo, hi in _blocks(0, q ** (r * n), max(q**r * n, m * n + 1)):
+        ys = _decode(q, np.arange(lo, hi, dtype=np.int64), r, n)
+        rows = _index_matmul(ctx, us, ys[:, None])[:, :, 0]  # y, u, n
+        row_ct, row_code = member[rows].sum(axis=2), _encode(q, rows)  # y, u
+
         offsets = (n + 1) * np.arange(hi - lo)[:, None]
-        hist = np.bincount((row_ct[lo:hi] + offsets).ravel(), minlength=(hi - lo) * (n + 1))
+        hist = np.bincount((row_ct + offsets).ravel(), minlength=(hi - lo) * (n + 1))
         hist = hist.reshape(hi - lo, n + 1).T  # one row's count, y
         law = np.zeros((m * n + 1, hi - lo), dtype=np.int64)  # count, y: how many x give it
         law[0] = 1
@@ -812,29 +820,25 @@ def _exact_by_pairs(
                 law[v : v + len(low)] += hist[v] * low
         pair_ct += law.sum(axis=1)
 
-    reps = _orbit_representatives(q, m, r)
-    gl = int(rank_count(q, r, r, r))  # |GL_r|
-    full_ct, full_code = row_ct[y_full].T, row_code[y_full].T  # u, full-rank y
-    n_full = full_ct.shape[1]
-    track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
-    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    codes: list[np.ndarray] = []  # product codes of the reps' pairs
-    for lo, hi in _blocks(0, len(reps), n_full * m):
-        rows = _encode(q, reps[lo:hi])  # rep, m: the code of each row
-        rank_ct += np.bincount(full_ct[rows].sum(axis=1).ravel(), minlength=m * n + 1)
-        if track_matrices:  # the base-q^n code of the row codes is `_encode`'s code
-            codes.append((_digit_weights(q**n, m) @ full_code[rows]).ravel())
+        y_full = (row_code[:, 1:] != 0).all(axis=1)  # u = 0 is code 0
+        full_ct, full_code = row_ct[y_full].T, row_code[y_full].T  # u, full-rank y
+        for reps in _orbit_representatives(q, m, r, full_ct.shape[1] * m):
+            rows = _encode(q, reps)  # rep, m: the code of each row
+            rank_ct += np.bincount(full_ct[rows].sum(axis=1).ravel(), minlength=m * n + 1)
+            if track_matrices:  # the base-q^n code of the row codes is `_encode`'s code
+                codes.append((_digit_weights(q**n, m) @ full_code[rows]).ravel())
 
     matrix_tv: Fraction | None = None
     if track_matrices:
         # sum over matrices of |P(product) - P(uniform rank r)| over the common
         # denominator pairs * n_rank: a never-hit rank-r matrix adds pairs and
         # each non-full pair n_rank; numerator <= 2 pairs n_rank <= 2^49 in int64
-        pairs, n_rank = q ** (m * r) * len(ys), int(rank_count(q, m, n, r))
+        pairs, n_rank = q ** (m * r + r * n), int(rank_count(q, m, n, r))
+        gl = int(rank_count(q, r, r, r))  # |GL_r|: the pairs of each listed product
         hits = gl * np.unique(np.concatenate(codes), return_counts=True)[1]
         numerator = int(np.abs(hits * n_rank - pairs).sum())
         numerator += (n_rank - len(hits)) * pairs  # rank r but never a product
-        numerator += (pairs - len(reps) * gl * n_full) * n_rank
+        numerator += (pairs - int(hits.sum())) * n_rank  # the pairs not both full
         matrix_tv = Fraction(numerator, pairs * n_rank)
 
     return _exact_result("pairs", rank_ct, pair_ct, matrix_tv)
@@ -844,10 +848,9 @@ def _exact_by_direct_scan(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
     q = ctx.q
-    total = q ** (m * n)
     member = subset_a.member_table()
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    for lo, hi in _blocks(0, total, m * n):
+    for lo, hi in _blocks(0, q ** (m * n), m * n):
         mats = _decode(q, np.arange(lo, hi), m, n)
         full = mats[_rank_stack(ctx, mats) == r]
         rank_ct += np.bincount(member[full].sum(axis=(1, 2)), minlength=m * n + 1)
@@ -870,14 +873,8 @@ def exact_distribution(
 
     method "pairs" covers every factor pair (needs q^(mr+rn) <= 2^24) and
     yields both laws plus the matrix-level total variation (when
-    q^(mn) <= 2^24), from tables of the q^r possible product rows u @ Y
-    (see `_exact_by_pairs`), with no product formed or ranked:
-    - Y has rank r exactly when u @ Y != 0 for every u != 0;
-    - X's rows are iid uniform, so given Y the count's law over all X is
-      the m-fold convolution of the histogram of Y's q^r row counts;
-    - each full-rank X is rep @ G for exactly one of the [m r]_q orbit
-      representatives and one G in GL_r, so pairing each representative
-      with every full-rank Y lists each rank-r matrix once.
+    q^(mn) <= 2^24), in one pass over `_blocks` of the q^(rn) Y's that
+    forms and ranks no product (see `_exact_by_pairs`).
     "direct" scans all m x n matrices for rank r (needs q^(mn) <= 2^22)
     and yields the rank-r law only.  "auto" prefers pairs.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -603,28 +604,37 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         assert dist.matrix_tv == tv_closed_form_exact(q, m, n, r)
 
 
-@pytest.mark.parametrize("q, m, n, r, amask", [(2, 3, 3, 2, 0b10), (3, 2, 2, 1, 0b110)])
-def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r, amask):
+@pytest.mark.parametrize(
+    "q, m, n, r, amask, budget",  # budget: the _BLOCK_ENTRIES of the small blocks
+    [
+        pytest.param(2, 3, 3, 2, 0b10, 8, id="2-3-3-2-2"),
+        pytest.param(3, 2, 2, 1, 0b110, 4, id="3-2-2-1-6"),
+        # blocks of 4 y's; where all 4 have rank 2, the 7 reps come in blocks
+        # of 5 and 2, and the first spans the pivot sets (0, 1) and (0, 2)
+        pytest.param(2, 3, 4, 2, 0b10, 64, id="2-3-4-2-2"),
+    ],
+)
+def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r, amask, budget):
     ctx, subset = field_from_order(q), SubsetA(q, amask)
     whole = {method: exact_distribution(ctx, m, n, r, subset, method) for method in ("pairs", "direct")}
     blocks = sampling._blocks
-    most = {}  # entries per index -> most ranges of one `_blocks` call
+    most = {}  # end of the range -> most ranges of one `_blocks` call over it
 
     def counted(lo, hi, entries):
         ranges = list(blocks(lo, hi, entries))
-        most[entries] = max(most.get(entries, 0), len(ranges))
+        most[hi] = max(most.get(hi, 0), len(ranges))
         return iter(ranges)
 
     monkeypatch.setattr(stats, "_blocks", counted)
-    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 8)
-    # pairs: the row tables over y, the convolution over y, the blocks of
-    # orbit representatives (each against the full-rank y's)
-    y_full = int(rank_count(q, r, n, r))
-    loops = {"pairs": {q**r * n, m * n + 1, y_full * m}, "direct": {m * n}}
-    for method, entries in loops.items():
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
+    # pairs: one loop over the y codes and, inside each of its blocks, one over
+    # the orbit representatives (each against the block's full-rank y's)
+    n_reps = int(rank_count(q, m, r, r) // rank_count(q, r, r, r))
+    loops = {"pairs": {q ** (r * n), n_reps}, "direct": {q ** (m * n)}}
+    for method, ends in loops.items():
         most.clear()
         assert exact_distribution(ctx, m, n, r, subset, method) == whole[method]
-        assert entries <= most.keys() and all(most[k] >= 2 for k in entries)
+        assert most.keys() == ends and all(most[k] >= 2 for k in ends)
 
 
 def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
@@ -676,9 +686,9 @@ def test_exact_by_pairs_without_matrices(monkeypatch):
 
 
 @pytest.mark.parametrize("q, m, r", [(2, 4, 2), (3, 3, 2), (4, 3, 1), (2, 3, 3), (2, 3, 0), (3, 0, 0)])
-def test_orbit_representatives_meet_each_full_rank_matrix_once(q, m, r):
+def test_orbit_representatives_meet_each_full_rank_matrix_once(monkeypatch, q, m, r):
     ctx = field_from_order(q)
-    reps = stats._orbit_representatives(q, m, r)
+    (reps,) = stats._orbit_representatives(q, m, r, 1)  # every rep in one block
     gl = int(rank_count(q, r, r, r))
     assert len(reps) * gl == rank_count(q, m, r, r)  # [m r]_q representatives
     assert reps.shape[1:] == (m, r) and (_rank_stack(ctx, reps) == r).all()
@@ -689,6 +699,25 @@ def test_orbit_representatives_meet_each_full_rank_matrix_once(q, m, r):
     products = _index_matmul(ctx, reps[:, None], gs)
     products = _encode(q, products.reshape(len(reps) * len(gs), m * r))
     assert np.array_equal(np.sort(products), full)  # every full-rank x as rep @ G, once
+    # in blocks of two, which span pivot sets: the same reps in the same order
+    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 6)
+    parts = list(stats._orbit_representatives(q, m, r, 3))
+    assert [len(part) for part in parts] == [hi - lo for lo, hi in sampling._blocks(0, len(reps), 3)]
+    assert np.array_equal(np.concatenate(parts), reps)
+
+
+def test_exact_by_pairs_memory_is_bounded_by_its_blocks():
+    # 2^18 right factors (1 x 18) or 2^18 - 1 representatives (18 x 1): only
+    # the tallies and one int64 code per rank-r matrix (2 MiB) span the blocks
+    ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
+    for m, n in [(1, 18), (18, 1)]:
+        tracemalloc.start()
+        try:
+            exact_distribution(ctx, m, n, 1, subset, method="pairs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 << 20, f"{m} x {n}: traced peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("q, m, n, r", [(2, 2, 3, 1), (2, 3, 3, 2), (3, 2, 2, 1), (3, 2, 3, 2)])
