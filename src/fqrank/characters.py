@@ -189,9 +189,8 @@ def off_units_magnitude(f: FunctionTable) -> float:
     if f.arity == 0:
         return 0.0
     total = np.abs(f.values)
-    mask = np.ones(f.values.shape, dtype=bool)
-    mask[(slice(1, None),) * f.arity] = False
-    return float(total[mask].max(initial=0.0))
+    _units_block(total)[...] = 0.0
+    return float(total.max())
 
 
 def _check_subset(f: FunctionTable, subset: IndexSubset) -> None:

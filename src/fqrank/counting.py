@@ -114,10 +114,12 @@ def asymptotic_ct_mean(params: MomentParams) -> Fraction:
     This is the limit-normalisation mean, not the exact finite-size mean of
     the entry count over rank-r matrices; the gap vanishes as m, n grow.
     """
-    g = subset_bias(params.q, params.subset)
-    return (Fraction(params.subset.size, params.q) - g / params.q**params.r) * (
-        params.m * params.n
-    )
+    return _ct_mean(params.q, params.subset, params.r, params.m, params.n)
+
+
+def _ct_mean(q: int, subset: SubsetA, r: int, m: int, n: int) -> Fraction:
+    """asymptotic_ct_mean's formula, unchecked: r > min(m, n) is admitted."""
+    return (Fraction(subset.size, q) - subset_bias(q, subset) / q**r) * (m * n)
 
 
 def asymptotic_ct_variance(params: MomentParams) -> Fraction:

@@ -248,7 +248,9 @@ def _build_tables(spec: FieldSpec) -> FieldCtx:
         exp[k] = idx
         log[idx] = k
         acc = _poly_mul_mod(acc, g_digits, modulus, p)
-    assert sum(d * w for d, w in zip(acc, weights)) == 1, "generator order != q-1"
+    ks = np.arange(q - 1)
+    if not (log[exp] == ks).all():  # not an assert: python -O would strip it
+        raise RuntimeError(f"{spec.generator} is not primitive in GF({q}): a power repeats")
 
     # Built before add, so the q x q temporaries of the two never coexist.
     # Log sums stay below 2q <= 8192, so int16 holds them.
@@ -266,7 +268,6 @@ def _build_tables(spec: FieldSpec) -> FieldCtx:
         add = (high[:, None, :, None] + add[None, :, None, :]).reshape(p * w, p * w)
         neg = ((-digits % p * w)[:, None] + neg).reshape(p * w)
 
-    ks = np.arange(q - 1)
     inv = np.zeros(q, dtype=np.int16)
     inv[exp] = exp[-ks % (q - 1)]
 

@@ -247,12 +247,11 @@ def _eliminate(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
     below it; only matrices that found a pivot advance.  A matrix whose rank
     reaches its row count is final and leaves the working set, and nothing
     is cleared for it or at the last column, where no later column reads the
-    rows.
+    rows.  So a stack with no rows or no columns gives rank 0 with no case
+    of its own.
     """
     count, rows, cols = stack.shape
     ranks = np.zeros(count, dtype=np.int64)
-    if rows == 0 or cols == 0:
-        return ranks
     live = np.arange(count)  # stack index of each working matrix
     a = stack.copy()
     r = np.zeros(count, dtype=np.int64)

@@ -40,6 +40,7 @@ from .counting import (
     MomentParams,
     RankOutOfRange,
     _check_rank,
+    _ct_mean,
     asymptotic_ct_mean,
     asymptotic_ct_variance,
     rank_count,
@@ -101,11 +102,7 @@ def col_char_sum(
     y: MatrixFq, subset: IndexSubset, chis: tuple[int, ...], table: CharacterTable
 ) -> complex:
     """Column version of row_char_sum: the subset selects rows of y."""
-    _check_stat_args(y.rows, y.field, subset, chis, table)
-    prod = np.ones(y.cols, dtype=np.complex128)
-    for pos, k in enumerate(subset.members()):
-        prod = prod * table.mult[chis[pos], y.data[k, :]]
-    return complex(prod.sum())
+    return row_char_sum(y.transpose(), subset, chis, table)
 
 
 def _check_stat_args(
@@ -288,14 +285,9 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
             f"decomposition over q^r = {ctx.q}^{r} > 2^22 character terms not supported"
         )
     table = character_table(ctx)
-
-    # the identity holds for any inner dimension r, including r > min(m, n)
-    # where the rank-law MomentParams would refuse; use the raw formula
-    gamma_exact = subset_bias(ctx.q, subset_a)
-    mean_term = float(
-        (Fraction(subset_a.size, ctx.q) - gamma_exact * Fraction(ctx.q) ** -r) * m * n
-    )
-    gamma = float(gamma_exact)
+    # not MomentParams: the identity holds for any inner size r, r > min(m, n) too
+    mean_term = float(_ct_mean(ctx.q, subset_a, r, m, n))
+    gamma = float(subset_bias(ctx.q, subset_a))
 
     main = 0.0 + 0.0j
     for mask, coeffs in enumerate(_coefficient_arrays(ctx, subset_a.mask, r)):
@@ -412,14 +404,13 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     """ct_A(x @ y) of each pair by the character identity, unrounded (real
     for p = 2, complex otherwise).
 
-    One bincount tallies every pair's histogram into pair-major bins, pair
-    k of B at k * q^r + code, so the counts of a pair lie together.  The
-    (B, q^r) tally is viewed transposed, codes first: `_transform` copies
-    it C-ordered into that layout and works on it in place, and one gather
-    reads every pair's transform at code * B + k.  The codes of a x_i come
-    from one `np.take` of the product table.  When q^r <= m
-    the rows are tallied as well, and sum_i H^_Y(a x_i) is taken as
-    sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every value of
+    `_tallies` counts the column codes of every pair in one bincount and
+    hands the histograms over codes first, (q^r, B): `_transform` copies
+    them C-ordered into that layout and works on them in place, and one
+    gather reads every pair's transform at code * B + k.  The codes of
+    a x_i come from one `np.take` of the product table.  When q^r <= m the
+    rows are tallied by `_tallies` as well, and sum_i H^_Y(a x_i) is taken
+    as sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every value of
     every pass of `_transform` is a signed sum of the n column counts, so it
     runs in float32, exact below 2^24, when n < 2^24 (float64 otherwise);
     the sums gathered from it, up to m n, accumulate in float64.
@@ -433,22 +424,26 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
         exact = np.float32 if n < 1 << 24 else np.float64  # float32 holds integers to 2^24
         table, weights = table.real.astype(exact), weights.real
     wide = weights.dtype  # float64 or complex128: the gathered sums reach m * n
-    offsets = np.arange(pairs)[:, None]
-
-    def tally(vectors: np.ndarray) -> np.ndarray:
-        codes = _encode(q, vectors) + size * offsets
-        return np.bincount(codes.ravel(), minlength=size * pairs).reshape(pairs, size).T
-
-    hat = _transform(tally(ys.swapaxes(1, 2)), table, r)  # (q^r, B)
+    hat = _transform(_tallies(_encode(q, ys.swapaxes(1, 2)), size), table, r)  # (q^r, B)
     if size <= m:
         patterns = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0, :]
         multiples = _encode(q, ctx.mul_table[:, patterns])  # code of a c, per a and c
-        sums = (hat.astype(wide, copy=False)[multiples] * tally(xs)).sum(axis=1).T
+        g_x = _tallies(_encode(q, xs), size)  # (q^r, B), as hat
+        sums = (hat.astype(wide, copy=False)[multiples] * g_x).sum(axis=1).T
     else:
         # code of a x_i, per a, pair, i, at its place in hat
+        offsets = np.arange(pairs)[:, None]
         multiples = _encode(q, np.take(ctx.mul_table, xs, axis=1)) * pairs + offsets
         sums = hat.ravel()[multiples].sum(axis=2, dtype=wide).T
     return (sums * weights).sum(axis=1) / q  # not a BLAS call: see _transform
+
+
+def _tallies(values: np.ndarray, bins: int) -> np.ndarray:
+    """The histogram of each row of values (B, k) in range(bins), as (bins, B):
+    one bincount over row-major bins, row j's value v at j * bins + v."""
+    rows = len(values)
+    codes = values + bins * np.arange(rows)[:, None]
+    return np.bincount(codes.ravel(), minlength=bins * rows).reshape(rows, bins).T
 
 
 def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
@@ -621,14 +616,14 @@ def run_clt(
     assembled array in index order.  `workers` must be at least 1, and is
     capped at the CPUs the process may run on and at `num_samples`.  It is
     the number of processes that count, the caller included: the samples
-    are split into `workers` chunks, the caller counts chunk 0, and each
-    other chunk runs in its own `multiprocessing.Process`, started with its
-    job before the caller begins and sending back its values, or its
-    exception, over a one-way pipe.  Every worker is joined before this
-    returns or raises; after an error any still running is terminated.  A
-    worker that dies without a message raises RuntimeError.  The arguments
-    are checked before any sample is drawn, the field and rank by
-    MomentParams.
+    are split into `workers` chunks, the caller counts chunk 0 (all of them,
+    starting no process, for one worker), and each other chunk runs in its
+    own `multiprocessing.Process`, started with its job before the caller
+    begins and sending back its values, or its exception, over a one-way
+    pipe.  Every worker is joined before this returns or raises; after an
+    error any still running is terminated.  A worker that dies without a
+    message raises RuntimeError.  The arguments are checked before any
+    sample is drawn, the field and rank by MomentParams.
     """
     if num_samples < 100:
         raise FqrankError(f"need at least 100 samples, got {num_samples}")
@@ -639,42 +634,39 @@ def run_clt(
         raise FqrankError(f"need at least one worker, got {workers}")
 
     workers = min(workers, _usable_cpus(), num_samples)
-    if workers <= 1:
-        values = _clt_values(ctx, subset_a, r, m, n, mode, seed, 0, num_samples)
-    else:
-        import multiprocessing
+    bounds = np.linspace(0, num_samples, workers + 1).astype(int).tolist()
+    started = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            import multiprocessing  # only where a worker starts
 
-        bounds = np.linspace(0, num_samples, workers + 1).astype(int).tolist()
-        started = []
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                job = (ctx.p, ctx.e, subset_a.mask, r, m, n, mode, seed, lo, hi)
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                proc = multiprocessing.Process(target=_clt_worker, args=(job, sender))
-                proc.start()
-                sender.close()  # the worker holds the only send end: its exit means EOF
-                started.append((proc, receiver))
-            chunks = [_clt_values(ctx, subset_a, r, m, n, mode, seed, 0, bounds[1])]
-            for proc, receiver in started:
-                try:
-                    result = receiver.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"a clt worker exited with code {proc.exitcode} and sent no result"
-                    ) from None
-                if isinstance(result, BaseException):
-                    raise result
-                chunks.append(result)
-            values = np.concatenate(chunks)
-        except BaseException:
-            for proc, _ in started:
-                proc.terminate()
-            raise
-        finally:
-            for proc, receiver in started:
+            job = (ctx.p, ctx.e, subset_a.mask, r, m, n, mode, seed, lo, hi)
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_clt_worker, args=(job, sender))
+            proc.start()
+            sender.close()  # the worker holds the only send end: its exit means EOF
+            started.append((proc, receiver))
+        chunks = [_clt_values(ctx, subset_a, r, m, n, mode, seed, 0, bounds[1])]
+        for proc, receiver in started:
+            try:
+                result = receiver.recv()
+            except EOFError:
                 proc.join()
-                receiver.close()
+                raise RuntimeError(
+                    f"a clt worker exited with code {proc.exitcode} and sent no result"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            chunks.append(result)
+        values = np.concatenate(chunks)
+    except BaseException:
+        for proc, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in started:
+            proc.join()
+            receiver.close()
 
     mean = float(values.mean())
     # equal samples: var() lands a few ulps above 0, as their mean is rounded
@@ -783,8 +775,8 @@ def _exact_by_pairs(
     each block tables the A-count and base-q code of u @ y for its y's;
     y has rank r exactly when u @ y != 0 for every u != 0.
     - Over all x the rows are iid uniform over the u's, so the law of the
-      count given y is the m-fold convolution of the histogram of
-      row_ct[y] (over u), and the product law sums these over y.
+      count given y is the m-fold convolution of the histogram (`_tallies`)
+      of row_ct[y] over u, and the product law sums these over y.
     - Each full-rank x is rep @ G for exactly one orbit representative rep
       (`_orbit_representatives`) and G in GL_r, and G @ y permutes the
       full-rank y's.  So rep @ y over the reps and full-rank y's lists each
@@ -809,9 +801,7 @@ def _exact_by_pairs(
         rows = _index_matmul(ctx, us, ys[:, None])[:, :, 0]  # y, u, n
         row_ct, row_code = member[rows].sum(axis=2), _encode(q, rows)  # y, u
 
-        offsets = (n + 1) * np.arange(hi - lo)[:, None]
-        hist = np.bincount((row_ct + offsets).ravel(), minlength=(hi - lo) * (n + 1))
-        hist = hist.reshape(hi - lo, n + 1).T  # one row's count, y
+        hist = _tallies(row_ct, n + 1)  # one row's count, y
         law = np.zeros((m * n + 1, hi - lo), dtype=np.int64)  # count, y: how many x give it
         law[0] = 1
         for k in range(m):  # law is over k rows so far, whose counts are at most k n

@@ -280,6 +280,15 @@ def test_tables_are_pinned(p, e):
         assert hashlib.sha256(table.tobytes()).hexdigest() == digest, name
 
 
+def test_build_tables_refuses_a_generator_of_lower_order():
+    """4 has order 2 in GF(5): its powers 1, 4, 1, 4 repeat, so the tables
+    would map two exponents to one unit and leave 2 and 3 without a log."""
+    modulus = make_field(5, 1).spec.modulus
+    with pytest.raises(RuntimeError, match="4 is not primitive in GF"):
+        field._build_tables(field.FieldSpec(5, 1, 5, modulus, 4))
+    assert field._build_tables(field.FieldSpec(5, 1, 5, modulus, 2)).inv(2) == 3
+
+
 @pytest.mark.parametrize("p, e", list(TABLE_DIGESTS))
 def test_add_and_neg_are_digit_wise(p, e):
     ctx = make_field(p, e)

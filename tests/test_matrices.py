@@ -363,6 +363,17 @@ def test_rank_stack_eliminates_only_leading_blocks_when_all_are_invertible(monke
     assert shapes == [(30, 4, 4), (1, 12, 4)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 16])
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (3, 0, 0), (0, 2, 2)])
+def test_rank_stack_of_empty_matrices_or_no_matrices_is_int64_zeros(q, shape):
+    """A stack with no rows, no columns or no matrices falls through the
+    column loop of `_eliminate`, with no case of its own: rank 0 each."""
+    ctx = field_from_order(q)
+    stack = np.zeros(shape, dtype=np.int16)
+    for ranks in (_rank_stack(ctx, stack), matrices._eliminate(ctx, stack)):
+        assert ranks.dtype == np.int64 and ranks.tolist() == [0] * shape[0]
+
+
 # --- entry subsets and counting statistics -----------------------------------
 
 def test_subset_construction():

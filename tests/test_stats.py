@@ -473,6 +473,17 @@ def test_transform_ct_counts_every_pair_of_a_stack(q, r, m, n):
     assert np.abs(values - want).max() < 1e-6
 
 
+@pytest.mark.parametrize("bins", [1, 2, 7])
+def test_tallies_is_a_bincount_per_row(bins):
+    """The (bins, B) histograms of `_tallies` are each row's own bincount,
+    with values at both ends of range(bins), for any row count."""
+    values = np.random.default_rng(bins).integers(0, bins, (5, 9))
+    values[0, 0], values[1, -1], values[2], values[-1] = 0, bins - 1, bins - 1, 0
+    want = np.stack([np.bincount(row, minlength=bins) for row in values], axis=1)
+    assert np.array_equal(stats._tallies(values, bins), want)
+    assert stats._tallies(values[:0], bins).shape == (bins, 0)
+
+
 @pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (16, 2)])
 def test_transform_of_a_strided_histogram_is_that_of_its_contiguous_copy(q, r):
     """`_transform` writes its passes through reshapes and `out=`, which on
@@ -819,6 +830,19 @@ def test_run_clt_clamps_workers(monkeypatch):
     assert starts == []
     assert many.to_dict() == huge.to_dict() == one.to_dict()
     assert np.array_equal(many.samples, one.samples)
+
+
+def test_run_clt_with_one_worker_starts_no_process(monkeypatch):
+    """With one worker and many CPUs the caller counts every sample itself:
+    no chunk is left for a process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    starts = _count_starts(monkeypatch)
+    ctx = make_field(2, 1)
+    subset = SubsetA.from_indices(2, [1])
+    report = run_clt(ctx, subset, 1, 8, 8, 120, seed=3, workers=1)
+    assert starts == []
+    want = stats._clt_values(ctx, subset, 1, 8, 8, "exact", 3, 0, 120)
+    assert np.array_equal(report.samples, want)
 
 
 def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
