@@ -98,6 +98,8 @@ def _subset_from_args(args: argparse.Namespace, q: int) -> SubsetA:
 
 
 def _check_rank_flag(r: int, m: int, n: int) -> None:
+    if min(m, n) < 0:  # else the rank check would blame --r
+        raise UsageError(f"--m/--n: dimensions must be >= 0, got {m} x {n}")
     try:
         _check_rank(r, m, n)
     except RankOutOfRange as exc:

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -54,7 +53,6 @@ from .matrices import (
     SubsetA,
     _check_same_field,
     _decode,
-    _digit_weights,
     _encode,
     _index_matmul,
     _rank_stack,
@@ -707,7 +705,8 @@ class ExactDistribution:
 
     rank_dist is over uniform rank-r matrices; product_dist (pairs method
     only) is over products of unconditioned uniform factors; matrix_tv is
-    the total variation between the two matrix-level laws.
+    the total variation between the two matrix-level laws, summed |P - U|
+    with no 1/2.  Each is the same at (m, n) and at (n, m).
     """
 
     rank_dist: dict[int, Fraction]
@@ -737,101 +736,94 @@ def _exact_result(
     return ExactDistribution(rank_dist, product_dist, mean, second - mean**2, matrix_tv, method)
 
 
-def _orbit_representatives(q: int, m: int, r: int, entries: int) -> Iterator[np.ndarray]:
+def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
     """One full-rank m x r matrix per orbit of GL_r(q) acting on the right:
-    those whose transpose is in reduced row echelon form, [m r]_q of them,
-    yielded as int16 (k, m, r) stacks of `_blocks(0, [m r]_q, entries)`.
+    those whose transpose is in reduced row echelon form, an int16
+    ([m r]_q, m, r) stack.
 
     Column i holds a 1 at its pivot row p_i (p_0 < ... < p_(r-1)), zeros
     above it and at the other pivot rows, and any entries below it; every
-    full-rank X is rep @ G for exactly one rep and one G in GL_r(q).  The
-    reps are listed pivot set by pivot set, in the order of their free
-    entries' codes, so a block may span pivot sets.
+    full-rank X is rep @ G for exactly one rep and one G in GL_r(q), so the
+    reps' column spaces are the r-dimensional subspaces of GF(q)^m, each
+    once.  The reps are listed pivot set by pivot set, in the order of their
+    free entries' codes.
     """
-    sets, stop = [], 0  # each pivot set's first and stop rep index, pivots and free entries
+    parts = []
     for pivots in itertools.combinations(range(m), r):
         free = [(row, i) for i, p in enumerate(pivots) for row in range(p + 1, m) if row not in pivots]
-        sets.append((stop, stop + q ** len(free), pivots, free))
-        stop += q ** len(free)
-    for lo, hi in _blocks(0, stop, entries):
-        reps = np.zeros((hi - lo, m, r), dtype=np.int16)
-        for first, last, pivots, free in sets:
-            a, b = max(lo, first), min(hi, last)
-            if a < b:
-                part = reps[a - lo : b - lo]  # a view: its writes land in reps
-                part[:, list(pivots), list(range(r))] = 1
-                codes = np.arange(a - first, b - first, dtype=np.int64)
-                part[:, [row for row, _ in free], [i for _, i in free]] = _decode(q, codes, 1, len(free))[:, 0]
-        yield reps
+        part = np.zeros((q ** len(free), m, r), dtype=np.int16)
+        part[:, list(pivots), list(range(r))] = 1
+        codes = np.arange(len(part), dtype=np.int64)
+        part[:, [row for row, _ in free], [i for _, i in free]] = _decode(q, codes, 1, len(free))[:, 0]
+        parts.append(part)
+    return np.concatenate(parts)
 
 
 def _exact_by_pairs(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
-    """Both laws of the entry count and matrix_tv over every factor pair,
-    without listing the pairs, in one pass over `_blocks` of the y codes.
+    """Both laws of the entry count and matrix_tv over every factor pair, in
+    one pass over `_blocks` of the y codes that lists no x and no pair.
 
-    Row i of x @ y is u @ y for u = x_i, one of the q^r row vectors, so
-    each block tables the A-count and base-q code of u @ y for its y's;
-    y has rank r exactly when u @ y != 0 for every u != 0.
-    - Over all x the rows are iid uniform over the u's, so the law of the
-      count given y is the m-fold convolution of the histogram (`_tallies`)
-      of row_ct[y] over u, and the product law sums these over y.
-    - Each full-rank x is rep @ G for exactly one orbit representative rep
-      (`_orbit_representatives`) and G in GL_r, and G @ y permutes the
-      full-rank y's.  So rep @ y over the reps and full-rank y's lists each
-      rank-r matrix once (the rank law), and a full pair's product is hit
-      |GL_r| times as often.  A pair's count is the sum of its m rows'
-      table entries and its product's code is sum_i code(x_i @ y) q^(n i),
-      `_encode`'s row-major code.  No product is ranked: rank(XY) = r
-      exactly when X and Y both have rank r, so matrix_tv needs the full
-      pairs' products only.
-    Memory is bounded by `_blocks`: only the tallies and matrix_tv's codes,
-    one int64 per rank-r matrix, outlive a block.
+    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  Row i of x @ y
+    is u @ y for u = x_i, one of the q^r row vectors; y has rank r exactly
+    when u @ y != 0 for every u != 0.  Given y, the count over all x (rows
+    iid uniform) has the law of the m-fold convolution of the histogram
+    (`_tallies`) of row_ct[y] over the u's: summed over y, the product law.
+    The full-rank x are those whose rows span V = GF(q)^r, so by Moebius
+    inversion their counts are sum_W mu(W, V) times that convolution over
+    the u in W, over the subspaces W of V, where mu(W, V) = (-1)^d
+    q^(d(d-1)/2) for d = r - dim W; over the full-rank y this counts each
+    rank-r matrix |GL_r| times.  Only full pairs have products of rank r,
+    uniform over them, so matrix_tv is 2 (1 - full pairs / pairs).
+    Memory is bounded by `_blocks`: only the two tallies outlive a block.
     """
     q = ctx.q
+    m, n = max(m, n), min(m, n)
     member = subset_a.member_table()
     us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
-    track_matrices = q ** (m * n) <= MAX_PAIR_ENUM
+    # per dimension k < r, mu(W, V) and the codes of each subspace's u's: the
+    # combinations of the rows of each basis, a transposed representative
+    spaces = []
+    for k in range(r):
+        coeffs = _decode(q, np.arange(q**k, dtype=np.int64), 1, k)[:, 0]  # c, k
+        bases = _orbit_representatives(q, r, k).transpose(0, 2, 1)  # W, k, r
+        d = r - k
+        spaces.append(((-1) ** d * q ** (d * (d - 1) // 2), _encode(q, _index_matmul(ctx, coeffs, bases))))
+    columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per y
     pair_ct = np.zeros(m * n + 1, dtype=np.int64)
-    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    codes: list[np.ndarray] = []  # product codes of the reps' pairs
-    for lo, hi in _blocks(0, q ** (r * n), max(q**r * n, m * n + 1)):
+    rank_ct = np.zeros(m * n + 1, dtype=np.int64)  # |GL_r| times the rank-r law's tally
+    for lo, hi in _blocks(0, q ** (r * n), max(q**r * n, columns * (m * n + 1))):
         ys = _decode(q, np.arange(lo, hi, dtype=np.int64), r, n)
         rows = _index_matmul(ctx, us, ys[:, None])[:, :, 0]  # y, u, n
-        row_ct, row_code = member[rows].sum(axis=2), _encode(q, rows)  # y, u
+        row_ct = member[rows].sum(axis=2)  # y, u
+        y_full = rows[:, 1:].any(axis=2).all(axis=1)  # u = 0 comes first
 
-        hist = _tallies(row_ct, n + 1)  # one row's count, y
-        law = np.zeros((m * n + 1, hi - lo), dtype=np.int64)  # count, y: how many x give it
+        # one column per y for W = V, then one per proper W and full-rank y
+        hists, weights, full_ct = [_tallies(row_ct, n + 1)], [y_full.astype(np.int64)], row_ct[y_full]
+        for mu, codes in spaces:
+            hists.append(_tallies(full_ct[:, codes].reshape(-1, codes.shape[1]), n + 1))
+            weights.append(np.full(hists[-1].shape[1], mu, dtype=np.int64))
+        hist = np.concatenate(hists, axis=1)  # one row's count, column
+        law = np.zeros((m * n + 1, hist.shape[1]), dtype=np.int64)  # count, column: how many x give it
         law[0] = 1
         for k in range(m):  # law is over k rows so far, whose counts are at most k n
             low, law = law[: k * n + 1], np.zeros_like(law)
             for v in range(n + 1):
                 law[v : v + len(low)] += hist[v] * low
-        pair_ct += law.sum(axis=1)
+        pair_ct += law[:, : hi - lo].sum(axis=1)
+        rank_ct += law @ np.concatenate(weights)
 
-        y_full = (row_code[:, 1:] != 0).all(axis=1)  # u = 0 is code 0
-        full_ct, full_code = row_ct[y_full].T, row_code[y_full].T  # u, full-rank y
-        for reps in _orbit_representatives(q, m, r, full_ct.shape[1] * m):
-            rows = _encode(q, reps)  # rep, m: the code of each row
-            rank_ct += np.bincount(full_ct[rows].sum(axis=1).ravel(), minlength=m * n + 1)
-            if track_matrices:  # the base-q^n code of the row codes is `_encode`'s code
-                codes.append((_digit_weights(q**n, m) @ full_code[rows]).ravel())
-
+    gl = int(rank_count(q, r, r, r))
+    full, expected = int(rank_ct.sum()), int(rank_count(q, m, n, r)) * gl
+    if full != expected or (rank_ct % gl).any():  # not an assert: python -O would strip it
+        raise RuntimeError(f"subspace tally found {full} full pairs, formula says {expected}, "
+                           f"each count a multiple of |GL_r| = {gl}")
     matrix_tv: Fraction | None = None
-    if track_matrices:
-        # sum over matrices of |P(product) - P(uniform rank r)| over the common
-        # denominator pairs * n_rank: a never-hit rank-r matrix adds pairs and
-        # each non-full pair n_rank; numerator <= 2 pairs n_rank <= 2^49 in int64
-        pairs, n_rank = q ** (m * r + r * n), int(rank_count(q, m, n, r))
-        gl = int(rank_count(q, r, r, r))  # |GL_r|: the pairs of each listed product
-        hits = gl * np.unique(np.concatenate(codes), return_counts=True)[1]
-        numerator = int(np.abs(hits * n_rank - pairs).sum())
-        numerator += (n_rank - len(hits)) * pairs  # rank r but never a product
-        numerator += (pairs - int(hits.sum())) * n_rank  # the pairs not both full
-        matrix_tv = Fraction(numerator, pairs * n_rank)
-
-    return _exact_result("pairs", rank_ct, pair_ct, matrix_tv)
+    if q ** (m * n) <= MAX_PAIR_ENUM:
+        pairs = q ** (m * r + r * n)
+        matrix_tv = Fraction(2 * (pairs - full), pairs)
+    return _exact_result("pairs", rank_ct // gl, pair_ct, matrix_tv)
 
 
 def _exact_by_direct_scan(
@@ -863,8 +855,8 @@ def exact_distribution(
 
     method "pairs" covers every factor pair (needs q^(mr+rn) <= 2^24) and
     yields both laws plus the matrix-level total variation (when
-    q^(mn) <= 2^24), in one pass over `_blocks` of the q^(rn) Y's that
-    forms and ranks no product (see `_exact_by_pairs`).
+    q^(mn) <= 2^24), in one pass over `_blocks` of the q^(r min(m, n))
+    Y's that lists no X and forms no product (see `_exact_by_pairs`).
     "direct" scans all m x n matrices for rank r (needs q^(mn) <= 2^22)
     and yields the rank-r law only.  "auto" prefers pairs.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.

@@ -323,6 +323,20 @@ def test_bad_rank_rejected(capsys):
     assert rc == 2 and "--r" in err
 
 
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        ("exact --field 2 --A 1 --m -1 --n 2 --r 0", "-1 x 2"),
+        ("clt --field 2 --A 1 --m -1 --n 2 --r 0 --N 100 --seed 0", "-1 x 2"),
+        ("count --field 2 --m -1 --n 2 --r 0", "-1 x 2"),
+        ("count --field 2 --m 2 --n -3 --r 1", "2 x -3"),
+    ],
+)
+def test_negative_dimension_is_blamed_on_the_dimensions(capsys, argv, shape):
+    expected = f"error: --m/--n: dimensions must be >= 0, got {shape}\n"
+    assert run_cli(capsys, argv.split()) == (2, "", expected)
+
+
 def test_bad_seed_rejected(capsys):
     rc, _, err = run_cli(
         capsys,
@@ -404,6 +418,38 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
         (
             "exact --field 2 --m 4 --n 5 --r 2 --A 1",
             "45e102ebb2c2eb9fd508b096d9ec6a8121f3573703bba3e44a2ab8026500d23a",
+        ),
+        (
+            # the transpose of 4 x 5: the same laws, printed with m and n swapped
+            "exact --field 2 --m 5 --n 4 --r 2 --A 1 --method pairs",
+            "37ad4b939ef5c229ab52f5642f1184fbdab6615f7cd4abc4d3360c0ba2e698f6",
+        ),
+        (
+            # GF(2)^3 has 16 subspaces
+            "exact --field 2 --m 4 --n 4 --r 3 --A 1 --method pairs",
+            "b876fceab0b74515fa673ef3458377efa94d90f32cb314c83d66d15e150890a9",
+        ),
+        (
+            "exact --field 4 --m 2 --n 3 --r 2 --A 1,2 --method pairs",
+            "12458f9b75c71c87511e4bb40e5be6be8b5de739743945a57e3d045254ee4477",
+        ),
+        (
+            "exact --field 5 --m 3 --n 2 --r 2 --A 1 --method pairs",
+            "7340042310e4b2f472a30ca201ec98eb1f4170139760de73beebf4523309d986",
+        ),
+        (
+            "exact --field 2 --m 3 --n 3 --r 0 --A 0 --method pairs",
+            "33c0560fc5717b7eece396a2fb0b83e85d691305d683905e742c15aebfb1afb2",
+        ),
+        (
+            # q^(mn) = 2^25 is over the gate: matrix_tv is null
+            "exact --field 2 --m 5 --n 5 --r 1 --A 1 --method pairs",
+            "4fff17f90b57e3f4286d59d14afead0604456117b743be1dc154978822f3317b",
+        ),
+        (
+            # 2^22 rank-1 matrices, listed from 2 right factors of the transpose
+            "exact --field 2 --m 1 --n 22 --r 1 --A 1",
+            "a423b89eec0cf55f041da927954fa5ed0c53b776ab3188afb87da2edc6dbdacb",
         ),
         (
             "exact --field 3 --m 2 --n 3 --r 1 --A 1,2 --method direct",

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from fqrank.matrices import (
     rank,
     zero_matrix,
 )
-from fqrank.matrices import _decode, _encode, _index_matmul, _rank_stack
+from fqrank.matrices import _decode, _digit_weights, _encode, _index_matmul, _rank_stack
 from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance, rank_count
 from fqrank.sampling import (
     SeedSpec,
@@ -620,9 +621,10 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
     [
         pytest.param(2, 3, 3, 2, 0b10, 8, id="2-3-3-2-2"),
         pytest.param(3, 2, 2, 1, 0b110, 4, id="3-2-2-1-6"),
-        # blocks of 4 y's; where all 4 have rank 2, the 7 reps come in blocks
-        # of 5 and 2, and the first spans the pivot sets (0, 1) and (0, 2)
+        # pairs lists the y's of the transpose, 4 x 3: blocks of one y
         pytest.param(2, 3, 4, 2, 0b10, 64, id="2-3-4-2-2"),
+        # 5 convolutions of 13 counts per y: blocks of 3 y's, the last of one
+        pytest.param(2, 4, 3, 2, 0b10, 200, id="2-4-3-2-2"),
     ],
 )
 def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r, amask, budget):
@@ -638,10 +640,8 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r,
 
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
-    # pairs: one loop over the y codes and, inside each of its blocks, one over
-    # the orbit representatives (each against the block's full-rank y's)
-    n_reps = int(rank_count(q, m, r, r) // rank_count(q, r, r, r))
-    loops = {"pairs": {q ** (r * n), n_reps}, "direct": {q ** (m * n)}}
+    # pairs: one loop, over the y codes of the shape with the fewer columns
+    loops = {"pairs": {q ** (r * min(m, n))}, "direct": {q ** (m * n)}}
     for method, ends in loops.items():
         most.clear()
         assert exact_distribution(ctx, m, n, r, subset, method) == whole[method]
@@ -696,10 +696,57 @@ def test_exact_by_pairs_without_matrices(monkeypatch):
     assert exact_distribution(ctx, 3, 3, 1, subset, method="pairs") == expected
 
 
+def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
+    """The orbit route, one y at a time: each full-rank x is rep @ G for
+    exactly one orbit representative rep and one G in GL_r, and G @ y
+    permutes the full-rank y's, so rep @ y over the reps and the full-rank y's
+    lists each rank-r matrix once (the rank law), and its product's code is
+    hit by |GL_r| full pairs (matrix_tv).  The product law sums over y the
+    m-fold convolution of the histogram of y's row counts over the q^r rows."""
+    q = ctx.q
+    member = subset_a.member_table()
+    us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)
+    ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
+    rows = _index_matmul(ctx, us, ys[:, None])[:, :, 0]  # y, u, n
+    reps = _encode(q, stats._orbit_representatives(q, m, r))  # rep, m: the code of each row
+    pair_ct = np.zeros(m * n + 1, dtype=np.int64)
+    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
+    codes = []
+    for y_ct, y_code in zip(member[rows].sum(axis=2), _encode(q, rows)):
+        hist = np.bincount(y_ct, minlength=n + 1)
+        pair_ct += reduce(np.convolve, [hist] * m, np.ones(1, dtype=np.int64))
+        if (y_code[1:] != 0).all():  # y has rank r: u = 0 is code 0
+            rank_ct += np.bincount(y_ct[reps].sum(axis=1), minlength=m * n + 1)
+            codes.append(y_code[reps] @ _digit_weights(q**n, m))  # `_encode`'s code of rep @ y
+    matrix_tv = None
+    if q ** (m * n) <= stats.MAX_PAIR_ENUM:
+        pairs, n_rank = q ** (m * r + r * n), int(rank_count(q, m, n, r))
+        hits = int(rank_count(q, r, r, r)) * np.unique(np.concatenate(codes), return_counts=True)[1]
+        numerator = int(np.abs(hits * n_rank - pairs).sum())
+        numerator += (n_rank - len(hits)) * pairs  # rank r but never a product
+        numerator += (pairs - int(hits.sum())) * n_rank  # the pairs not both full
+        matrix_tv = Fraction(numerator, pairs * n_rank)
+    return stats._exact_result("pairs", rank_ct, pair_ct, matrix_tv)
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, amask",
+    [
+        (2, 3, 2, 1, 0b01), (3, 3, 3, 2, 0b010), (4, 2, 3, 1, 0b0110), (2, 3, 3, 0, 0b10),
+        # past the per-pair oracle's reach: 2^24 pairs, 2^36 matrices, 2^18 representatives
+        (2, 10, 2, 2, 0b10), (2, 6, 6, 2, 0b10), (2, 18, 1, 1, 0b10),
+    ],
+)
+def test_exact_by_pairs_matches_orbit_representatives(q, m, n, r, amask):
+    ctx, subset = field_from_order(q), SubsetA(q, amask)
+    expected = _exact_by_representatives_oracle(ctx, m, n, r, subset)
+    assert exact_distribution(ctx, m, n, r, subset, method="pairs") == expected
+
+
 @pytest.mark.parametrize("q, m, r", [(2, 4, 2), (3, 3, 2), (4, 3, 1), (2, 3, 3), (2, 3, 0), (3, 0, 0)])
-def test_orbit_representatives_meet_each_full_rank_matrix_once(monkeypatch, q, m, r):
+def test_orbit_representatives_meet_each_full_rank_matrix_once(q, m, r):
     ctx = field_from_order(q)
-    (reps,) = stats._orbit_representatives(q, m, r, 1)  # every rep in one block
+    reps = stats._orbit_representatives(q, m, r)
     gl = int(rank_count(q, r, r, r))
     assert len(reps) * gl == rank_count(q, m, r, r)  # [m r]_q representatives
     assert reps.shape[1:] == (m, r) and (_rank_stack(ctx, reps) == r).all()
@@ -710,18 +757,13 @@ def test_orbit_representatives_meet_each_full_rank_matrix_once(monkeypatch, q, m
     products = _index_matmul(ctx, reps[:, None], gs)
     products = _encode(q, products.reshape(len(reps) * len(gs), m * r))
     assert np.array_equal(np.sort(products), full)  # every full-rank x as rep @ G, once
-    # in blocks of two, which span pivot sets: the same reps in the same order
-    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 6)
-    parts = list(stats._orbit_representatives(q, m, r, 3))
-    assert [len(part) for part in parts] == [hi - lo for lo, hi in sampling._blocks(0, len(reps), 3)]
-    assert np.array_equal(np.concatenate(parts), reps)
 
 
 def test_exact_by_pairs_memory_is_bounded_by_its_blocks():
-    # 2^18 right factors (1 x 18) or 2^18 - 1 representatives (18 x 1): only
-    # the tallies and one int64 code per rank-r matrix (2 MiB) span the blocks
+    # 2^18 or 2^22 rank-1 matrices, either way round: the pass lists the y's
+    # of the shape with one column, and only the tallies span its blocks
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
-    for m, n in [(1, 18), (18, 1)]:
+    for m, n in [(1, 18), (18, 1), (1, 22), (22, 1)]:
         tracemalloc.start()
         try:
             exact_distribution(ctx, m, n, 1, subset, method="pairs")
@@ -750,6 +792,19 @@ def test_direct_scan_refuses_a_wrong_rank_count(monkeypatch):
     monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + 1)
     with pytest.raises(RuntimeError, match="rank scan found"):
         exact_distribution(ctx, 2, 3, 1, subset, method="direct")
+
+
+def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
+    ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
+    count = stats.rank_count
+    monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + 1)
+    with pytest.raises(RuntimeError, match="subspace tally found"):
+        exact_distribution(ctx, 2, 3, 1, subset, method="pairs")
+    # GF(2) 2 x 2 r=1 has 9 = 3 * 3 full pairs, but 4 of them have count 1,
+    # not a multiple of the |GL_1| = 3 claimed here
+    monkeypatch.setattr(stats, "rank_count", lambda *args: Fraction(3))
+    with pytest.raises(RuntimeError, match="subspace tally found"):
+        exact_distribution(ctx, 2, 2, 1, subset, method="pairs")
 
 
 def test_exact_distribution_gates():
