@@ -430,6 +430,19 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "b876fceab0b74515fa673ef3458377efa94d90f32cb314c83d66d15e150890a9",
         ),
         (
+            "exact --field 7 --m 2 --n 2 --r 2 --A 1 --method pairs",
+            "2bdd1a8b6f9fa0aa67a5921ec91719d1fe9373d0024678ee9d41e86e6337cf6a",
+        ),
+        (
+            "exact --field 8 --m 2 --n 2 --r 2 --A 1 --method pairs",
+            "75783200f1de459d67c2c00097408b7b758d004e299e2e6ba26ea675d59f3e5a",
+        ),
+        (
+            # 651 row spaces of dimension 2 in GF(2)^6
+            "exact --field 2 --m 6 --n 6 --r 2 --A 1",
+            "ffa1e3d9f9d4beecb47fa464eee55929180b02589bc7af7fe2710e8d3603146a",
+        ),
+        (
             "exact --field 4 --m 2 --n 3 --r 2 --A 1,2 --method pairs",
             "12458f9b75c71c87511e4bb40e5be6be8b5de739743945a57e3d045254ee4477",
         ),
