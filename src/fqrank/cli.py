@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO
 
 import numpy as np
@@ -97,9 +98,13 @@ def _subset_from_args(args: argparse.Namespace, q: int) -> SubsetA:
         raise UsageError(f"--A: {exc}") from exc
 
 
-def _check_rank_flag(r: int, m: int, n: int) -> None:
-    if min(m, n) < 0:  # else the rank check would blame --r
+def _check_shape_flags(m: int, n: int, r: int | None = None) -> None:
+    """The one check of --m/--n of the five shape commands, then of --r as
+    the rank of an m x n matrix where r is given."""
+    if min(m, n) < 0:  # first, else the rank check would blame --r
         raise UsageError(f"--m/--n: dimensions must be >= 0, got {m} x {n}")
+    if r is None:
+        return
     try:
         _check_rank(r, m, n)
     except RankOutOfRange as exc:
@@ -127,7 +132,7 @@ def _count_flag(count: int) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     q, m, n, r = ctx.q, args.m, args.n, args.r
-    _check_rank_flag(r, m, n)
+    _check_shape_flags(m, n, r)
     # Python prints no int of more than `limit` digits.  In lowest terms
     # rank_prob is c / q^(mn - r(r-1)/2) with c prime to q: refuse before
     # building values that far past the limit, then check the built ones.
@@ -163,13 +168,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     m, n, r = args.m, args.n, args.r
     seed = _seed_flag(args.seed)
     count = _count_flag(args.count)
+    _check_shape_flags(m, n)
     # blocks of bounded size, so only the output grows with --count
     mats: list = []
     for start, stop in _blocks(0, count, (m + n) * r + m * n):
         try:
             lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, start, stop, args.mode)
-        except FqrankError as exc:  # the draw checks the shape flags for its mode
-            raise UsageError(f"--m/--n/--r: {exc}") from exc
+        except FqrankError as exc:  # the draw checks --r for its mode
+            raise UsageError(f"--r: {exc}") from exc
         products = _index_matmul(ctx, lefts, rights)
         if args.format == "text":
             mats.extend(dump_matrix(MatrixFq(ctx, mat)) for mat in products)
@@ -194,7 +200,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     m, n, r = args.m, args.n, args.r
-    _check_rank_flag(r, m, n)
+    _check_shape_flags(m, n, r)
     subset = _subset_from_args(args, ctx.q)
     dist = exact_distribution(ctx, m, n, r, subset, method=args.method)
     out = {
@@ -204,14 +210,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         "r": r,
         "A": list(subset.members()),
         "method": dist.method,
-        "rank_dist": {str(v): p for v, p in dist.rank_dist.items()},
+        "rank_dist": dist.rank_dist,  # json writes its int keys as strings
         "mean": _rational(dist.mean),
         "variance": _rational(dist.variance),
-        "product_dist": (
-            {str(v): p for v, p in dist.product_dist.items()}
-            if dist.product_dist is not None
-            else None
-        ),
+        "product_dist": dist.product_dist,
         "matrix_tv": _rational(dist.matrix_tv) if dist.matrix_tv is not None else None,
         "tv_closed_form": _rational(tv_closed_form_exact(ctx.q, m, n, r)),
     }
@@ -249,6 +251,7 @@ def _cmd_identity(args: argparse.Namespace) -> int:
         config = {"q": ctx.q, "m": x.rows, "r": x.cols, "n": y.cols}
     else:
         m, n, r = args.m, args.n, args.r
+        _check_shape_flags(m, n)
         if r < 0:
             raise UsageError(f"--r: rank {r} is negative")
         spec = SeedSpec(_seed_flag(args.seed))
@@ -303,7 +306,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 def _cmd_clt(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     subset = _subset_from_args(args, ctx.q)
-    _check_rank_flag(args.r, args.m, args.n)
+    _check_shape_flags(args.m, args.n, args.r)
     report = run_clt(
         ctx,
         subset,
@@ -338,6 +341,7 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # one parser per process, built at the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fqrank",
@@ -409,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (FqrankError, OSError) as exc:

@@ -703,10 +703,10 @@ def run_clt(
 class ExactDistribution:
     """Exact laws of the entry count at one parameter point.
 
-    rank_dist is over uniform rank-r matrices; product_dist (pairs method
-    only) is over products of unconditioned uniform factors; matrix_tv is
-    the total variation between the two matrix-level laws, summed |P - U|
-    with no 1/2.  Each is the same at (m, n) and at (n, m).
+    rank_dist is over uniform rank-r matrices; product_dist (pairs, the
+    auto route, only) is over products of unconditioned uniform factors;
+    matrix_tv is the total variation between the two matrix-level laws,
+    summed |P - U| with no 1/2.  Each is the same at (m, n) and at (n, m).
     """
 
     rank_dist: dict[int, Fraction]
@@ -762,26 +762,32 @@ def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
 def _exact_by_pairs(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
-    """Both laws of the entry count and matrix_tv over every factor pair, in
-    one pass over `_blocks` of the y codes that lists no x and no pair.
+    """Both laws of the entry count and matrix_tv from one right factor Y per
+    row space, in one pass over `_blocks` of them that lists no X and no pair.
 
-    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  Row i of x @ y
-    is u @ y for u = x_i, one of the q^r row vectors; y has rank r exactly
-    when u @ y != 0 for every u != 0.  Given y, the count over all x (rows
-    iid uniform) has the law of the m-fold convolution of the histogram
-    (`_tallies`) of row_ct[y] over the u's: summed over y, the product law.
-    The full-rank x are those whose rows span V = GF(q)^r, so by Moebius
-    inversion their counts are sum_W mu(W, V) times that convolution over
-    the u in W, over the subspaces W of V, where mu(W, V) = (-1)^d
-    q^(d(d-1)/2) for d = r - dim W; over the full-rank y this counts each
-    rank-r matrix |GL_r| times.  Only full pairs have products of rank r,
-    uniform over them, so matrix_tv is 2 (1 - full pairs / pairs).
-    Memory is bounded by `_blocks`: only the two tallies outlive a block.
+    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  Row i of X @ Y
+    is u @ Y for u = x_i, one of the q^r row vectors, so the count over all
+    X has the law of the m-fold convolution of the histogram (`_tallies`)
+    of row_ct[Y] over the u's, as has G @ Y for G in GL_r: the product law
+    weights it by the F(r, k) = rank_count(q, r, k, k) Y's that share Y's
+    k-dimensional row space.  For Y of rank r, X -> X @ Y is one-to-one from
+    the full-rank X, whose rows span V = GF(q)^r, onto the rank-r matrices
+    of that row space: by Moebius inversion their counts are sum_W mu(W, V)
+    times that convolution over the u in W, over the subspaces W of V, with
+    mu(W, V) = (-1)^d q^(d(d-1)/2) for d = r - dim W.  Only the rank_count
+    |GL_r| full pairs have products of rank r, uniform over them, so
+    matrix_tv is 2 (1 - full pairs / pairs).
     """
     q = ctx.q
     m, n = max(m, n), min(m, n)
     member = subset_a.member_table()
     us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
+    # one Y per row space, by dimension k: a representative's transposed
+    # basis above r - k zero rows, standing for F(r, k) Y's; rank r comes last
+    reps = [_orbit_representatives(q, n, k).transpose(0, 2, 1) for k in range(r + 1)]  # Y, k, n
+    ys = np.concatenate([np.pad(rep, ((0, 0), (0, r - k), (0, 0))) for k, rep in enumerate(reps)])
+    sizes = np.repeat([int(rank_count(q, r, k, k)) for k in range(r + 1)], [len(rep) for rep in reps])
+    first_full = len(ys) - len(reps[r])
     # per dimension k < r, mu(W, V) and the codes of each subspace's u's: the
     # combinations of the rows of each basis, a transposed representative
     spaces = []
@@ -790,40 +796,40 @@ def _exact_by_pairs(
         bases = _orbit_representatives(q, r, k).transpose(0, 2, 1)  # W, k, r
         d = r - k
         spaces.append(((-1) ** d * q ** (d * (d - 1) // 2), _encode(q, _index_matmul(ctx, coeffs, bases))))
-    columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per y
-    pair_ct = np.zeros(m * n + 1, dtype=np.int64)
-    rank_ct = np.zeros(m * n + 1, dtype=np.int64)  # |GL_r| times the rank-r law's tally
-    for lo, hi in _blocks(0, q ** (r * n), max(q**r * n, columns * (m * n + 1))):
-        ys = _decode(q, np.arange(lo, hi, dtype=np.int64), r, n)
-        rows = _index_matmul(ctx, us, ys[:, None])[:, :, 0]  # y, u, n
-        row_ct = member[rows].sum(axis=2)  # y, u
-        y_full = rows[:, 1:].any(axis=2).all(axis=1)  # u = 0 comes first
+    columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per rank-r Y
+    # int64 holds while (mr + rn + r(r-1)/2) log2 q < 63.  Under the pair
+    # gate q^(mr+rn) <= 2^24, and r^2 <= (mr + rn) / 2, so that is at most
+    # 24 + 6 bits; under the scan gate q^(mn) <= 2^22, mr + rn <= 2mn and
+    # r^2 <= mn, so at most 44 + 11 bits.
+    pair_ct, rank_ct = np.zeros((2, m * n + 1), dtype=np.int64)
+    for lo, hi in _blocks(0, len(ys), max(q**r * n, columns * (m * n + 1))):
+        rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
+        row_ct = member[rows].sum(axis=2)  # Y, u
+        full = np.arange(lo, hi) >= first_full
 
-        # one column per y for W = V, then one per proper W and full-rank y
-        hists, weights, full_ct = [_tallies(row_ct, n + 1)], [y_full.astype(np.int64)], row_ct[y_full]
+        # one column per Y for W = V, then one per proper W and rank-r Y
+        hists, weights, full_ct = [_tallies(row_ct, n + 1)], [full.astype(np.int64)], row_ct[full]
         for mu, codes in spaces:
             hists.append(_tallies(full_ct[:, codes].reshape(-1, codes.shape[1]), n + 1))
             weights.append(np.full(hists[-1].shape[1], mu, dtype=np.int64))
         hist = np.concatenate(hists, axis=1)  # one row's count, column
-        law = np.zeros((m * n + 1, hist.shape[1]), dtype=np.int64)  # count, column: how many x give it
+        law = np.zeros((m * n + 1, hist.shape[1]), dtype=np.int64)  # count, column: how many X give it
         law[0] = 1
         for k in range(m):  # law is over k rows so far, whose counts are at most k n
             low, law = law[: k * n + 1], np.zeros_like(law)
             for v in range(n + 1):
                 law[v : v + len(low)] += hist[v] * low
-        pair_ct += law[:, : hi - lo].sum(axis=1)
+        pair_ct += law[:, : hi - lo] @ sizes[lo:hi]
         rank_ct += law @ np.concatenate(weights)
 
-    gl = int(rank_count(q, r, r, r))
-    full, expected = int(rank_ct.sum()), int(rank_count(q, m, n, r)) * gl
-    if full != expected or (rank_ct % gl).any():  # not an assert: python -O would strip it
-        raise RuntimeError(f"subspace tally found {full} full pairs, formula says {expected}, "
-                           f"each count a multiple of |GL_r| = {gl}")
-    matrix_tv: Fraction | None = None
-    if q ** (m * n) <= MAX_PAIR_ENUM:
-        pairs = q ** (m * r + r * n)
-        matrix_tv = Fraction(2 * (pairs - full), pairs)
-    return _exact_result("pairs", rank_ct // gl, pair_ct, matrix_tv)
+    matrices, pairs = int(rank_count(q, m, n, r)), q ** (m * r + r * n)
+    found = int(rank_ct.sum()), int(pair_ct.sum())
+    if found != (matrices, pairs):  # not an assert: python -O would strip it
+        raise RuntimeError(f"subspace tally found {found[0]} rank-r matrices and {found[1]} pairs, "
+                           f"formulas say {matrices} and {pairs}")
+    full_pairs = matrices * int(rank_count(q, r, r, r))
+    matrix_tv = Fraction(2 * (pairs - full_pairs), pairs) if q ** (m * n) <= MAX_PAIR_ENUM else None
+    return _exact_result("pairs", rank_ct, pair_ct, matrix_tv)
 
 
 def _exact_by_direct_scan(
@@ -853,35 +859,26 @@ def exact_distribution(
 ) -> ExactDistribution:
     """Exact law of the entry count by exhaustive enumeration.
 
-    method "pairs" covers every factor pair (needs q^(mr+rn) <= 2^24) and
-    yields both laws plus the matrix-level total variation (when
-    q^(mn) <= 2^24), in one pass over `_blocks` of the q^(r min(m, n))
-    Y's that lists no X and forms no product (see `_exact_by_pairs`).
-    "direct" scans all m x n matrices for rank r (needs q^(mn) <= 2^22)
-    and yields the rank-r law only.  "auto" prefers pairs.
+    method "pairs" (the "auto" choice) yields both laws plus the
+    matrix-level total variation (when q^(mn) <= 2^24) from one right
+    factor per row space (see `_exact_by_pairs`); it needs
+    q^(mr+rn) <= 2^24 or q^(mn) <= 2^22.  "direct", the reference scan
+    of all m x n matrices for rank r (needs q^(mn) <= 2^22), yields the
+    rank-r law only.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
-    pairs_ok = _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)
+    scan = f"q^(mn) = {ctx.q}^{m * n}"
     direct_ok = _power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
-    if method == "auto":
-        method = "pairs" if pairs_ok else "direct" if direct_ok else ""
-        if not method:
-            raise TooLargeToEnumerate(
-                f"q={ctx.q}, m={m}, n={n}, r={r} exceeds both enumeration gates"
-            )
-    if method == "pairs":
-        if not pairs_ok:
-            raise TooLargeToEnumerate(
-                f"pair enumeration q^(mr+rn) = {ctx.q}^{m * r + r * n} over gate"
-            )
+    if method in ("auto", "pairs"):
+        if not (direct_ok or _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)):
+            pairs = f"q^(mr+rn) = {ctx.q}^{m * r + r * n}"
+            raise TooLargeToEnumerate(f"pair enumeration {pairs} and {scan} both over their gates")
         return _exact_by_pairs(ctx, m, n, r, subset_a)
     if method == "direct":
         if not direct_ok:
-            raise TooLargeToEnumerate(
-                f"direct scan q^(mn) = {ctx.q}^{m * n} over gate"
-            )
+            raise TooLargeToEnumerate(f"direct scan {scan} over gate")
         return _exact_by_direct_scan(ctx, m, n, r, subset_a)
     raise FqrankError(f"unknown method {method!r} (expected auto, pairs, or direct)")

@@ -330,6 +330,8 @@ def test_bad_rank_rejected(capsys):
         ("clt --field 2 --A 1 --m -1 --n 2 --r 0 --N 100 --seed 0", "-1 x 2"),
         ("count --field 2 --m -1 --n 2 --r 0", "-1 x 2"),
         ("count --field 2 --m 2 --n -3 --r 1", "2 x -3"),
+        ("sample --field 2 --m -1 --n 2 --r 0", "-1 x 2"),
+        ("identity --field 2 --A 1 --m -1 --n 2 --r 0", "-1 x 2"),
     ],
 )
 def test_negative_dimension_is_blamed_on_the_dimensions(capsys, argv, shape):
@@ -563,15 +565,32 @@ def test_argparse_errors_exit_2():
     assert info.value.code == 2
 
 
-def test_console_entry_point():
+def _fresh_process(argv, **env):
     # the child must import the same fqrank as the tests, installed or not
     src = str(Path(fqrank.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fqrank.cli",
-         "count", "--field", "2", "--m", "2", "--n", "2", "--r", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "fqrank.cli", *argv],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def test_console_entry_point():
+    proc = _fresh_process(["count", "--field", "2", "--m", "2", "--n", "2", "--r", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank_count"] == "9"
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_do(capsys, monkeypatch):
+    """main builds its parser once per process; an argparse usage error in
+    one call leaves nothing behind for the next."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    calls = ["exact --field 2 --m 2 --n 2 --A 1", "exact --field 2 --m 2 --n 2 --r 1 --A 1"]
+    for argv in calls:
+        try:
+            rc = main(argv.split())
+        except SystemExit as exc:
+            rc = exc.code
+        fresh = _fresh_process(argv.split(), COLUMNS="80")
+        assert (rc, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)

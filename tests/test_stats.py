@@ -623,7 +623,7 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         pytest.param(3, 2, 2, 1, 0b110, 4, id="3-2-2-1-6"),
         # pairs lists the y's of the transpose, 4 x 3: blocks of one y
         pytest.param(2, 3, 4, 2, 0b10, 64, id="2-3-4-2-2"),
-        # 5 convolutions of 13 counts per y: blocks of 3 y's, the last of one
+        # 5 convolutions of 13 counts per y: 15 y's in blocks of 3
         pytest.param(2, 4, 3, 2, 0b10, 200, id="2-4-3-2-2"),
     ],
 )
@@ -640,8 +640,10 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, q, m, n, r,
 
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
-    # pairs: one loop, over the y codes of the shape with the fewer columns
-    loops = {"pairs": {q ** (r * min(m, n))}, "direct": {q ** (m * n)}}
+    # pairs: one loop, over one y per row space of dimension k <= r in
+    # GF(q)^min(m, n): [min(m, n) k]_q = F(min(m, n), k) / |GL_k| of each
+    row_spaces = int(sum(rank_count(q, min(m, n), k, k) / rank_count(q, k, k, k) for k in range(r + 1)))
+    loops = {"pairs": {row_spaces}, "direct": {q ** (m * n)}}
     for method, ends in loops.items():
         most.clear()
         assert exact_distribution(ctx, m, n, r, subset, method) == whole[method]
@@ -735,6 +737,8 @@ def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
         (2, 3, 2, 1, 0b01), (3, 3, 3, 2, 0b010), (4, 2, 3, 1, 0b0110), (2, 3, 3, 0, 0b10),
         # past the per-pair oracle's reach: 2^24 pairs, 2^36 matrices, 2^18 representatives
         (2, 10, 2, 2, 0b10), (2, 6, 6, 2, 0b10), (2, 18, 1, 1, 0b10),
+        # past the old pair gate, 2^26 pairs; and q^r > the 1 + [2 1]_q row spaces
+        (2, 11, 2, 2, 0b10), (7, 2, 2, 2, 0b10), (8, 2, 2, 2, 0b10),
     ],
 )
 def test_exact_by_pairs_matches_orbit_representatives(q, m, n, r, amask):
@@ -795,16 +799,18 @@ def test_direct_scan_refuses_a_wrong_rank_count(monkeypatch):
 
 
 def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
+    # GF(2) 2 x 3 r=1, run as 3 x 2: 21 rank-1 matrices, 2^5 pairs
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
     count = stats.rank_count
-    monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + 1)
-    with pytest.raises(RuntimeError, match="subspace tally found"):
+    # a wrong rank count: the rank tally's total disagrees
+    monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + (args == (2, 3, 2, 1)))
+    with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 32 pairs, formulas say 22 and 32"):
         exact_distribution(ctx, 2, 3, 1, subset, method="pairs")
-    # GF(2) 2 x 2 r=1 has 9 = 3 * 3 full pairs, but 4 of them have count 1,
-    # not a multiple of the |GL_1| = 3 claimed here
-    monkeypatch.setattr(stats, "rank_count", lambda *args: Fraction(3))
-    with pytest.raises(RuntimeError, match="subspace tally found"):
-        exact_distribution(ctx, 2, 2, 1, subset, method="pairs")
+    # the zero y standing for 2 y's, not F(1, 0) = 1: the product tally's
+    # total gains the 2^3 x's of one more y, the rank tally is untouched
+    monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + (t == 0))
+    with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 40 pairs, formulas say 21 and 32"):
+        exact_distribution(ctx, 2, 3, 1, subset, method="pairs")
 
 
 def test_exact_distribution_gates():
@@ -813,7 +819,8 @@ def test_exact_distribution_gates():
         exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4), method="pairs")
     with pytest.raises(TooLargeToEnumerate):
         exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4), method="direct")
-    with pytest.raises(TooLargeToEnumerate):
+    # auto takes pairs, which is refused only when both powers are over their gates
+    with pytest.raises(TooLargeToEnumerate, match=r"4\^24 and q\^\(mn\) = 4\^36 both over"):
         exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4))
     with pytest.raises(RankOutOfRange):
         exact_distribution(ctx, 2, 2, 3, SubsetA.nonzero(4))
@@ -831,7 +838,22 @@ def test_direct_scan_admits_any_rank_count(monkeypatch):
     # 2^22 matrices of which (2^11 - 1)(2^11 - 2) > 2^20 have rank 2: the scan
     # tallies counts block by block, so the rank count bounds no memory
     monkeypatch.setattr(stats, "_exact_by_direct_scan", lambda *args: "scanned")
-    assert exact_distribution(make_field(2, 1), 2, 11, 2, SubsetA.from_indices(2, [1])) == "scanned"
+    subset = SubsetA.from_indices(2, [1])
+    assert exact_distribution(make_field(2, 1), 2, 11, 2, subset, method="direct") == "scanned"
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r",  # each over the pair gate q^(mr+rn) <= 2^24, under the scan gate
+    [(2, 2, 11, 2), (2, 4, 5, 3), (2, 4, 5, 4), (2, 3, 7, 3), (4, 3, 3, 3), (3, 3, 4, 3)],
+)
+def test_auto_takes_pairs_wherever_the_scan_could_run(q, m, n, r):
+    ctx, subset = field_from_order(q), SubsetA(q, 0b10)
+    direct = exact_distribution(ctx, m, n, r, subset, method="direct")
+    for shape in {(m, n), (n, m)}:  # GF(2) 2 x 11 and 11 x 2; the scan's law is the same
+        auto = exact_distribution(ctx, *shape, r, subset)
+        assert auto.method == "pairs"
+        assert (auto.rank_dist, auto.mean, auto.variance) == (direct.rank_dist, direct.mean, direct.variance)
+        assert auto.matrix_tv == tv_closed_form_exact(q, *shape, r)
 
 
 # --- Monte Carlo normality reports -----------------------------------------------------
