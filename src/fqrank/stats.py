@@ -797,10 +797,9 @@ def _exact_by_pairs(
         d = r - k
         spaces.append(((-1) ** d * q ** (d * (d - 1) // 2), _encode(q, _index_matmul(ctx, coeffs, bases))))
     columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per rank-r Y
-    # int64 holds while (mr + rn + r(r-1)/2) log2 q < 63.  Under the pair
-    # gate q^(mr+rn) <= 2^24, and r^2 <= (mr + rn) / 2, so that is at most
-    # 24 + 6 bits; under the scan gate q^(mn) <= 2^22, mr + rn <= 2mn and
-    # r^2 <= mn, so at most 44 + 11 bits.
+    # int64 holds while (mr + rn + r(r-1)/2) log2 q < 63: at most 24 + 6 bits
+    # under the pair gate q^(mr+rn) <= 2^24, as r^2 <= (mr + rn) / 2, and 44 + 11
+    # under the scan gate q^(mn) <= 2^22, as mr + rn <= 2mn and r^2 <= mn.
     pair_ct, rank_ct = np.zeros((2, m * n + 1), dtype=np.int64)
     for lo, hi in _blocks(0, len(ys), max(q**r * n, columns * (m * n + 1))):
         rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
