@@ -66,7 +66,7 @@ MAX_DIRECT_SCAN = 1 << 22
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
-_BLAS_SLAB = 1 << 18  # multiply-adds per matmul call of the character transform
+_BLAS_SLAB = 1 << 18  # real multiply-adds per matmul call; a complex one counts as four
 _MATMUL_PER_GATHER = 8  # transform multiply-adds that cost as much as one product gather
 _ROUND_MARGIN = 0.25  # a transform count further than this from an integer is recounted
 
@@ -213,17 +213,46 @@ def _char_sums(
 ) -> np.ndarray:
     """row_char_sum at every character tuple on the subset at once.
 
-    entries[k] holds coordinate k of each row (or column); entry [chis] of
-    the result is row_char_sum's sum at chis, bit for bit: the products
-    are formed in member order from ones, and np.take keeps them C-ordered,
-    so each sum over the last axis is numpy's pairwise sum as for 1-d.
+    entries[k] holds coordinate k of each row (or column).  The coordinates
+    split in two: a tail of the trailing ones, as many as leave room for
+    two head rows in a matmul call within the slab below, and a head of
+    the rest.  The Khatri-Rao rows of each part, one per tuple of its
+    characters, are the operands of one matrix product, head @ tail.T,
+    whose entries are the (q-1)^|S| sums.  The head's rows are formed in
+    `_blocks`; a slab of one row, and a subset with no head, is an
+    elementwise product and numpy sum.  The sums are exact where the
+    character values are (q = 2) and equal row_char_sum's to rounding
+    elsewhere.
+    No matmul call holds _BLAS_SLAB / 4 complex multiply-adds (four real
+    ones each), and none has one row: OpenBLAS's zgemm starts its threads
+    at that size, and its zgemv at 4096 entries.
     """
-    lead = (1,) * subset.size
-    prod = np.ones(lead + (entries.shape[1],), dtype=np.complex128)
-    for pos, k in enumerate(subset.members()):
-        shape = lead[:pos] + (table.mult.shape[0],) + lead[pos + 1 :] + (entries.shape[1],)
-        prod = prod * np.take(table.mult, entries[k], axis=1).reshape(shape)
-    return np.asarray(prod.sum(axis=-1))  # 0-d, not a scalar, for the empty subset
+    members = subset.members()
+    width = entries.shape[1]
+    if not members:
+        return np.full((), width, dtype=np.complex128)  # 0-d: the row count
+    k = table.mult.shape[0]
+    budget = _BLAS_SLAB // 4 - 1
+    values = [np.take(table.mult, entries[j], axis=1) for j in members]  # (q-1, width)
+    tail = values.pop()
+    while values and 2 * k * len(tail) * width <= budget:
+        tail = (values.pop()[:, None] * tail).reshape(k * len(tail), width)
+    if not values:
+        return tail.sum(axis=1).reshape((k,) * len(members))
+    out = np.empty((k ** len(values), len(tail)), dtype=np.complex128)
+    step = max(1, budget // (len(tail) * width))
+    for lo, hi in _blocks(0, len(out), width):
+        heads = np.arange(lo, hi)
+        head = np.ones((hi - lo, width), dtype=np.complex128)
+        for pos, v in enumerate(values):
+            head *= v[heads // k ** (len(values) - 1 - pos) % k]
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            if b - a > 1:
+                np.matmul(head[a - lo : b - lo], tail.T, out=out[a:b])
+            else:
+                out[a] = (head[a - lo] * tail).sum(axis=1)
+    return out.reshape((k,) * len(members))
 
 
 @dataclass(frozen=True)
@@ -265,10 +294,13 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     the term-count cap admits).
 
     Per index subset S, the row and column character sums at all (q-1)^|S|
-    tuples come from one broadcast product each (transient memory about
-    16 * (q-1)^|S| * max(m, n) bytes), and the main term is accumulated as
-    Python complex in subset_coefficients' key order, so each term equals
-    coefficient * (row_char_sum - mean) * (col_char_sum - mean).
+    tuples come from `_char_sums`' matrix products.  The main term is one
+    vector expression over all q^r keys in subset_coefficients' order:
+    coefficient * dx * dy formed left to right from real and imaginary
+    parts, as Python multiplies complex numbers, and summed in key order by
+    np.cumsum (numpy's complex multiply may fuse, and its sum is pairwise).
+    The terms are exact where the character values are (q = 2) and correct
+    to rounding elsewhere.  Transient memory is about 100 * q^r bytes.
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
@@ -287,17 +319,25 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     mean_term = float(_ct_mean(ctx.q, subset_a, r, m, n))
     gamma = float(subset_bias(ctx.q, subset_a))
 
-    main = 0.0 + 0.0j
-    for mask, coeffs in enumerate(_coefficient_arrays(ctx, subset_a.mask, r)):
+    coeffs = _coefficient_arrays(ctx, subset_a.mask, r)
+    dxs, dys = [], []
+    for mask in range(len(coeffs)):
         subset = IndexSubset(r, mask)
         trivial = (0,) * subset.size
         xs = _char_sums(x.data.T, subset, table)
         ys = _char_sums(y.data, subset, table)
         xs[trivial] -= float(expected_char_sum(ctx.q, subset, trivial, m))
         ys[trivial] -= float(expected_char_sum(ctx.q, subset, trivial, n))
-        terms = zip(coeffs.ravel().tolist(), xs.ravel().tolist(), ys.ravel().tolist())
-        for coeff, dx, dy in terms:
-            main += coeff * dx * dy
+        dxs.append(xs.ravel())
+        dys.append(ys.ravel())
+    c, dx, dy = (np.concatenate(parts) for parts in ([a.ravel() for a in coeffs], dxs, dys))
+    re = c.real * dx.real - c.imag * dx.imag
+    im = c.real * dx.imag + c.imag * dx.real
+    # 0.0 + as in Python's sum from 0j, which never ends at -0.0
+    main = complex(
+        0.0 + np.cumsum(re * dy.real - im * dy.imag)[-1],
+        0.0 + np.cumsum(re * dy.imag + im * dy.real)[-1],
+    )
 
     ez, _ = zero_count_moments(ctx.q, r, m)
     ew, _ = zero_count_moments(ctx.q, r, n)

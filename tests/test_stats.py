@@ -301,6 +301,28 @@ def test_decompose_matches_per_key_route_gf16_r3():
     assert abs(decompose_ct(x, y, subset).main_term - per_key_main_term(x, y, coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "q, amask, r, m, n",
+    [
+        (3, None, 2, 0, 5),
+        (3, None, 2, 4, 0),
+        (5, None, 2, 0, 0),
+        (4, None, 0, 3, 4),
+        (16, None, 4, 64, 64),  # |S| = 4: a head of 225 Khatri-Rao rows
+        (64, 0b10, 3, 32, 32),  # A = {1}: 63 and 3969 head rows
+    ],
+)
+def test_decompose_edge_and_scale(q, amask, r, m, n):
+    ctx = field_from_order(q)
+    subset = SubsetA.nonzero(q) if amask is None else SubsetA(q, amask)
+    stream = SeedSpec(23).stream(q)
+    x = uniform_matrix(ctx, m, r, stream)
+    y = uniform_matrix(ctx, r, n, stream)
+    dec = decompose_ct(x, y, subset)
+    assert dec.ct_value == ct(mat_mul(x, y), subset)
+    assert abs(dec.residual) < 1e-9
+
+
 def test_conditional_mean_given_left_factor():
     # for fixed x, averaging ct over every y must give n*(m*|A|/q - gamma*Z)
     for q, m, r, n in [(2, 3, 2, 3), (3, 2, 1, 2)]:
@@ -550,6 +572,40 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     sizes.clear()
     assert np.array_equal(got, stats._transform(hist, table, r))
     assert len(sizes) == r  # one call per pass
+
+
+@pytest.mark.parametrize(
+    "q, r, width", [(16, 3, 64), (16, 4, 20), (64, 3, 32), (17, 3, 64), (5, 4, 300), (256, 2, 300)]
+)
+def test_char_sums_contract_in_blas_slabs(monkeypatch, q, r, width):
+    """No matmul call of the character sums holds _BLAS_SLAB / 4 complex
+    multiply-adds or has one row or column, at the true slab and at a
+    smaller one, and the sums are the per-tuple sums either way."""
+    sizes = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        assert a.ndim == b.ndim == 2 and a.shape[0] > 1 and b.shape[1] > 1  # no zgemv
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, out=out)
+
+    table = character_table(field_from_order(q))
+    entries = np.random.default_rng(q * r).integers(0, q, (r, width))
+    subset = IndexSubset(r, (1 << r) - 1)
+    letters = "abcdef"[:r]
+    want = np.einsum(
+        ",".join(c + "i" for c in letters) + "->" + letters,
+        *(table.mult[:, e] for e in entries),
+    )
+    monkeypatch.setattr(np, "matmul", recording)
+    for slab in (stats._BLAS_SLAB, stats._BLAS_SLAB // 16):
+        monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
+        sizes.clear()
+        got = stats._char_sums(entries, subset, table)
+        assert 4 * max(sizes, default=0) < slab
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # 255 characters at 300 entries are past the slab: every head row is elementwise
+    assert bool(sizes) != (q == 256)
 
 
 def test_product_ct_input_checks():
