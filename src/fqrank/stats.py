@@ -58,7 +58,7 @@ from .matrices import (
     _rank_stack,
     ct,
 )
-from .sampling import _blocks, _draw_seeded_block
+from .sampling import _BLOCK_ENTRIES, _blocks, _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
@@ -190,9 +190,13 @@ def _coefficient_arrays(ctx: FieldCtx, amask: int, r: int) -> tuple[np.ndarray, 
     for a in SubsetA(ctx.q, amask).members():
         for acc, coeffs in zip(total, _element_coefficients(ctx, a, r)):
             acc += coeffs
-    for acc in total:
-        acc.setflags(write=False)
-    return tuple(total)
+    return _read_only(*total)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def subset_coefficients(
@@ -208,51 +212,106 @@ def subset_coefficients(
     }
 
 
-def _char_sums(
-    entries: np.ndarray, subset: IndexSubset, table: CharacterTable
-) -> np.ndarray:
-    """row_char_sum at every character tuple on the subset at once.
+def _char_sums(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
+    """row_char_sum at every index subset and character tuple at once.
 
-    entries[k] holds coordinate k of each row (or column).  The coordinates
-    split in two: a tail of the trailing ones, as many as leave room for
-    two head rows in a matmul call within the slab below, and a head of
-    the rest.  The Khatri-Rao rows of each part, one per tuple of its
-    characters, are the operands of one matrix product, head @ tail.T,
-    whose entries are the (q-1)^|S| sums.  The head's rows are formed in
-    `_blocks`; a slab of one row, and a subset with no head, is an
-    elementwise product and numpy sum.  The sums are exact where the
-    character values are (q = 2) and equal row_char_sum's to rounding
-    elsewhere.
+    entries[k] holds coordinate k of each row (or column); the result has
+    shape (q,)*r, and its entry at t is sum_i prod_k E[t_k, entries[k, i]],
+    E being table.mult with a row of ones, index q-1, appended: t_k = q-1
+    means coordinate k is absent.  So the entry at t is row_char_sum on the
+    subset S = {k : t_k < q-1} at the characters t restricted to S, and the
+    q^r entries hold every subset's (q-1)^|S| sums.
+
+    The coordinates split in two, a tail of the trailing ones and a head of
+    the rest, and the Khatri-Rao rows of each part, one per index tuple of
+    its coordinates, are the operands of one matrix product, head @ tail.T.
+    The tail takes coordinates while its rows, squared, times the width fit
+    in the slab below, so a call has about as many head rows as the tail
+    has rows (calls of 3 head rows ran about twice as slow per multiply-add
+    as calls of 63).  All r coordinates in the tail leave no head, and an
+    elementwise product and numpy sum.  The head is formed by broadcast
+    products, a `_BLOCK_ENTRIES` block of its trailing coordinates at a
+    time, scaled by each tuple of the leading ones.  Where two head rows of
+    the full width would overflow a call, each call takes a span of about
+    sqrt(slab / tail rows) entries and the spans' products add up (with
+    every head row elementwise instead, GF(16) r = 3 at 4096 entries took
+    66 ms against 9-16 ms).  The sums are exact where the character values
+    are (q = 2) and equal row_char_sum's to rounding elsewhere.
     No matmul call holds _BLAS_SLAB / 4 complex multiply-adds (four real
-    ones each), and none has one row: OpenBLAS's zgemm starts its threads
-    at that size, and its zgemv at 4096 entries.
+    ones each), and none has one row, which is an elementwise product and
+    sum instead: OpenBLAS's zgemm starts its threads at that size, and its
+    zgemv at 4096 entries.
     """
-    members = subset.members()
-    width = entries.shape[1]
-    if not members:
+    r, width = entries.shape
+    if not r:
         return np.full((), width, dtype=np.complex128)  # 0-d: the row count
-    k = table.mult.shape[0]
+    q = table.mult.shape[1]
     budget = _BLAS_SLAB // 4 - 1
-    values = [np.take(table.mult, entries[j], axis=1) for j in members]  # (q-1, width)
+    extended = np.vstack([table.mult, np.ones(q)])  # character q-1: the coordinate is absent
+    # C-ordered (q, width) per coordinate, as np.take gives and extended[:, e] does not:
+    # the products keep their operands' layout, and the sums' order follows it
+    values = [np.take(extended, coordinate, axis=1) for coordinate in entries]
     tail = values.pop()
-    while values and 2 * k * len(tail) * width <= budget:
-        tail = (values.pop()[:, None] * tail).reshape(k * len(tail), width)
+    while values and (q * len(tail)) ** 2 * width <= budget:
+        tail = (values.pop()[:, None] * tail).reshape(q * len(tail), width)
     if not values:
-        return tail.sum(axis=1).reshape((k,) * len(members))
-    out = np.empty((k ** len(values), len(tail)), dtype=np.complex128)
-    step = max(1, budget // (len(tail) * width))
-    for lo, hi in _blocks(0, len(out), width):
-        heads = np.arange(lo, hi)
-        head = np.ones((hi - lo, width), dtype=np.complex128)
-        for pos, v in enumerate(values):
-            head *= v[heads // k ** (len(values) - 1 - pos) % k]
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            if b - a > 1:
-                np.matmul(head[a - lo : b - lo], tail.T, out=out[a:b])
-            else:
-                out[a] = (head[a - lo] * tail).sum(axis=1)
-    return out.reshape((k,) * len(members))
+        return tail.sum(axis=1).reshape((q,) * r)
+    inner = values.pop()
+    while values and q * len(inner) * width <= _BLOCK_ENTRIES:
+        inner = (values.pop()[:, None] * inner).reshape(q * len(inner), width)
+    out = np.empty((q ** len(values), len(inner), len(tail)), dtype=np.complex128)
+    span = width  # entries per call
+    if 2 * len(tail) * width > budget:  # calls about as tall as wide, over part of the entries
+        span = math.isqrt(budget // len(tail))
+    calls = -(-len(inner) // (budget // (len(tail) * span)))
+    bounds = [len(inner) * i // calls for i in range(calls + 1)]  # even slabs
+    for block, scales in zip(out, itertools.product(*values)):
+        head = inner
+        for scale in scales:
+            head = head * scale
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a == 1:
+                block[a] = (head[a] * tail).sum(axis=1)
+                continue
+            np.matmul(head[a:b, :span], tail[:, :span].T, out=block[a:b])
+            for k in range(span, width, span):
+                block[a:b] += np.matmul(head[a:b, k : k + span], tail[:, k : k + span].T)
+    return out.reshape((q,) * r)
+
+
+@lru_cache(maxsize=None)
+def _key_order(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where `_char_sums`' flattened result holds each key of
+    subset_coefficients, in key order, and the places in key order of the
+    2^r all-trivial keys, each the first of its subset's (q-1)^|S|."""
+    digits = np.indices((q,) * r).reshape(r, q**r)  # of each flat index, coordinate 0 first
+    masks = (1 << np.arange(r)) @ (digits < q - 1)
+    codes = np.argsort(masks, kind="stable")  # within a subset, row-major over its members
+    return _read_only(codes, np.searchsorted(masks[codes], np.arange(2**r)))
+
+
+@lru_cache(maxsize=None)
+def _pair_free_terms(
+    ctx: FieldCtx, amask: int, r: int
+) -> tuple[np.ndarray, np.ndarray, Fraction, float]:
+    """decompose_ct's constants that depend on neither factor nor size: the
+    real and imaginary parts of the coefficients in key order, _ct_mean per
+    entry of the product (not MomentParams' mean: the identity holds for any
+    inner size r, r > min(m, n) too), and subset_bias as a float."""
+    subset_a = SubsetA(ctx.q, amask)
+    c = np.concatenate([a.ravel() for a in _coefficient_arrays(ctx, amask, r)])
+    re, im = _read_only(c.real.copy(), c.imag.copy())
+    return re, im, _ct_mean(ctx.q, subset_a, r, 1, 1), float(subset_bias(ctx.q, subset_a))
+
+
+@lru_cache(maxsize=None)
+def _row_centring(q: int, r: int, rows: int) -> tuple[np.ndarray, float]:
+    """The expected_char_sum of each index subset's all-trivial tuple, mask
+    order, and the expected number of zero rows, over `rows` iid uniform
+    rows of width r."""
+    centres = np.array([float(expected_char_sum(q, s, (0,) * s.size, rows)) for s in all_subsets(r)])
+    centres.setflags(write=False)
+    return centres, float(zero_count_moments(q, r, rows)[0])
 
 
 @dataclass(frozen=True)
@@ -293,14 +352,18 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     residual is floating-point noise only (|residual| <= 1e-6 at the sizes
     the term-count cap admits).
 
-    Per index subset S, the row and column character sums at all (q-1)^|S|
-    tuples come from `_char_sums`' matrix products.  The main term is one
-    vector expression over all q^r keys in subset_coefficients' order:
-    coefficient * dx * dy formed left to right from real and imaginary
-    parts, as Python multiplies complex numbers, and summed in key order by
-    np.cumsum (numpy's complex multiply may fuse, and its sum is pairwise).
-    The terms are exact where the character values are (q = 2) and correct
-    to rounding elsewhere.  Transient memory is about 100 * q^r bytes.
+    The row and column character sums of every index subset come from one
+    `_char_sums` call per factor, read out in subset_coefficients' key order
+    through `_key_order`'s cached index, and the all-trivial keys are
+    centred by `_row_centring`'s cached expected_char_sum values.  The main
+    term is one vector expression over all q^r keys: coefficient * dx * dy
+    formed left to right from real and imaginary parts, as Python multiplies
+    complex numbers, and summed in key order by np.cumsum (numpy's complex
+    multiply may fuse, and its sum is pairwise).  The terms are exact where
+    the character values are (q = 2) and correct to rounding elsewhere.
+    Every constant that does not depend on the pair is cached, per field,
+    entry subset and r, or per (q, r, m) for the row-count terms.  Transient
+    memory is about 100 * q^r bytes.
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
@@ -314,39 +377,28 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
         raise TooLargeToEnumerate(
             f"decomposition over q^r = {ctx.q}^{r} > 2^22 character terms not supported"
         )
+    codes, trivial = _key_order(ctx.q, r)
+    c_re, c_im, mean_per_entry, gamma = _pair_free_terms(ctx, subset_a.mask, r)
+    x_centres, ez = _row_centring(ctx.q, r, m)
+    y_centres, ew = _row_centring(ctx.q, r, n)
     table = character_table(ctx)
-    # not MomentParams: the identity holds for any inner size r, r > min(m, n) too
-    mean_term = float(_ct_mean(ctx.q, subset_a, r, m, n))
-    gamma = float(subset_bias(ctx.q, subset_a))
-
-    coeffs = _coefficient_arrays(ctx, subset_a.mask, r)
-    dxs, dys = [], []
-    for mask in range(len(coeffs)):
-        subset = IndexSubset(r, mask)
-        trivial = (0,) * subset.size
-        xs = _char_sums(x.data.T, subset, table)
-        ys = _char_sums(y.data, subset, table)
-        xs[trivial] -= float(expected_char_sum(ctx.q, subset, trivial, m))
-        ys[trivial] -= float(expected_char_sum(ctx.q, subset, trivial, n))
-        dxs.append(xs.ravel())
-        dys.append(ys.ravel())
-    c, dx, dy = (np.concatenate(parts) for parts in ([a.ravel() for a in coeffs], dxs, dys))
-    re = c.real * dx.real - c.imag * dx.imag
-    im = c.real * dx.imag + c.imag * dx.real
+    dx = _char_sums(x.data.T, table).ravel()[codes]
+    dy = _char_sums(y.data, table).ravel()[codes]
+    dx[trivial] -= x_centres
+    dy[trivial] -= y_centres
+    re = c_re * dx.real - c_im * dx.imag
+    im = c_re * dx.imag + c_im * dx.real
     # 0.0 + as in Python's sum from 0j, which never ends at -0.0
     main = complex(
         0.0 + np.cumsum(re * dy.real - im * dy.imag)[-1],
         0.0 + np.cumsum(re * dy.imag + im * dy.real)[-1],
     )
-
-    ez, _ = zero_count_moments(ctx.q, r, m)
-    ew, _ = zero_count_moments(ctx.q, r, n)
-    zero_row_term = -gamma * n * (count_zero_rows(x) - float(ez))
-    zero_col_term = -gamma * m * (count_zero_cols(y) - float(ew))
+    zero_row_term = -gamma * n * (count_zero_rows(x) - ez)
+    zero_col_term = -gamma * m * (count_zero_cols(y) - ew)
 
     return Decomposition(
         ct_value=product_ct(x, y, subset_a),
-        mean_term=mean_term,
+        mean_term=float(mean_per_entry * (m * n)),
         main_term=main,
         zero_row_term=zero_row_term,
         zero_col_term=zero_col_term,
@@ -743,10 +795,11 @@ def run_clt(
 class ExactDistribution:
     """Exact laws of the entry count at one parameter point.
 
-    rank_dist is over uniform rank-r matrices; product_dist (pairs, the
-    auto route, only) is over products of unconditioned uniform factors;
-    matrix_tv is the total variation between the two matrix-level laws,
-    summed |P - U| with no 1/2.  Each is the same at (m, n) and at (n, m).
+    rank_dist is over uniform rank-r matrices.  The pairs route (the auto
+    choice) alone gives product_dist, over products of unconditioned uniform
+    factors, and matrix_tv, the total variation between the two matrix-level
+    laws, summed |P - U| with no 1/2.  Each is the same at (m, n) and at
+    (n, m).
     """
 
     rank_dist: dict[int, Fraction]
@@ -867,8 +920,7 @@ def _exact_by_pairs(
         raise RuntimeError(f"subspace tally found {found[0]} rank-r matrices and {found[1]} pairs, "
                            f"formulas say {matrices} and {pairs}")
     full_pairs = matrices * int(rank_count(q, r, r, r))
-    matrix_tv = Fraction(2 * (pairs - full_pairs), pairs) if q ** (m * n) <= MAX_PAIR_ENUM else None
-    return _exact_result("pairs", rank_ct, pair_ct, matrix_tv)
+    return _exact_result("pairs", rank_ct, pair_ct, Fraction(2 * (pairs - full_pairs), pairs))
 
 
 def _exact_by_direct_scan(
@@ -899,8 +951,8 @@ def exact_distribution(
     """Exact law of the entry count by exhaustive enumeration.
 
     method "pairs" (the "auto" choice) yields both laws plus the
-    matrix-level total variation (when q^(mn) <= 2^24) from one right
-    factor per row space (see `_exact_by_pairs`); it needs
+    matrix-level total variation from one right factor per row space (see
+    `_exact_by_pairs`); it needs
     q^(mr+rn) <= 2^24 or q^(mn) <= 2^22.  "direct", the reference scan
     of all m x n matrices for rank r (needs q^(mn) <= 2^22), yields the
     rank-r law only.

@@ -440,9 +440,9 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "75783200f1de459d67c2c00097408b7b758d004e299e2e6ba26ea675d59f3e5a",
         ),
         (
-            # 651 row spaces of dimension 2 in GF(2)^6
+            # 651 row spaces of dimension 2 in GF(2)^6; matrix_tv in closed form
             "exact --field 2 --m 6 --n 6 --r 2 --A 1",
-            "ffa1e3d9f9d4beecb47fa464eee55929180b02589bc7af7fe2710e8d3603146a",
+            "a6155714329d41fdb7d166d33b602bba029988d13de52a59cccbf0de557f9591",
         ),
         (
             "exact --field 4 --m 2 --n 3 --r 2 --A 1,2 --method pairs",
@@ -457,9 +457,9 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "33c0560fc5717b7eece396a2fb0b83e85d691305d683905e742c15aebfb1afb2",
         ),
         (
-            # q^(mn) = 2^25 is over the gate: matrix_tv is null
+            # q^(mn) = 2^25 is past the direct scan: matrix_tv is still the closed form
             "exact --field 2 --m 5 --n 5 --r 1 --A 1 --method pairs",
-            "4fff17f90b57e3f4286d59d14afead0604456117b743be1dc154978822f3317b",
+            "d243e57a5b038ca3749c15d0554b97e66e4fc6ff3982b4bc7e64767789bbaa48",
         ),
         (
             # 2^22 rank-1 matrices, listed from 2 right factors of the transpose

@@ -84,12 +84,18 @@ def test_coefficients_match_per_tuple_route(case):
 def test_batched_char_sums_match_per_tuple_sums(case):
     x, y, _ = case
     table = character_table(x.field)
-    for subset in all_subsets(x.cols):
-        xs = stats._char_sums(x.data.T, subset, table)
-        ys = stats._char_sums(y.data, subset, table)
-        for chis in np.ndindex(*xs.shape):
-            assert abs(xs[chis] - row_char_sum(x, subset, chis, table)) < 1e-12
-            assert abs(ys[chis] - col_char_sum(y, subset, chis, table)) < 1e-12
+    q, r = x.field.q, x.cols
+    xs = stats._char_sums(x.data.T, table)
+    ys = stats._char_sums(y.data, table)
+    assert xs.shape == ys.shape == (q,) * r
+    # every index t is one (subset, tuple) key: t_k = q-1 off the subset
+    for subset in all_subsets(r):
+        for chis in np.ndindex(*(q - 1,) * subset.size):
+            t = [q - 1] * r
+            for k, chi in zip(subset.members(), chis):
+                t[k] = chi
+            assert abs(xs[tuple(t)] - row_char_sum(x, subset, chis, table)) < 1e-12
+            assert abs(ys[tuple(t)] - col_char_sum(y, subset, chis, table)) < 1e-12
 
 
 @FEW

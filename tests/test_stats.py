@@ -301,6 +301,52 @@ def test_decompose_matches_per_key_route_gf16_r3():
     assert abs(decompose_ct(x, y, subset).main_term - per_key_main_term(x, y, coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("slab", [stats._BLAS_SLAB, stats._BLAS_SLAB // 64])
+@pytest.mark.parametrize("q, r, m, n", [(7, 2, 30, 20), (7, 3, 100, 96), (9, 2, 24, 30), (9, 3, 64, 50)])
+def test_decompose_matches_per_key_route_odd_characteristic(monkeypatch, slab, q, r, m, n):
+    # inexact character values; at the smaller slab every factor has a head of
+    # Khatri-Rao rows, and the sums run through matmul calls
+    monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
+    ctx = field_from_order(q)
+    subset = SubsetA.nonzero(q)
+    coeffs = stats.subset_coefficients(ctx, subset, r)
+    stream = SeedSpec(q * r).stream(m)
+    x = uniform_matrix(ctx, m, r, stream)
+    y = uniform_matrix(ctx, r, n, stream)
+    assert abs(decompose_ct(x, y, subset).main_term - per_key_main_term(x, y, coeffs)) < 1e-12
+
+
+def test_decompose_constants_cached(monkeypatch):
+    """A second decomposition at the same field, subset, r and sizes forms
+    no centring constant again, and every cached array is read-only."""
+    ctx, subset = field_from_order(16), SubsetA.nonzero(16)
+    stream = SeedSpec(24).stream(0)
+    x = uniform_matrix(ctx, 20, 3, stream)
+    y = uniform_matrix(ctx, 3, 24, stream)
+    calls = []
+    real = stats.expected_char_sum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stats, "expected_char_sum", counting)
+    stats._row_centring.cache_clear()
+    first = decompose_ct(x, y, subset)
+    assert len(calls) == 2 * 2**3  # one all-trivial tuple per subset, for m and for n
+    calls.clear()
+    assert decompose_ct(x, y, subset) == first
+    assert not calls
+    cached = [
+        *stats._key_order(16, 3),
+        *stats._pair_free_terms(ctx, subset.mask, 3)[:2],
+        stats._row_centring(16, 3, 20)[0],
+        stats._row_centring(16, 3, 24)[0],
+        *stats._coefficient_arrays(ctx, subset.mask, 3),
+    ]
+    assert not any(array.flags.writeable for array in cached)
+
+
 @pytest.mark.parametrize(
     "q, amask, r, m, n",
     [
@@ -309,7 +355,8 @@ def test_decompose_matches_per_key_route_gf16_r3():
         (5, None, 2, 0, 0),
         (4, None, 0, 3, 4),
         (16, None, 4, 64, 64),  # |S| = 4: a head of 225 Khatri-Rao rows
-        (64, 0b10, 3, 32, 32),  # A = {1}: 63 and 3969 head rows
+        (64, 0b10, 3, 32, 32),  # A = {1}: 4096 head rows
+        (16, None, 3, 2100, 8),  # x's calls each cover part of its 2100 rows
     ],
 )
 def test_decompose_edge_and_scale(q, amask, r, m, n):
@@ -575,12 +622,13 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
 
 
 @pytest.mark.parametrize(
-    "q, r, width", [(16, 3, 64), (16, 4, 20), (64, 3, 32), (17, 3, 64), (5, 4, 300), (256, 2, 300)]
+    "q, r, width", [(16, 3, 64), (16, 4, 20), (64, 3, 31), (17, 3, 64), (5, 4, 300), (256, 2, 300)]
 )
 def test_char_sums_contract_in_blas_slabs(monkeypatch, q, r, width):
     """No matmul call of the character sums holds _BLAS_SLAB / 4 complex
     multiply-adds or has one row or column, at the true slab and at a
-    smaller one, and the sums are the per-tuple sums either way."""
+    smaller one, and the sums of every subset are the per-tuple sums either
+    way."""
     sizes = []
     matmul = np.matmul
 
@@ -591,21 +639,20 @@ def test_char_sums_contract_in_blas_slabs(monkeypatch, q, r, width):
 
     table = character_table(field_from_order(q))
     entries = np.random.default_rng(q * r).integers(0, q, (r, width))
-    subset = IndexSubset(r, (1 << r) - 1)
+    extended = np.vstack([table.mult, np.ones(q)])  # character q-1: the coordinate is absent
     letters = "abcdef"[:r]
     want = np.einsum(
         ",".join(c + "i" for c in letters) + "->" + letters,
-        *(table.mult[:, e] for e in entries),
+        *(extended[:, e] for e in entries),
     )
     monkeypatch.setattr(np, "matmul", recording)
     for slab in (stats._BLAS_SLAB, stats._BLAS_SLAB // 16):
         monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
         sizes.clear()
-        got = stats._char_sums(entries, subset, table)
+        got = stats._char_sums(entries, table)
         assert 4 * max(sizes, default=0) < slab
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # 255 characters at 300 entries are past the slab: every head row is elementwise
-    assert bool(sizes) != (q == 256)
+        assert sizes  # GF(256): two head rows of 300 entries overflow a call, which splits them
 
 
 def test_product_ct_input_checks():
@@ -747,10 +794,12 @@ def test_exact_by_pairs_matches_per_pair_products(q, m, n, r, amask):
 
 
 def test_exact_by_pairs_without_matrices(monkeypatch):
-    # q^(mn) = 2^9 over the gate, q^(mr+rn) = 2^6 under it: the same laws, no matrix_tv
+    # q^(mn) = 2^9 over MAX_PAIR_ENUM, q^(mr+rn) = 2^6 under it: the same
+    # laws, and matrix_tv is the closed form, which the oracle enumerates
     monkeypatch.setattr(stats, "MAX_PAIR_ENUM", 1 << 8)
     ctx, subset = field_from_order(2), SubsetA(2, 0b10)
-    expected = dataclasses.replace(_exact_by_pairs_oracle(ctx, 3, 3, 1, subset), matrix_tv=None)
+    expected = _exact_by_pairs_oracle(ctx, 3, 3, 1, subset)
+    assert expected.matrix_tv == tv_closed_form_exact(2, 3, 3, 1)
     assert exact_distribution(ctx, 3, 3, 1, subset, method="pairs") == expected
 
 
@@ -800,6 +849,8 @@ def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
 def test_exact_by_pairs_matches_orbit_representatives(q, m, n, r, amask):
     ctx, subset = field_from_order(q), SubsetA(q, amask)
     expected = _exact_by_representatives_oracle(ctx, m, n, r, subset)
+    if expected.matrix_tv is None:  # past the oracle's enumeration gate
+        expected = dataclasses.replace(expected, matrix_tv=tv_closed_form_exact(q, m, n, r))
     assert exact_distribution(ctx, m, n, r, subset, method="pairs") == expected
 
 
