@@ -363,7 +363,8 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     the character values are (q = 2) and correct to rounding elsewhere.
     Every constant that does not depend on the pair is cached, per field,
     entry subset and r, or per (q, r, m) for the row-count terms.  Transient
-    memory is about 100 * q^r bytes.
+    memory is about 100 * q^r bytes, plus a `_BLOCK_ENTRIES` block of head
+    rows.
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
