@@ -35,16 +35,21 @@ def rank_count(q: int, s: int, t: int, r: int) -> Fraction:
     """Number of s x t matrices over GF(q) of rank exactly r.
 
     prod_{i=0}^{r-1} (q^s - q^i)(q^t - q^i) / (q^r - q^i); always an integer
-    (returned as a Fraction with denominator 1).
+    (returned as a Fraction with denominator 1).  The two products are
+    formed in integers and divided once.
     """
     if q < 2:
         raise FqrankError(f"field order must be >= 2, got {q}")
     _check_rank(r, s, t)
-    out = Fraction(1)
+    num = den = 1
     for i in range(r):
-        out *= Fraction((q**s - q**i) * (q**t - q**i), q**r - q**i)
-    assert out.denominator == 1
-    return out
+        qi = q**i
+        num *= (q**s - qi) * (q**t - qi)
+        den *= q**r - qi
+    out, rem = divmod(num, den)
+    if rem:  # not an assert: python -O would strip it
+        raise RuntimeError(f"rank count of {s} x {t} rank {r} over GF({q}) is not an integer")
+    return Fraction(out)
 
 
 def full_rank_pair_prob_exact(q: int, m: int, n: int, r: int) -> Fraction:

@@ -277,7 +277,8 @@ def _build_tables(spec: FieldSpec) -> FieldCtx:
         acc_tr = add[acc_tr, exp[ks * pow(p, i, q - 1) % (q - 1)]]
     trace = np.zeros(q, dtype=np.int16)
     trace[exp] = acc_tr
-    assert int(trace.max(initial=0)) < p, "trace must land in the prime subfield"
+    if int(trace.max(initial=0)) >= p:  # not an assert: python -O would strip it
+        raise RuntimeError(f"GF({q}) trace leaves the prime subfield GF({p})")
 
     return FieldCtx(
         spec=spec,

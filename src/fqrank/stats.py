@@ -545,27 +545,29 @@ def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
     and writes table^T @ each (q, q^k B) slice into a second buffer, so no
     pass moves an axis; when q^k B is 1 it is one (rows, q) @ table product.
     No matmul call contracts more than _BLAS_SLAB multiply-adds, batch items
-    included: OpenBLAS starts its threads above that size, and beside the
-    other clt worker processes they only contend for the same cores.
+    included, a complex one (odd p) counting as four: OpenBLAS starts its
+    threads above that size, and beside the other clt worker processes they
+    only contend for the same cores.
     The passes reshape and write with `out=`, which on a strided array
     would land in temporary copies, so hist is copied C-ordered whatever
     its own layout (a transposed tally among them).
     """
     q = len(table)
     pairs = hist.shape[1]
+    slab = _BLAS_SLAB // 4 if np.iscomplexobj(table) else _BLAS_SLAB
     src = hist.astype(table.dtype, order="C")
     dst = np.empty_like(src)
     for k in range(r):
         cols = q**k * pairs
         if cols == 1:
             rows, out = src.reshape(-1, q), dst.reshape(-1, q)
-            step = max(1, _BLAS_SLAB // (q * q))
+            step = max(1, slab // (q * q))
             for lo in range(0, len(rows), step):
                 np.matmul(rows[lo : lo + step], table, out=out[lo : lo + step])
         else:
             slabs, out = src.reshape(-1, q, cols), dst.reshape(-1, q, cols)
-            width = min(cols, max(1, _BLAS_SLAB // (q * q)))
-            items = max(1, _BLAS_SLAB // (q * q * width))
+            width = min(cols, max(1, slab // (q * q)))
+            items = max(1, slab // (q * q * width))
             for lo in range(0, len(slabs), items):
                 for left in range(0, cols, width):
                     part = np.s_[lo : lo + items, :, left : left + width]
@@ -811,10 +813,10 @@ class ExactDistribution:
     method: str
 
 
-def _law(counts: np.ndarray) -> dict[int, Fraction]:
+def _law(counts: list[int]) -> dict[int, Fraction]:
     """The law of a tally of entry counts, ascending over the values seen."""
-    total = int(counts.sum())
-    return {value: Fraction(cnt, total) for value, cnt in enumerate(counts.tolist()) if cnt}
+    total = sum(counts)
+    return {value: Fraction(cnt, total) for value, cnt in enumerate(counts) if cnt}
 
 
 def _exact_result(
@@ -822,12 +824,18 @@ def _exact_result(
     matrix_tv: Fraction | None = None,
 ) -> ExactDistribution:
     """The ExactDistribution of an enumeration's tallies of entry counts:
-    rank_ct over the rank-r matrices, pair_ct (pairs only) over all pairs."""
-    rank_dist = _law(rank_ct)
-    mean = sum((Fraction(v) * p for v, p in rank_dist.items()), Fraction(0))
-    second = sum((Fraction(v) ** 2 * p for v, p in rank_dist.items()), Fraction(0))
-    product_dist = None if pair_ct is None else _law(pair_ct)
-    return ExactDistribution(rank_dist, product_dist, mean, second - mean**2, matrix_tv, method)
+    rank_ct over the rank-r matrices, pair_ct (pairs only) over all pairs.
+
+    The moments come from the sums of c_v, v c_v and v^2 c_v over the tally,
+    in Python ints (numpy's int64 would wrap), and one Fraction each."""
+    counts = rank_ct.tolist()
+    total = sum(counts)
+    first = sum(v * c for v, c in enumerate(counts))
+    second = sum(v * v * c for v, c in enumerate(counts))
+    mean = Fraction(first, total)
+    variance = Fraction(second * total - first * first, total * total)
+    product_dist = None if pair_ct is None else _law(pair_ct.tolist())
+    return ExactDistribution(_law(counts), product_dist, mean, variance, matrix_tv, method)
 
 
 def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
@@ -842,15 +850,24 @@ def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
     once.  The reps are listed pivot set by pivot set, in the order of their
     free entries' codes.
     """
-    parts = []
+    sets = []  # per pivot set, places in a flattened rep: its r ones, then its free entries
     for pivots in itertools.combinations(range(m), r):
-        free = [(row, i) for i, p in enumerate(pivots) for row in range(p + 1, m) if row not in pivots]
-        part = np.zeros((q ** len(free), m, r), dtype=np.int16)
-        part[:, list(pivots), list(range(r))] = 1
-        codes = np.arange(len(part), dtype=np.int64)
-        part[:, [row for row, _ in free], [i for _, i in free]] = _decode(q, codes, 1, len(free))[:, 0]
-        parts.append(part)
-    return np.concatenate(parts)
+        free = [row * r + i for i, p in enumerate(pivots) for row in range(p + 1, m) if row not in pivots]
+        sets.append([p * r + i for i, p in enumerate(pivots)] + free)
+    most = max(map(len, sets)) - r
+    # r ones, then the digits of the row's code: a set with f free entries
+    # reads the first r + f columns of the first q^f rows
+    values = np.ones((q**most, r + most), dtype=np.int16)
+    if most:
+        values[:, r:] = _decode(q, np.arange(q**most, dtype=np.int64), 1, most)[:, 0]
+    total = sum(q ** (len(places) - r) for places in sets)
+    out = np.zeros((total, m * r), dtype=np.int16)
+    lo = 0
+    for places in sets:
+        hi = lo + q ** (len(places) - r)
+        out[lo:hi, places] = values[: hi - lo, : len(places)]
+        lo = hi
+    return out.reshape(total, m, r)
 
 
 def _exact_by_pairs(
@@ -878,8 +895,12 @@ def _exact_by_pairs(
     us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
     # one Y per row space, by dimension k: a representative's transposed
     # basis above r - k zero rows, standing for F(r, k) Y's; rank r comes last
-    reps = [_orbit_representatives(q, n, k).transpose(0, 2, 1) for k in range(r + 1)]  # Y, k, n
-    ys = np.concatenate([np.pad(rep, ((0, 0), (0, r - k), (0, 0))) for k, rep in enumerate(reps)])
+    reps = [_orbit_representatives(q, n, k) for k in range(r + 1)]  # Y, n, k
+    ys = np.zeros((sum(len(rep) for rep in reps), r, n), dtype=np.int16)
+    lo = 0
+    for k, rep in enumerate(reps):
+        ys[lo : lo + len(rep), :k] = rep.transpose(0, 2, 1)
+        lo += len(rep)
     sizes = np.repeat([int(rank_count(q, r, k, k)) for k in range(r + 1)], [len(rep) for rep in reps])
     first_full = len(ys) - len(reps[r])
     # per dimension k < r, mu(W, V) and the codes of each subspace's u's: the
@@ -906,12 +927,20 @@ def _exact_by_pairs(
             hists.append(_tallies(full_ct[:, codes].reshape(-1, codes.shape[1]), n + 1))
             weights.append(np.full(hists[-1].shape[1], mu, dtype=np.int64))
         hist = np.concatenate(hists, axis=1)  # one row's count, column
-        law = np.zeros((m * n + 1, hist.shape[1]), dtype=np.int64)  # count, column: how many X give it
-        law[0] = 1
-        for k in range(m):  # law is over k rows so far, whose counts are at most k n
-            low, law = law[: k * n + 1], np.zeros_like(law)
-            for v in range(n + 1):
-                law[v : v + len(low)] += hist[v] * low
+        # law (count, column: how many X give it) follows n zero rows, and
+        # window j (rows j to j + n of padded) ends at law[j]: a row of count v
+        # moves law[j - v] to j, so the next law is each window dotted with the
+        # reversed hist.  np.ndarray makes the view, as numpy 2.4's as_strided
+        # raised peak RSS by about 1 MiB over many calls
+        padded = np.zeros((n + m * n + 1, hist.shape[1]), dtype=np.int64)
+        padded[n] = 1
+        row, item = padded.strides
+        law = padded[n:]
+        windows = np.ndarray(  # j, column, n + 1
+            (len(law), hist.shape[1], n + 1), np.int64, buffer=padded, strides=(row, item, row)
+        )
+        for k in range(1, m + 1):  # law is over k - 1 rows so far; k rows count at most k n
+            law[: k * n + 1] = np.einsum("jcw,wc->jc", windows[: k * n + 1], hist[::-1])
         pair_ct += law[:, : hi - lo] @ sizes[lo:hi]
         rank_ct += law @ np.concatenate(weights)
 

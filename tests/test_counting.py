@@ -75,6 +75,21 @@ def test_rank_count_returns_integer_fraction():
     assert isinstance(v, Fraction) and v.denominator == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 16])
+@pytest.mark.parametrize("s, t", [(1, 1), (3, 5), (6, 2), (100, 100), (100, 131), (140, 101)])
+def test_rank_count_matches_the_fraction_product(q, s, t):
+    """The integer products divided once equal the product of the ratios
+    (q^s - q^i)(q^t - q^i) / (q^r - q^i) in Fractions, at every rank up to
+    min(s, t) in steps, and stay a Fraction of denominator 1."""
+    for r in sorted({0, 1, min(s, t) // 3, min(s, t) - 1, min(s, t)}):
+        want = Fraction(1)
+        for i in range(r):
+            want *= Fraction((q**s - q**i) * (q**t - q**i), q**r - q**i)
+        got = rank_count(q, s, t, r)
+        assert type(got) is Fraction and got.denominator == 1
+        assert got == want, (q, s, t, r)
+
+
 # --- full-rank product probability ----------------------------------------------
 
 def test_full_rank_pair_prob_matches_counting():

@@ -592,11 +592,14 @@ def test_transform_ct_keeps_float64_from_2_to_the_24_columns(monkeypatch):
     assert values.tolist() == [n]
 
 
-@pytest.mark.parametrize("q, r, pairs", [(2, 4, 3), (16, 4, 2), (16, 4, 1), (256, 2, 3), (3, 5, 2)])
+@pytest.mark.parametrize(
+    "q, r, pairs", [(2, 4, 3), (16, 4, 2), (16, 4, 1), (256, 2, 3), (3, 5, 2), (9, 4, 3)]
+)
 def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     """No matmul call of the transform contracts more than _BLAS_SLAB
-    multiply-adds, counting every item of a batched call, and the slabs
-    give the one-call-per-pass product."""
+    multiply-adds, counting every item of a batched call and a complex
+    multiply-add (odd p) as four, and the slabs give the one-call-per-pass
+    product."""
     sizes = []
     matmul = np.matmul
 
@@ -611,13 +614,18 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
         table = table.real.astype(np.float32)
     rng = np.random.default_rng(q * r)
     hist = rng.integers(0, 50, (q**r, pairs))
+    cost = 1 if ctx.p == 2 else 4
     monkeypatch.setattr(np, "matmul", recording)
     got = stats._transform(hist, table, r)
-    assert sizes and max(sizes) <= stats._BLAS_SLAB
+    assert sizes and cost * max(sizes) <= stats._BLAS_SLAB
     assert sum(sizes) == r * pairs * q ** (r + 1)
-    monkeypatch.setattr(stats, "_BLAS_SLAB", r * pairs * q ** (r + 1))
+    monkeypatch.setattr(stats, "_BLAS_SLAB", cost * r * pairs * q ** (r + 1))
     sizes.clear()
-    assert np.array_equal(got, stats._transform(hist, table, r))
+    whole = stats._transform(hist, table, r)
+    if ctx.p == 2:
+        assert np.array_equal(got, whole)
+    else:  # complex sums in another order
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-8)
     assert len(sizes) == r  # one call per pass
 
 
@@ -710,6 +718,27 @@ def test_exact_distribution_rank_zero():
     ctx = make_field(2, 1)
     dist = exact_distribution(ctx, 2, 2, 0, SubsetA.zero_only(2), method="direct")
     assert dist.rank_dist == {4: Fraction(1)}  # the zero matrix: all entries are 0
+
+
+@pytest.mark.parametrize("seed, length", [(0, 1), (1, 2), (2, 21), (3, 150), (4, 400)])
+def test_exact_result_moments_are_the_fraction_sums(seed, length):
+    """The integer moment sums equal the Fraction sums over the law, and the
+    product law is each count over the total, for tallies whose counts reach
+    2^62: their sums, and v^2 c_v, pass int64."""
+    rng = np.random.default_rng(seed)
+    rank_ct = rng.integers(0, 1 << 62, length, dtype=np.int64, endpoint=True)
+    rank_ct[rng.random(length) < 0.3] = 0  # values never seen
+    rank_ct[-1] = 1 << 62
+    pair_ct = rng.permutation(rank_ct)
+    got = stats._exact_result("pairs", rank_ct, pair_ct)
+    total = sum(rank_ct.tolist())
+    law = {v: Fraction(c, total) for v, c in enumerate(rank_ct.tolist()) if c}
+    mean = sum((Fraction(v) * p for v, p in law.items()), Fraction(0))
+    second = sum((Fraction(v) ** 2 * p for v, p in law.items()), Fraction(0))
+    assert got.rank_dist == law and list(got.rank_dist) == sorted(law)
+    assert got.mean == mean and got.variance == second - mean**2
+    pairs = sum(pair_ct.tolist())
+    assert got.product_dist == {v: Fraction(c, pairs) for v, c in enumerate(pair_ct.tolist()) if c}
 
 
 def test_exact_distribution_matrix_tv_matches_closed_form():
