@@ -622,10 +622,13 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     monkeypatch.setattr(stats, "_BLAS_SLAB", cost * r * pairs * q ** (r + 1))
     sizes.clear()
     whole = stats._transform(hist, table, r)
-    if ctx.p == 2:
+    if (q, r, pairs) == (9, 4, 3):
+        # The last pass splits its 2187 columns; zgemm rounds 27 of the
+        # 19683 outputs otherwise, by at most 5.1e-13 on entries up to 1.6e5.
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(got, whole, rtol=0, atol=eps * np.abs(whole).max())
+    else:
         assert np.array_equal(got, whole)
-    else:  # complex sums in another order
-        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-8)
     assert len(sizes) == r  # one call per pass
 
 
