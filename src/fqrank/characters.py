@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .counting import entry_bias
-from .field import FieldCtx, FqrankError, _power_at_most
+from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most
 
 MAX_TUPLE_TABLE = 1 << 20
 _OFF_UNITS_TOL = 1e-12  # fourier_transform refuses more mass than this off the units
@@ -399,7 +399,7 @@ def sum_indicator(ctx: FieldCtx, a: int, r: int) -> FunctionTable:
     sums = np.zeros((), dtype=np.int16)
     coords = np.arange(ctx.q, dtype=np.int16)
     for _ in range(r):
-        sums = ctx.add_table[sums[..., None], coords]
+        sums = _add_arrays(ctx, sums[..., None], coords)
     return FunctionTable(ctx.q, (sums == a).astype(np.complex128))
 
 

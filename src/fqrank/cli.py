@@ -35,7 +35,7 @@ from .counting import (
 )
 from .field import FieldCtx, FqrankError, parse_field_spec
 from .matrices import MatrixFq, SubsetA, _index_matmul, dump_matrix, load_matrix
-from .sampling import SeedSpec, _blocks, _draw_seeded_block, uniform_matrix
+from .sampling import SeedSpec, _blocks, _draw_seeded_block
 from .stats import _normal_cdf_array, decompose_ct, exact_distribution, run_clt
 
 
@@ -254,12 +254,14 @@ def _cmd_identity(args: argparse.Namespace) -> int:
         _check_shape_flags(m, n)
         if r < 0:
             raise UsageError(f"--r: rank {r} is negative")
-        spec = SeedSpec(_seed_flag(args.seed))
-        for i in range(_count_flag(args.count)):
-            rng = spec.stream(i)
-            x = uniform_matrix(ctx, m, r, rng)
-            y = uniform_matrix(ctx, r, n, rng)
-            records.append(_decomposition_record(decompose_ct(x, y, subset)))
+        seed, count = _seed_flag(args.seed), _count_flag(args.count)
+        mode = "product" if r else "exact"  # r = 0 draws nothing, and only exact mode takes it
+        for start, stop in _blocks(0, count, (m + n) * r):
+            lefts, rights = _draw_seeded_block(ctx, m, n, r, seed, start, stop, mode)
+            records.extend(
+                _decomposition_record(decompose_ct(MatrixFq(ctx, x), MatrixFq(ctx, y), subset))
+                for x, y in zip(lefts, rights)
+            )
         config = {"q": ctx.q, "m": m, "r": r, "n": n, "seed": args.seed}
 
     worst = max(rec["residual_abs"] for rec in records)

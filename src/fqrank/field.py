@@ -233,6 +233,31 @@ class FieldCtx:
         return f"FieldCtx(q={self.q}, p={self.p}, e={self.e})"
 
 
+def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """table[a, b] for a C-ordered q x q table and broadcastable int16 index
+    arrays, as one 1-D take on the raveled table at a q + b: numpy's
+    two-array fancy index is its slowest gather.  The flat index stays int16
+    while q^2 <= 2^15, and is formed in intp from there on, where a q would
+    wrap in int16 (from q = 191 among the fields supported)."""
+    q = len(table)
+    if q * q > 1 << 15:
+        a = a.astype(np.intp)
+    return table.take(a * q + b)
+
+
+def _mul_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of broadcastable int16 index arrays, as int16."""
+    return _gather(ctx.mul_table, a, b)
+
+
+def _add_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise sum of broadcastable int16 index arrays, as int16.
+
+    For p = 2 an index's bits are its polynomial's coefficients, which add
+    mod 2, so the sum is the XOR of the indices and reads no table."""
+    return a ^ b if ctx.p == 2 else _gather(ctx.add_table, a, b)
+
+
 def _build_tables(spec: FieldSpec) -> FieldCtx:
     p, e, q = spec.p, spec.e, spec.q
     modulus = list(spec.modulus)
@@ -274,7 +299,7 @@ def _build_tables(spec: FieldSpec) -> FieldCtx:
     # absolute trace a + a^p + ... + a^(p^(e-1)), evaluated on the unit cycle
     acc_tr = exp
     for i in range(1, e):
-        acc_tr = add[acc_tr, exp[ks * pow(p, i, q - 1) % (q - 1)]]
+        acc_tr = _gather(add, acc_tr, exp[ks * pow(p, i, q - 1) % (q - 1)])
     trace = np.zeros(q, dtype=np.int16)
     trace[exp] = acc_tr
     if int(trace.max(initial=0)) >= p:  # not an assert: python -O would strip it

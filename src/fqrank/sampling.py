@@ -14,15 +14,17 @@ matrices with no further correction.
 The rejection loop (`_reject_full_rank`) draws one full-rank matrix per
 stream of a list, redrawing only the rejected matrices, each from its own
 stream, so every stream is consumed exactly as when it is drawn alone.
-`draw_factor_pair` calls it on its one stream, left factor first.
+`draw_factor_pair` and the two samplers call it on their one stream, left
+factor first.
 
 `_draw_seeded_block` draws the streams of one seed and a range of indices
 with no generator per stream: a single Philox, reset to key (seed, i) and
 counter 0, gives stream i's words, all of a pair's first candidates in one
 call.  Only streams with a rejected first candidate are drawn again, from
-their start, by `_reject_full_rank`: left factors, then right.  `clt` and
-`sample` draw through it, one of `_blocks` at a time; `SeedSpec.stream` and
-`draw_factor_pair` stay the per-stream route it is checked against.
+their start, by `_reject_full_rank`: left factors, then right.  `clt`,
+`sample` and `identity` draw through it, one of `_blocks` at a time;
+`SeedSpec.stream` and `draw_factor_pair` stay the per-stream route it is
+checked against.
 `_blocks` is the one rule that bounds a stack loop's memory, here and in
 `stats`.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from .counting import RankOutOfRange, _check_rank
 from .field import FieldCtx, FqrankError
-from .matrices import MatrixFq, _rank_stack, mat_mul
+from .matrices import MatrixFq, _index_matmul, _rank_stack
 
 REJECTION_CAP = 10_000  # attempts per matrix before the rejection loop gives up
 _BLOCK_ENTRIES = 1 << 17  # entries one block of `_blocks` holds at once
@@ -195,7 +197,7 @@ def uniform_rank_r(
     telemetry: RejectionTelemetry | None = None,
 ) -> MatrixFq:
     """Exactly uniform m x n matrix of rank r (product of full-rank factors)."""
-    return mat_mul(*draw_factor_pair(ctx, m, n, r, rng, "exact", telemetry))
+    return MatrixFq(ctx, _index_matmul(ctx, *_factor_arrays(ctx, m, n, r, rng, "exact", telemetry)))
 
 
 def product_sampler(
@@ -206,7 +208,7 @@ def product_sampler(
     The output has rank at most r and its law is within total variation
     tv_closed_form(q, m, n, r) of the uniform rank-r law.
     """
-    return mat_mul(*draw_factor_pair(ctx, m, n, r, rng, "product"))
+    return MatrixFq(ctx, _index_matmul(ctx, *_factor_arrays(ctx, m, n, r, rng, "product")))
 
 
 def draw_factor_pair(
@@ -225,6 +227,21 @@ def draw_factor_pair(
     with no rank condition.  The left factor always consumes the stream
     first.  Rejection attempts of both factors go to `telemetry`.
     """
+    left, right = _factor_arrays(ctx, m, n, r, rng, mode, telemetry)
+    return MatrixFq(ctx, left), MatrixFq(ctx, right)
+
+
+def _factor_arrays(
+    ctx: FieldCtx,
+    m: int,
+    n: int,
+    r: int,
+    rng: np.random.Generator,
+    mode: str,
+    telemetry: RejectionTelemetry | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """draw_factor_pair's factors as the int16 arrays drawn, which the
+    samplers multiply without the checks of two MatrixFq."""
     _check_factor_shape(m, n, r, mode)
     if mode == "exact":
         left = _reject_full_rank(ctx, m, r, [rng], telemetry)[0]
@@ -232,7 +249,7 @@ def draw_factor_pair(
     else:
         left = random_elements(ctx, rng, (m, r))
         right = random_elements(ctx, rng, (r, n))
-    return MatrixFq(ctx, left), MatrixFq(ctx, right)
+    return left, right
 
 
 def _check_factor_shape(m: int, n: int, r: int, mode: str) -> None:

@@ -247,7 +247,7 @@ def _char_sums(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
         return np.full((), width, dtype=np.complex128)  # 0-d: the row count
     q = table.mult.shape[1]
     budget = _BLAS_SLAB // 4 - 1
-    extended = np.vstack([table.mult, np.ones(q)])  # character q-1: the coordinate is absent
+    extended = _extended_mult(table)
     # C-ordered (q, width) per coordinate, as np.take gives and extended[:, e] does not:
     # the products keep their operands' layout, and the sums' order follows it
     values = [np.take(extended, coordinate, axis=1) for coordinate in entries]
@@ -277,6 +277,13 @@ def _char_sums(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
             for k in range(span, width, span):
                 block[a:b] += np.matmul(head[a:b, k : k + span], tail[:, k : k + span].T)
     return out.reshape((q,) * r)
+
+
+@lru_cache(maxsize=None)
+def _extended_mult(table: CharacterTable) -> np.ndarray:
+    """`_char_sums`' E, read-only, once per table: table.mult with a row of
+    ones appended as character q-1, the coordinate being absent."""
+    return _read_only(np.vstack([table.mult, np.ones(table.mult.shape[1])]))[0]
 
 
 @lru_cache(maxsize=None)
@@ -456,15 +463,15 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     The route is chosen once for the stack by estimated work per pair.
     The transform's r q^(r+1) multiply-adds count 1/_MATMUL_PER_GATHER of
     a gather each (fitted on one core over q <= 256, r <= 7, m = n <= 512,
-    where a gather of the product took 2-5 ns and a multiply-add
-    0.2-2.3 ns), plus q (r+1) min(m, q^r) + n r gathers for the codes; the
-    product takes (2r+1) m n gathers.  The transform also needs
-    q^r <= MAX_TRANSFORM_CODES, and q^2 <= _BLAS_SLAB so that its matmul
-    calls stay on one thread (see `_transform`).  It counts `_blocks` of
-    pairs, each pair gathering q max(m, q^r) values, so a pair with
-    q^r = 2^16 is counted alone.  Pairs the rounding check refuses, and
-    every pair when the product is cheaper, are counted by their products,
-    formed in `_blocks` of pairs.
+    where a multiply-add took 0.2-2.3 ns and a gather of the product 1-2 ns;
+    4 to 8 per gather choose equally well there), plus q (r+1) min(m, q^r)
+    + n r gathers for the codes; the product takes (2r+1) m n gathers.
+    The transform also needs q^r <= MAX_TRANSFORM_CODES, and q^2 <=
+    _BLAS_SLAB so that its matmul calls stay on one thread (see
+    `_transform`).  It counts `_blocks` of pairs, each pair gathering
+    q max(m, q^r) values, so a pair with q^r = 2^16 is counted alone.
+    Pairs the rounding check refuses, and every pair when the product is
+    cheaper, are counted by their products, formed in `_blocks` of pairs.
     """
     pairs, m, r = xs.shape
     n, q = ys.shape[-1], ctx.q

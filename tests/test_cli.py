@@ -413,6 +413,11 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "ca3187f09aee2cee8edf87e721c2df72ab8662b67b74b8ca385bfcc0fb5baa81",
         ),
         (
+            # r = 0: empty factors and a zero product, which `sample --mode product` refuses
+            "identity --field 3 --A 0,1 --m 3 --n 2 --r 0 --count 2 --seed 1",
+            "121c689cdee1bc93b5438a5bbefdbba60b8fed946c452014e686d25f92f01f83",
+        ),
+        (
             # m*n*log10(q) is past 4300, yet every integer printed is shorter
             "count --field 2 --m 120 --n 120 --r 60",
             "581c7226f39ddcc3e6a164fa973c90ecb2512d1f22ecfe323cdf13d5f234120d",

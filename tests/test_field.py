@@ -303,6 +303,43 @@ def test_add_and_neg_are_digit_wise(p, e):
         assert ctx.neg_table[a] == compose(-x % p for x in da)
 
 
+# every field with q <= 256, and the largest of each kind: 2^12, 3^7 and the prime 4093
+KERNEL_ORDERS = [q for q in range(2, 257) if len(field._prime_factors(q)) == 1] + [4096, 2187, 4093]
+
+
+@pytest.mark.parametrize("q", KERNEL_ORDERS)
+def test_array_kernels_are_the_scalar_operations(q):
+    """`_add_arrays` and `_mul_arrays` give ctx.add and ctx.mul, as int16, on
+    every pair of elements up to q = 64 and on 3000 pairs past it, the
+    largest pair among them: from q = 182 on, a q + b passes int16."""
+    ctx = field_from_order(q)
+    if q <= 64:
+        a, b = np.divmod(np.arange(q * q), q)
+    else:
+        a, b = np.random.default_rng(q).integers(0, q, (2, 3000))
+        a[0] = b[0] = q - 1
+    a, b = a.astype(np.int16), b.astype(np.int16)
+    for kernel, scalar in ((field._add_arrays, ctx.add), (field._mul_arrays, ctx.mul)):
+        got = kernel(ctx, a, b)
+        assert got.dtype == np.int16
+        assert got.tolist() == [scalar(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 256, 4096])
+def test_array_kernels_broadcast_as_the_tables_gather(q):
+    """Broadcast, transposed (non-contiguous), 1 x 1 and empty operands give
+    the two-array gather of the table, int16, in the broadcast shape."""
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, (5, 3)).astype(np.int16).T  # (3, 5), a transposed view
+    b = rng.integers(0, q, (2, 1, 5)).astype(np.int16)
+    for x, y in [(a, b), (a[:, :1], b), (a[:1, :1], a[-1:, -1:]), (a[:, :0], b[..., :0])]:
+        for kernel, table in ((field._add_arrays, ctx.add_table), (field._mul_arrays, ctx.mul_table)):
+            got = kernel(ctx, x, y)
+            assert got.dtype == np.int16 and np.array_equal(got, table[x, y])
+            assert got.shape == np.broadcast_shapes(x.shape, y.shape)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

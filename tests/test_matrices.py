@@ -163,6 +163,36 @@ def test_mat_mul_against_scalar_loop():
                     assert prod.data[i, j] == acc
 
 
+@pytest.mark.parametrize("q", [2, 3, 16, 256, 4096])
+def test_index_matmul_shapes_against_the_scalar_product(q):
+    """Broadcast leading axes, inner size 0, 1 x 1 and the transposed
+    (non-contiguous) views decompose_ct passes give the product of ctx.add
+    and ctx.mul, as int16, in np.matmul's shape."""
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+
+    def draw(*shape):
+        return rng.integers(0, q, shape).astype(np.int16)
+
+    for a, b in [
+        (draw(3, 1, 4, 2), draw(1, 5, 2, 3)),
+        (draw(2, 4, 0), draw(2, 0, 3)),
+        (draw(1, 1), draw(1, 1)),
+        (draw(5, 4).T, draw(3, 5).T),
+    ]:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        got = _index_matmul(ctx, a, b)
+        assert got.dtype == np.int16 and got.shape == lead + (a.shape[-2], b.shape[-1])
+        a_all = np.broadcast_to(a, lead + a.shape[-2:])
+        b_all = np.broadcast_to(b, lead + b.shape[-2:])
+        for *pair, i, j in np.ndindex(*got.shape):
+            x, y = a_all[tuple(pair)], b_all[tuple(pair)]
+            acc = 0
+            for t in range(a.shape[-1]):
+                acc = ctx.add(acc, ctx.mul(int(x[i, t]), int(y[t, j])))
+            assert got[(*pair, i, j)] == acc
+
+
 @pytest.mark.parametrize(
     "q, width",
     [(2, 0), (3, 1), (16, 5), (256, 2), (16, 17), (3, 45)],  # 16^16 and 3^40 overflow int64
@@ -361,6 +391,55 @@ def test_rank_stack_eliminates_only_leading_blocks_when_all_are_invertible(monke
     shapes.clear()
     assert _rank_stack(ctx, tall).tolist() == [4] * 30
     assert shapes == [(30, 4, 4), (1, 12, 4)]
+
+
+def eliminate_by_two_array_gathers(ctx, stack):
+    """Oracle: `_eliminate` with its gathers indexing the q x q tables by two
+    arrays, as before `_mul_arrays` and `_add_arrays` took them over."""
+    count, rows, cols = stack.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)
+    a = stack.copy()
+    r = np.zeros(count, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for col in range(cols):
+        found = (a[:, :, col] != 0) & (row_ids >= r[:, None])
+        hit = np.nonzero(found.any(axis=1))[0]
+        more = hit[r[hit] + 1 < rows] if col + 1 < cols else hit[:0]
+        if more.size:
+            piv, top, k = found[more].argmax(axis=1), r[more], np.arange(more.size)
+            sub = a[more, :, col:]
+            pivot_row = sub[k, piv]
+            pivot_row = ctx.mul_table[pivot_row, ctx.inv_table[pivot_row[:, :1]]]
+            sub[k, piv] = sub[k, top]
+            sub[k, top] = pivot_row
+            fac = ctx.neg_table[sub[:, :, 0]] * (row_ids > top[:, None])
+            scaled = ctx.mul_table[fac[:, :, None], pivot_row[:, None]]
+            a[more, :, col:] = ctx.add_table[sub, scaled]
+        r[hit] += 1
+        finished = r == rows
+        if finished.any():
+            ranks[live[finished]] = rows
+            keep = ~finished
+            a, r, live = a[keep], r[keep], live[keep]
+            if not live.size:
+                return ranks
+    ranks[live] = r
+    return ranks
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 4096])
+@pytest.mark.parametrize("rows, cols", [(6, 3), (3, 6), (4, 4), (8, 2)])
+def test_rank_stack_is_the_elimination_by_two_array_gathers(q, rows, cols):
+    """`_rank_stack` and `_eliminate` give the old elimination's ranks on
+    drawn, singular-block and rank-deficient stacks; over GF(4096) an index
+    a q + b formed in int16 would wrap."""
+    ctx = field_from_order(q)
+    stack = certificate_stack(ctx, rows, cols, seed=q + rows)
+    want = eliminate_by_two_array_gathers(ctx, stack).tolist()
+    assert want.count(min(rows, cols)) < len(want)  # the stack has rank-deficient matrices
+    assert _rank_stack(ctx, stack).tolist() == want
+    assert matrices._eliminate(ctx, stack).tolist() == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 16])
