@@ -3,7 +3,7 @@
 Construct a field with :func:`make_field`, draw rank-r matrices with
 :func:`uniform_rank_r`, and study how many entries land in a chosen subset:
 exact counting formulas, an algebraic decomposition of the statistic into
-character sums, exhaustive enumeration oracles, and Monte Carlo normality
+character sums, exact laws by exhaustive enumeration, and Monte Carlo normality
 reports all live here.  The `fqrank` command exposes the same machinery on
 the command line.
 """

@@ -30,6 +30,7 @@ from .counting import entry_bias
 from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most
 
 MAX_TUPLE_TABLE = 1 << 20
+MAX_BATTERY_RANK = 8  # GF(2) at 3 trials: r = 8 took 1.7 s, r = 10 15 s; (q-1)^r bounds nothing there
 _OFF_UNITS_TOL = 1e-12  # fourier_transform refuses more mass than this off the units
 
 
@@ -446,6 +447,8 @@ def verification_battery(
     if r < 0 or trials < 1:
         raise FqrankError(f"need r >= 0 and trials >= 1, got r={r}, trials={trials}")
     _check_tuple_cap(ctx.q, r)
+    if r > MAX_BATTERY_RANK:
+        raise FqrankError(f"battery at r = {r} exceeds the rank cap {MAX_BATTERY_RANK}")
     table = character_table(ctx)
     rng = np.random.default_rng(seed)
     q = ctx.q

@@ -1,5 +1,5 @@
 """Row/column character statistics, the entry-count decomposition identity,
-exact enumeration oracles, and Monte Carlo normality checks.
+exact laws by enumeration, and Monte Carlo normality checks.
 
 The centrepiece is an algebraic identity: for any factor pair (X, Y) the
 entry count ct_A(X @ Y) equals a centering constant plus a double sum of
@@ -55,14 +55,13 @@ from .matrices import (
     _decode,
     _encode,
     _index_matmul,
-    _rank_stack,
     ct,
 )
 from .sampling import _BLOCK_ENTRIES, _blocks, _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
 MAX_PAIR_ENUM = 1 << 24
-MAX_DIRECT_SCAN = 1 << 22
+MAX_DIRECT_SCAN = 1 << 22  # exact_distribution also admits q^(mn) <= this many matrices
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
@@ -472,6 +471,9 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     q max(m, q^r) values, so a pair with q^r = 2^16 is counted alone.
     Pairs the rounding check refuses, and every pair when the product is
     cheaper, are counted by their products, formed in `_blocks` of pairs.
+    The stated bound on the transform's rounding is 1e-6: for odd p its
+    values lie that close to the count (worst seen 2.1e-9, GF(3) r = 1,
+    m = n = 4096), far inside _ROUND_MARGIN; for p = 2 they are exact.
     """
     pairs, m, r = xs.shape
     n, q = ys.shape[-1], ctx.q
@@ -805,19 +807,17 @@ def run_clt(
 class ExactDistribution:
     """Exact laws of the entry count at one parameter point.
 
-    rank_dist is over uniform rank-r matrices.  The pairs route (the auto
-    choice) alone gives product_dist, over products of unconditioned uniform
-    factors, and matrix_tv, the total variation between the two matrix-level
-    laws, summed |P - U| with no 1/2.  Each is the same at (m, n) and at
-    (n, m).
+    rank_dist is over uniform rank-r matrices, and product_dist over
+    products of unconditioned uniform factors; matrix_tv is the total
+    variation between the two matrix-level laws, summed |P - U| with no 1/2.
+    Each is the same at (m, n) and at (n, m).
     """
 
     rank_dist: dict[int, Fraction]
-    product_dist: dict[int, Fraction] | None
+    product_dist: dict[int, Fraction]
     mean: Fraction
     variance: Fraction
-    matrix_tv: Fraction | None
-    method: str
+    matrix_tv: Fraction
 
 
 def _law(counts: list[int]) -> dict[int, Fraction]:
@@ -826,12 +826,9 @@ def _law(counts: list[int]) -> dict[int, Fraction]:
     return {value: Fraction(cnt, total) for value, cnt in enumerate(counts) if cnt}
 
 
-def _exact_result(
-    method: str, rank_ct: np.ndarray, pair_ct: np.ndarray | None = None,
-    matrix_tv: Fraction | None = None,
-) -> ExactDistribution:
+def _exact_result(rank_ct: np.ndarray, pair_ct: np.ndarray, matrix_tv: Fraction) -> ExactDistribution:
     """The ExactDistribution of an enumeration's tallies of entry counts:
-    rank_ct over the rank-r matrices, pair_ct (pairs only) over all pairs.
+    rank_ct over the rank-r matrices, pair_ct over all pairs.
 
     The moments come from the sums of c_v, v c_v and v^2 c_v over the tally,
     in Python ints (numpy's int64 would wrap), and one Fraction each."""
@@ -841,8 +838,7 @@ def _exact_result(
     second = sum(v * v * c for v, c in enumerate(counts))
     mean = Fraction(first, total)
     variance = Fraction(second * total - first * first, total * total)
-    product_dist = None if pair_ct is None else _law(pair_ct.tolist())
-    return ExactDistribution(_law(counts), product_dist, mean, variance, matrix_tv, method)
+    return ExactDistribution(_law(counts), _law(pair_ct.tolist()), mean, variance, matrix_tv)
 
 
 def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
@@ -921,7 +917,7 @@ def _exact_by_pairs(
     columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per rank-r Y
     # int64 holds while (mr + rn + r(r-1)/2) log2 q < 63: at most 24 + 6 bits
     # under the pair gate q^(mr+rn) <= 2^24, as r^2 <= (mr + rn) / 2, and 44 + 11
-    # under the scan gate q^(mn) <= 2^22, as mr + rn <= 2mn and r^2 <= mn.
+    # under the matrix gate q^(mn) <= 2^22, as mr + rn <= 2mn and r^2 <= mn.
     pair_ct, rank_ct = np.zeros((2, m * n + 1), dtype=np.int64)
     for lo, hi in _blocks(0, len(ys), max(q**r * n, columns * (m * n + 1))):
         rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
@@ -957,56 +953,23 @@ def _exact_by_pairs(
         raise RuntimeError(f"subspace tally found {found[0]} rank-r matrices and {found[1]} pairs, "
                            f"formulas say {matrices} and {pairs}")
     full_pairs = matrices * int(rank_count(q, r, r, r))
-    return _exact_result("pairs", rank_ct, pair_ct, Fraction(2 * (pairs - full_pairs), pairs))
-
-
-def _exact_by_direct_scan(
-    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
-) -> ExactDistribution:
-    q = ctx.q
-    member = subset_a.member_table()
-    rank_ct = np.zeros(m * n + 1, dtype=np.int64)
-    for lo, hi in _blocks(0, q ** (m * n), m * n):
-        mats = _decode(q, np.arange(lo, hi), m, n)
-        full = mats[_rank_stack(ctx, mats) == r]
-        rank_ct += np.bincount(member[full].sum(axis=(1, 2)), minlength=m * n + 1)
-    matched = int(rank_ct.sum())
-    expected = rank_count(q, m, n, r)
-    if matched != expected:  # not an assert: python -O would strip it
-        raise RuntimeError(f"rank scan found {matched}, formula says {expected}")
-    return _exact_result("direct", rank_ct)
+    return _exact_result(rank_ct, pair_ct, Fraction(2 * (pairs - full_pairs), pairs))
 
 
 def exact_distribution(
-    ctx: FieldCtx,
-    m: int,
-    n: int,
-    r: int,
-    subset_a: SubsetA,
-    method: str = "auto",
+    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
-    """Exact law of the entry count by exhaustive enumeration.
-
-    method "pairs" (the "auto" choice) yields both laws plus the
-    matrix-level total variation from one right factor per row space (see
-    `_exact_by_pairs`); it needs
-    q^(mr+rn) <= 2^24 or q^(mn) <= 2^22.  "direct", the reference scan
-    of all m x n matrices for rank r (needs q^(mn) <= 2^22), yields the
-    rank-r law only.
+    """Exact laws of the entry count by exhaustive enumeration: both laws
+    plus the matrix-level total variation from one right factor per row
+    space (see `_exact_by_pairs`).  It needs q^(mr+rn) <= 2^24 or
+    q^(mn) <= 2^22, else TooLargeToEnumerate.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
-    scan = f"q^(mn) = {ctx.q}^{m * n}"
-    direct_ok = _power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
-    if method in ("auto", "pairs"):
-        if not (direct_ok or _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)):
-            pairs = f"q^(mr+rn) = {ctx.q}^{m * r + r * n}"
-            raise TooLargeToEnumerate(f"pair enumeration {pairs} and {scan} both over their gates")
-        return _exact_by_pairs(ctx, m, n, r, subset_a)
-    if method == "direct":
-        if not direct_ok:
-            raise TooLargeToEnumerate(f"direct scan {scan} over gate")
-        return _exact_by_direct_scan(ctx, m, n, r, subset_a)
-    raise FqrankError(f"unknown method {method!r} (expected auto, pairs, or direct)")
+    if not (_power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
+            or _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)):
+        pairs, mats = f"q^(mr+rn) = {ctx.q}^{m * r + r * n}", f"q^(mn) = {ctx.q}^{m * n}"
+        raise TooLargeToEnumerate(f"pair enumeration {pairs} and {mats} both over their gates")
+    return _exact_by_pairs(ctx, m, n, r, subset_a)

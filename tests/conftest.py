@@ -1,0 +1,50 @@
+"""The direct scan, the oracle of `exact_distribution`'s rank law: every
+m x n matrix over GF(q), ranked by elimination and counted entry by entry."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from fqrank.counting import rank_count
+from fqrank.field import field_from_order
+from fqrank.matrices import SubsetA, _decode, _rank_stack
+
+_SCAN_ENTRIES = 1 << 20  # matrix entries decoded per block
+
+
+@lru_cache(maxsize=None)
+def _scan_tallies(q: int, m: int, n: int, amask: int) -> np.ndarray:
+    """Entry [k, v]: the number of rank-k m x n matrices with v entries in A.
+    One scan of the q^(mn) matrices tallies every rank, so the ranks of one
+    shape share it."""
+    ctx, member = field_from_order(q), SubsetA(q, amask).member_table()
+    total, width = q ** (m * n), m * n + 1
+    tallies = np.zeros((min(m, n) + 1) * width, dtype=np.int64)
+    step = max(1, _SCAN_ENTRIES // (m * n or 1))
+    for lo in range(0, total, step):
+        mats = _decode(q, np.arange(lo, min(lo + step, total), dtype=np.int64), m, n)
+        cells = _rank_stack(ctx, mats) * width + member[mats].sum(axis=(1, 2))
+        tallies += np.bincount(cells, minlength=len(tallies))
+    tallies = tallies.reshape(-1, width)
+    found = tallies.sum(axis=1).tolist()
+    expected = [int(rank_count(q, m, n, k)) for k in range(len(found))]
+    assert found == expected, f"the scan found {found} matrices per rank, formulas say {expected}"
+    return tallies
+
+
+def scan_law(ctx, m, n, r, subset_a) -> tuple[dict[int, Fraction], Fraction, Fraction]:
+    """The law of the entry count over the rank-r matrices, its mean and its
+    variance, by the scan and the definitions."""
+    counts = _scan_tallies(ctx.q, m, n, subset_a.mask)[r].tolist()
+    total = sum(counts)
+    law = {v: Fraction(c, total) for v, c in enumerate(counts) if c}
+    mean = sum(v * p for v, p in law.items())
+    return law, mean, sum((v - mean) ** 2 * p for v, p in law.items())
+
+
+@pytest.fixture(scope="session")
+def scan():
+    """`scan_law`, for tests that check exact_distribution against it."""
+    return scan_law

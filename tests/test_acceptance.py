@@ -244,7 +244,7 @@ def test_criterion_8_centering_gap_decay():
     subset = SubsetA.from_indices(2, [1])
     gaps = []
     for m in (2, 3, 4):
-        dist = exact_distribution(ctx, m, m, 1, subset, method="pairs")
+        dist = exact_distribution(ctx, m, m, 1, subset)
         params = MomentParams(q=2, r=1, m=m, n=m, subset=subset)
         mu = asymptotic_ct_mean(params)
         sigma = float(asymptotic_ct_variance(params)) ** 0.5

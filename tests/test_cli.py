@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,19 +138,6 @@ def test_exact_frozen(capsys):
     assert doc["method"] == "pairs"
 
 
-def test_exact_direct_method(capsys):
-    rc, out, _ = run_cli(
-        capsys,
-        ["exact", "--field", "2", "--m", "2", "--n", "2", "--r", "2", "--A", "1",
-         "--method", "direct"],
-    )
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["method"] == "direct"
-    assert doc["rank_dist"] == {"2": "1/3", "3": "2/3"}
-    assert doc["product_dist"] is None and doc["matrix_tv"] is None
-
-
 # --- identity -----------------------------------------------------------------
 
 def test_identity_random_pairs(capsys):
@@ -220,6 +208,14 @@ def test_lemmas_pass(capsys):
     for name, entry in doc["checks"].items():
         assert entry["ok"] is True, name
         assert entry["residual"] <= entry["tolerance"]
+
+
+def test_lemmas_refuses_a_rank_past_the_cap_quickly(capsys):
+    # (q-1)^r = 1 at q = 2 bounds nothing: without the rank cap r = 40 asks for 2^40 entries
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["lemmas", "--field", "2", "--r", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", "error: battery at r = 40 exceeds the rank cap 8\n")
 
 
 def test_lemmas_failure_exit_code(capsys, monkeypatch):
@@ -373,8 +369,7 @@ def test_bad_seed_rejected(capsys):
         # 3^9 terms are within the term gate; r = 9 is past the rank gate
         "identity --field 3 --A 1 --m 2 --n 2 --r 9 --count 1",
         # gate messages name the power, not its 9543 decimal digits
-        "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method pairs",
-        "exact --field 3 --m 100 --n 100 --r 100 --A 1 --method direct",
+        "exact --field 3 --m 100 --n 100 --r 100 --A 1",
         # values past Python's int-to-str limit of 4300 digits
         "count --field 3 --m 100 --n 100 --r 100",
         "count --field 2 --m 3000 --n 3000 --r 3000",
@@ -428,20 +423,20 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
         ),
         (
             # the transpose of 4 x 5: the same laws, printed with m and n swapped
-            "exact --field 2 --m 5 --n 4 --r 2 --A 1 --method pairs",
+            "exact --field 2 --m 5 --n 4 --r 2 --A 1",
             "37ad4b939ef5c229ab52f5642f1184fbdab6615f7cd4abc4d3360c0ba2e698f6",
         ),
         (
             # GF(2)^3 has 16 subspaces
-            "exact --field 2 --m 4 --n 4 --r 3 --A 1 --method pairs",
+            "exact --field 2 --m 4 --n 4 --r 3 --A 1",
             "b876fceab0b74515fa673ef3458377efa94d90f32cb314c83d66d15e150890a9",
         ),
         (
-            "exact --field 7 --m 2 --n 2 --r 2 --A 1 --method pairs",
+            "exact --field 7 --m 2 --n 2 --r 2 --A 1",
             "2bdd1a8b6f9fa0aa67a5921ec91719d1fe9373d0024678ee9d41e86e6337cf6a",
         ),
         (
-            "exact --field 8 --m 2 --n 2 --r 2 --A 1 --method pairs",
+            "exact --field 8 --m 2 --n 2 --r 2 --A 1",
             "75783200f1de459d67c2c00097408b7b758d004e299e2e6ba26ea675d59f3e5a",
         ),
         (
@@ -450,30 +445,26 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "a6155714329d41fdb7d166d33b602bba029988d13de52a59cccbf0de557f9591",
         ),
         (
-            "exact --field 4 --m 2 --n 3 --r 2 --A 1,2 --method pairs",
+            "exact --field 4 --m 2 --n 3 --r 2 --A 1,2",
             "12458f9b75c71c87511e4bb40e5be6be8b5de739743945a57e3d045254ee4477",
         ),
         (
-            "exact --field 5 --m 3 --n 2 --r 2 --A 1 --method pairs",
+            "exact --field 5 --m 3 --n 2 --r 2 --A 1",
             "7340042310e4b2f472a30ca201ec98eb1f4170139760de73beebf4523309d986",
         ),
         (
-            "exact --field 2 --m 3 --n 3 --r 0 --A 0 --method pairs",
+            "exact --field 2 --m 3 --n 3 --r 0 --A 0",
             "33c0560fc5717b7eece396a2fb0b83e85d691305d683905e742c15aebfb1afb2",
         ),
         (
-            # q^(mn) = 2^25 is past the direct scan: matrix_tv is still the closed form
-            "exact --field 2 --m 5 --n 5 --r 1 --A 1 --method pairs",
+            # q^(mn) = 2^25 is past the matrix gate: matrix_tv is still the closed form
+            "exact --field 2 --m 5 --n 5 --r 1 --A 1",
             "d243e57a5b038ca3749c15d0554b97e66e4fc6ff3982b4bc7e64767789bbaa48",
         ),
         (
             # 2^22 rank-1 matrices, listed from 2 right factors of the transpose
             "exact --field 2 --m 1 --n 22 --r 1 --A 1",
             "a423b89eec0cf55f041da927954fa5ed0c53b776ab3188afb87da2edc6dbdacb",
-        ),
-        (
-            "exact --field 3 --m 2 --n 3 --r 1 --A 1,2 --method direct",
-            "41431df9703b31ee1db16cf18d00629fc9d5149a51d18864d9789a8910ee9cbf",
         ),
         (
             # at q=2, m=n=r=2 most streams are drawn again by the rejection loop
@@ -561,13 +552,18 @@ def test_pinned_output_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_argparse_errors_exit_2():
+def test_argparse_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["count", "--field", "2", "--m", "2"])  # missing required flags
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["sample", "--field", "2", "--m", "2", "--n", "2", "--r", "1", "--mode", "bogus"])
     assert info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:  # exact has one route, and no --method to choose it
+        main(["exact", "--field", "2", "--m", "2", "--n", "2", "--r", "1", "--A", "1", "--method", "pairs"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --method pairs\n")
 
 
 def _fresh_process(argv, **env):

@@ -1,6 +1,7 @@
-"""The laws' symmetries, for both exact methods and for the asymptotic
-constants: unit scaling of A (c^-1 X is uniform whenever X is), the
-Frobenius map a -> a^p (a field automorphism, so entrywise it keeps rank and
+"""The laws' symmetries, for exact_distribution (each law checked against
+the scan oracle of conftest.py) and for the asymptotic constants: unit
+scaling of A (c^-1 X is uniform whenever X is), the Frobenius map
+a -> a^p (a field automorphism, so entrywise it keeps rank and
 uniformity), the complement (ct_{A^c} = mn - ct_A) and the transpose
 (ct_A(M) = ct_A(M^T)).  They hold in law, not sample by sample, so no clt
 run is compared here."""
@@ -15,13 +16,12 @@ from fqrank.matrices import SubsetA
 from fqrank.stats import exact_distribution
 
 FEW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-METHODS = st.sampled_from(["pairs", "direct"])
 
 
 @st.composite
 def exact_configs(draw, orders=(2, 3, 4, 5)):
     """A field, a subset (empty and full included), and a shape small enough
-    for the direct scan to take a few milliseconds: q^(mn) <= 2^12."""
+    for the scan oracle to take a few milliseconds: q^(mn) <= 2^12."""
     q = draw(st.sampled_from(orders))
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4).filter(lambda n: q ** (m * n) <= 1 << 12))
@@ -34,32 +34,39 @@ def _image(ctx, subset, image):
 
 
 def _reflect(law, total):
-    return None if law is None else {total - v: p for v, p in law.items()}
+    return {total - v: p for v, p in law.items()}
+
+
+def _checked(scan, ctx, m, n, r, subset):
+    """exact_distribution's laws, once its rank law and moments match the scan's."""
+    dist = exact_distribution(ctx, m, n, r, subset)
+    assert (dist.rank_dist, dist.mean, dist.variance) == scan(ctx, m, n, r, subset)
+    return dist
 
 
 @FEW
-@given(exact_configs(), METHODS, st.data())
-def test_exact_law_is_invariant_under_unit_scaling(config, method, data):
+@given(exact_configs(), st.data())
+def test_exact_law_is_invariant_under_unit_scaling(scan, config, data):
     ctx, subset, m, n, r = config
     c = data.draw(st.integers(1, ctx.q - 1), label="unit")
     scaled = _image(ctx, subset, lambda a: ctx.mul(c, a))
-    assert exact_distribution(ctx, m, n, r, scaled, method) == exact_distribution(ctx, m, n, r, subset, method)
+    assert _checked(scan, ctx, m, n, r, scaled) == _checked(scan, ctx, m, n, r, subset)
 
 
 @FEW
-@given(exact_configs(orders=(4, 8, 9)), METHODS)  # a -> a^p is the identity on GF(p)
-def test_exact_law_is_invariant_under_frobenius(config, method):
+@given(exact_configs(orders=(4, 8, 9)))  # a -> a^p is the identity on GF(p)
+def test_exact_law_is_invariant_under_frobenius(scan, config):
     ctx, subset, m, n, r = config
     image = _image(ctx, subset, lambda a: ctx.pow(a, ctx.p))
-    assert exact_distribution(ctx, m, n, r, image, method) == exact_distribution(ctx, m, n, r, subset, method)
+    assert _checked(scan, ctx, m, n, r, image) == _checked(scan, ctx, m, n, r, subset)
 
 
 @FEW
-@given(exact_configs(), METHODS)
-def test_exact_law_of_the_complement_is_reflected(config, method):
+@given(exact_configs())
+def test_exact_law_of_the_complement_is_reflected(scan, config):
     ctx, subset, m, n, r = config
-    dist = exact_distribution(ctx, m, n, r, subset, method)
-    other = exact_distribution(ctx, m, n, r, subset.complement(), method)
+    dist = _checked(scan, ctx, m, n, r, subset)
+    other = _checked(scan, ctx, m, n, r, subset.complement())
     assert other.rank_dist == _reflect(dist.rank_dist, m * n)
     assert other.product_dist == _reflect(dist.product_dist, m * n)
     assert (other.mean, other.variance) == (m * n - dist.mean, dist.variance)
@@ -67,10 +74,10 @@ def test_exact_law_of_the_complement_is_reflected(config, method):
 
 
 @FEW
-@given(exact_configs(), METHODS)
-def test_exact_law_is_the_same_for_the_transpose(config, method):
+@given(exact_configs())
+def test_exact_law_is_the_same_for_the_transpose(scan, config):
     ctx, subset, m, n, r = config
-    assert exact_distribution(ctx, n, m, r, subset, method) == exact_distribution(ctx, m, n, r, subset, method)
+    assert _checked(scan, ctx, n, m, r, subset) == _checked(scan, ctx, m, n, r, subset)
 
 
 @st.composite
