@@ -52,14 +52,10 @@ def _jsonify(obj):
         return str(obj)
     if isinstance(obj, dict):
         return {key: _jsonify(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonify(val) for val in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
+    if isinstance(obj, float):
+        return _round12(obj)
     return obj
 
 
@@ -309,18 +305,8 @@ def _cmd_clt(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     subset = _subset_from_args(args, ctx.q)
     _check_shape_flags(args.m, args.n, args.r)
-    report = run_clt(
-        ctx,
-        subset,
-        args.r,
-        args.m,
-        args.n,
-        args.N,
-        _seed_flag(args.seed),
-        mode=args.mode,
-        workers=args.workers,
-        bins=args.bins,
-    )
+    report = run_clt(ctx, subset, args.r, args.m, args.n, args.N, _seed_flag(args.seed),
+                     mode=args.mode, workers=args.workers, bins=args.bins)
     if args.csv_hist is not None:
         with open(args.csv_hist, "w", encoding="utf-8") as fh:
             fh.write("bin_center,count\n")

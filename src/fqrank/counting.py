@@ -54,14 +54,16 @@ def rank_count(q: int, s: int, t: int, r: int) -> Fraction:
 
 def full_rank_pair_prob_exact(q: int, m: int, n: int, r: int) -> Fraction:
     """Probability that independent uniform m x r and r x n matrices both
-    have rank r: prod_{i=0}^{r-1} (1 - q^(i-m))(1 - q^(i-n))."""
+    have rank r: prod_{i=0}^{r-1} (1 - q^(i-m))(1 - q^(i-n)), formed in
+    integers and divided once, as `exact` computes it on every call."""
     if q < 2:
         raise FqrankError(f"field order must be >= 2, got {q}")
     _check_rank(r, m, n)
-    out = Fraction(1)
+    num = den = 1
     for i in range(r):
-        out *= (1 - Fraction(1, q ** (m - i))) * (1 - Fraction(1, q ** (n - i)))
-    return out
+        num *= (q ** (m - i) - 1) * (q ** (n - i) - 1)
+        den *= q ** (m + n - 2 * i)
+    return Fraction(num, den)
 
 
 def full_rank_pair_prob(q: int, m: int, n: int, r: int) -> float:

@@ -44,6 +44,7 @@ from .counting import (
     asymptotic_ct_variance,
     rank_count,
     subset_bias,
+    tv_closed_form_exact,
 )
 from .field import FieldCtx, FqrankError, _power_at_most, make_field
 from .matrices import (
@@ -60,8 +61,7 @@ from .matrices import (
 from .sampling import _BLOCK_ENTRIES, _blocks, _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
-MAX_PAIR_ENUM = 1 << 24
-MAX_DIRECT_SCAN = 1 << 22  # exact_distribution also admits q^(mn) <= this many matrices
+MAX_EXACT_STEPS = 1 << 28  # `_exact_steps` cap per exact_distribution call: 0.6-25 ns a step
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
@@ -888,9 +888,9 @@ def _exact_by_pairs(
     the full-rank X, whose rows span V = GF(q)^r, onto the rank-r matrices
     of that row space: by Moebius inversion their counts are sum_W mu(W, V)
     times that convolution over the u in W, over the subspaces W of V, with
-    mu(W, V) = (-1)^d q^(d(d-1)/2) for d = r - dim W.  Only the rank_count
-    |GL_r| full pairs have products of rank r, uniform over them, so
-    matrix_tv is 2 (1 - full pairs / pairs).
+    mu(W, V) = (-1)^d q^(d(d-1)/2) for d = r - dim W.  Only the full pairs
+    have products of rank r, uniform over them, so matrix_tv is the closed
+    form; exact_distribution's int64 check keeps the tallies exact.
     """
     q = ctx.q
     m, n = max(m, n), min(m, n)
@@ -915,9 +915,6 @@ def _exact_by_pairs(
         d = r - k
         spaces.append(((-1) ** d * q ** (d * (d - 1) // 2), _encode(q, _index_matmul(ctx, coeffs, bases))))
     columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per rank-r Y
-    # int64 holds while (mr + rn + r(r-1)/2) log2 q < 63: at most 24 + 6 bits
-    # under the pair gate q^(mr+rn) <= 2^24, as r^2 <= (mr + rn) / 2, and 44 + 11
-    # under the matrix gate q^(mn) <= 2^22, as mr + rn <= 2mn and r^2 <= mn.
     pair_ct, rank_ct = np.zeros((2, m * n + 1), dtype=np.int64)
     for lo, hi in _blocks(0, len(ys), max(q**r * n, columns * (m * n + 1))):
         rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
@@ -952,8 +949,21 @@ def _exact_by_pairs(
     if found != (matrices, pairs):  # not an assert: python -O would strip it
         raise RuntimeError(f"subspace tally found {found[0]} rank-r matrices and {found[1]} pairs, "
                            f"formulas say {matrices} and {pairs}")
-    full_pairs = matrices * int(rank_count(q, r, r, r))
-    return _exact_result(rank_ct, pair_ct, Fraction(2 * (pairs - full_pairs), pairs))
+    return _exact_result(rank_ct, pair_ct, tv_closed_form_exact(q, m, n, r))
+
+
+def _exact_steps(q: int, m: int, n: int, r: int) -> int:
+    """`_exact_by_pairs`' work at n = min(m, n): q^r n row products for each
+    right factor (one per subspace of GF(q)^n of dimension <= r), and m rows
+    per convolution column, row k touching k n + 1 law entries of n + 1 terms."""
+    m, n = max(m, n), min(m, n)
+    ys, proper, span, sub = 0, 0, 1, 1  # sums over k < r of the terms [n k]_q and [r k]_q
+    for k in range(r):
+        ys, proper = ys + span, proper + sub
+        span = span * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
+        sub = sub * (q ** (r - k) - 1) // (q ** (k + 1) - 1)
+    columns = ys + span + span * proper  # per right factor, and per rank-r one and proper subspace
+    return (ys + span) * q**r * n + columns * (n + 1) * (n * m * (m + 1) // 2 + m)
 
 
 def exact_distribution(
@@ -961,15 +971,18 @@ def exact_distribution(
 ) -> ExactDistribution:
     """Exact laws of the entry count by exhaustive enumeration: both laws
     plus the matrix-level total variation from one right factor per row
-    space (see `_exact_by_pairs`).  It needs q^(mr+rn) <= 2^24 or
-    q^(mn) <= 2^22, else TooLargeToEnumerate.
+    space (see `_exact_by_pairs`).  TooLargeToEnumerate past int64, where
+    q^(mr+rn+r(r-1)/2) >= 2^63, then past MAX_EXACT_STEPS `_exact_steps`.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
-    if not (_power_at_most(ctx.q, m * n, MAX_DIRECT_SCAN)
-            or _power_at_most(ctx.q, m * r + r * n, MAX_PAIR_ENUM)):
-        pairs, mats = f"q^(mr+rn) = {ctx.q}^{m * r + r * n}", f"q^(mn) = {ctx.q}^{m * n}"
-        raise TooLargeToEnumerate(f"pair enumeration {pairs} and {mats} both over their gates")
+    exponent = m * r + r * n + r * (r - 1) // 2
+    if not _power_at_most(ctx.q, exponent, (1 << 63) - 1):
+        raise TooLargeToEnumerate(f"counts up to q^(mr+rn+r(r-1)/2) = {ctx.q}^{exponent} overflow int64")
+    steps = _exact_steps(ctx.q, m, n, r)
+    if steps > MAX_EXACT_STEPS:
+        raise TooLargeToEnumerate(f"enumeration takes 2^{math.log2(steps):.1f} steps, "
+                                  f"over the cap 2^{MAX_EXACT_STEPS.bit_length() - 1}")
     return _exact_by_pairs(ctx, m, n, r, subset_a)

@@ -218,6 +218,15 @@ def test_lemmas_refuses_a_rank_past_the_cap_quickly(capsys):
     assert (rc, out, err) == (2, "", "error: battery at r = 40 exceeds the rank cap 8\n")
 
 
+def test_exact_refuses_rank_zero_past_the_step_cap_quickly(capsys):
+    # q^0 = 1 pair bounds nothing: the convolution of 2000 x 2000 entries would run for hours
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "exact --field 2 --m 2000 --n 2000 --r 0 --A 0".split())
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert err == "error: enumeration takes 2^42.9 steps, over the cap 2^28\n"
+
+
 def test_lemmas_failure_exit_code(capsys, monkeypatch):
     failing = {"orthogonality": {"residual": 1.0, "tolerance": 0.0, "ok": False}}
     monkeypatch.setattr(cli, "verification_battery", lambda *args, **kwargs: failing)
@@ -457,7 +466,7 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "33c0560fc5717b7eece396a2fb0b83e85d691305d683905e742c15aebfb1afb2",
         ),
         (
-            # q^(mn) = 2^25 is past the matrix gate: matrix_tv is still the closed form
+            # 2^25 matrices, past the scan oracle: matrix_tv is the closed form all the same
             "exact --field 2 --m 5 --n 5 --r 1 --A 1",
             "d243e57a5b038ca3749c15d0554b97e66e4fc6ff3982b4bc7e64767789bbaa48",
         ),

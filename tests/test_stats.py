@@ -11,6 +11,7 @@ import tracemalloc
 from functools import reduce
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fqrank.characters import (
     sum_indicator,
 )
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
-from fqrank.field import FqrankError, field_from_order, make_field
+from fqrank.field import FqrankError, _power_at_most, _prime_factors, field_from_order, make_field
 from fqrank import sampling, stats
 from fqrank.matrices import (
     DimensionMismatch,
@@ -836,14 +837,16 @@ def test_exact_by_pairs_matches_per_pair_products(q, m, n, r, amask):
     assert exact_distribution(ctx, m, n, r, subset) == expected
 
 
-def test_exact_by_pairs_without_matrices(monkeypatch):
-    # q^(mn) = 2^9 over MAX_PAIR_ENUM, q^(mr+rn) = 2^6 under it: the same
-    # laws, and matrix_tv is the closed form, which the oracle enumerates
-    monkeypatch.setattr(stats, "MAX_PAIR_ENUM", 1 << 8)
+def test_exact_by_pairs_without_matrices():
+    # the route lists no product, yet has the per-pair oracle's laws, and its
+    # matrix_tv, the closed form, is the one the oracle enumerates
     ctx, subset = field_from_order(2), SubsetA(2, 0b10)
     expected = _exact_by_pairs_oracle(ctx, 3, 3, 1, subset)
     assert expected.matrix_tv == tv_closed_form_exact(2, 3, 3, 1)
     assert exact_distribution(ctx, 3, 3, 1, subset) == expected
+
+
+_ORACLE_PRODUCT_CODES = 1 << 24  # the representatives oracle enumerates matrix_tv to q^(mn) codes
 
 
 def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
@@ -870,7 +873,7 @@ def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
             rank_ct += np.bincount(y_ct[reps].sum(axis=1), minlength=m * n + 1)
             codes.append(y_code[reps] @ _digit_weights(q**n, m))  # `_encode`'s code of rep @ y
     matrix_tv = tv_closed_form_exact(q, m, n, r)
-    if q ** (m * n) <= stats.MAX_PAIR_ENUM:
+    if q ** (m * n) <= _ORACLE_PRODUCT_CODES:
         pairs, n_rank = q ** (m * r + r * n), int(rank_count(q, m, n, r))
         hits = int(rank_count(q, r, r, r)) * np.unique(np.concatenate(codes), return_counts=True)[1]
         numerator = int(np.abs(hits * n_rank - pairs).sum())
@@ -956,11 +959,60 @@ def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
 
 def test_exact_distribution_gates():
     ctx = field_from_order(4)
-    # refused only when both powers are over their gates
-    with pytest.raises(TooLargeToEnumerate, match=r"4\^24 and q\^\(mn\) = 4\^36 both over"):
+    # 6.1e8 steps; the message names powers of two, not the count
+    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^29\.2 steps, over the cap 2\^28$"):
         exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4))
     with pytest.raises(RankOutOfRange):
         exact_distribution(ctx, 2, 2, 3, SubsetA.nonzero(4))
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, steps",
+    [
+        (2, 12, 12, 1, 101_044_188), (2, 8, 8, 2, 144_825_016), (2, 9, 9, 2, 902_806_272),
+        (4, 6, 6, 2, 612_455_772), (2, 150, 150, 0, 256_534_050), (4096, 4, 2, 1, 34_160_856),
+    ],
+)
+def test_exact_steps_count_the_work_of_the_route(q, m, n, r, steps):
+    # at 8 x 8 r = 2: 11,051 right factors of 4 u's and 8 columns, then
+    # 11,051 + 4 * 10,795 convolution columns of sum_(k <= 8) (8k + 1) 9 steps
+    assert stats._exact_steps(q, m, n, r) == stats._exact_steps(q, n, m, r) == steps
+    if (q, m, n, r) == (2, 8, 8, 2):
+        assert steps == 11_051 * 4 * 8 + (11_051 + 4 * 10_795) * sum((8 * k + 1) * 9 for k in range(1, 9))
+
+
+def test_exact_distribution_refuses_rank_zero_past_the_cap_quickly():
+    # q^0 = 1 pair, but the convolution of 160,000 entries takes 1.3e10 steps
+    start = time.perf_counter()
+    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^33\.6 steps"):
+        exact_distribution(field_from_order(2), 400, 400, 0, SubsetA.zero_only(2))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_distribution_checks_int64_before_the_steps(monkeypatch):
+    # 3.4e7 steps, but counts up to 4096^6 = 2^72
+    monkeypatch.setattr(stats, "MAX_EXACT_STEPS", 1 << 62)
+    with pytest.raises(TooLargeToEnumerate, match=r"= 4096\^6 overflow int64$"):
+        exact_distribution(field_from_order(4096), 4, 2, 1, SubsetA(4096, 0b10))
+
+
+def test_exact_gate_admits_every_shape_the_pair_and_matrix_gates_did(monkeypatch):
+    """Every q <= 4096, m, n <= 24 and r >= 1 with q^(mr+rn) <= 2^24 pairs or
+    q^(mn) <= 2^22 matrices, the two gates the route once had, passes the
+    int64 check and the step cap: the route is stubbed, so only the gate runs."""
+    monkeypatch.setattr(stats, "_exact_by_pairs", lambda *args: "admitted")
+    shapes = 0
+    for q in [q for q in range(2, 4097) if len(_prime_factors(q)) == 1]:  # the prime powers
+        ctx, subset = SimpleNamespace(q=q), SubsetA(q, 0b10)  # the gate reads only the order
+        for r, n in product(range(1, 25), repeat=2):
+            # both powers grow with m, so the m's admitted run from n up to a first refusal
+            for m in range(n, 25) if r <= n else ():
+                if not (_power_at_most(q, m * n, 1 << 22) or _power_at_most(q, m * r + r * n, 1 << 24)):
+                    break
+                assert exact_distribution(ctx, m, n, r, subset) == "admitted", (q, m, n, r)
+                assert exact_distribution(ctx, n, m, r, subset) == "admitted", (q, n, m, r)
+                shapes += 1
+    assert shapes > 1000
 
 
 def test_exact_distribution_argument_errors():
@@ -972,7 +1024,7 @@ def test_exact_distribution_argument_errors():
 @pytest.mark.parametrize(
     "q, m, n, r",
     [
-        # over the pair gate q^(mr+rn) <= 2^24, under the matrix gate q^(mn) <= 2^22
+        # q^(mr+rn) over 2^24 factor pairs, q^(mn) within the scan's reach of 2^22 matrices
         (2, 2, 11, 2), (2, 4, 5, 3), (2, 4, 5, 4), (2, 3, 7, 3), (4, 3, 3, 3), (3, 3, 4, 3),
         # 2 x 8, 2 x 11 and 1 x 18 list the row spaces of their transposes, 4 x 4 r = 3
         # signs 16 subspaces, and GF(8) and GF(9) add in characteristic 2 and by the

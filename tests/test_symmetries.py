@@ -1,5 +1,6 @@
 """The laws' symmetries, for exact_distribution (each law checked against
-the scan oracle of conftest.py) and for the asymptotic constants: unit
+the scan oracle of conftest.py, or past its reach against the closed-form
+mean) and for the asymptotic constants: unit
 scaling of A (c^-1 X is uniform whenever X is), the Frobenius map
 a -> a^p (a field automorphism, so entrywise it keeps rank and
 uniformity), the complement (ct_{A^c} = mn - ct_A) and the transpose
@@ -8,9 +9,10 @@ run is compared here."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance
+from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance, rank_count
 from fqrank.field import field_from_order
 from fqrank.matrices import SubsetA
 from fqrank.stats import exact_distribution
@@ -78,6 +80,39 @@ def test_exact_law_of_the_complement_is_reflected(scan, config):
 def test_exact_law_is_the_same_for_the_transpose(scan, config):
     ctx, subset, m, n, r = config
     assert _checked(scan, ctx, n, m, r, subset) == _checked(scan, ctx, m, n, r, subset)
+
+
+def _closed_form_mean(q, m, n, r, subset):
+    """E[ct_A] over the rank-r matrices, r >= 1: X Y is one for uniform X and Y
+    of full rank r, and its entry x_i . y_j is 0 with probability
+    p0 = 1 - (1 - a)(1 - b)(1 - z): x_i = 0 with a = F(m-1, r) / F(m, r),
+    y_j = 0 with b likewise, and for nonzero x_i, y_j with
+    z = (q^(r-1) - 1) / (q^r - 1); scaling x_i spreads the rest evenly over
+    the q - 1 nonzero values."""
+    a, b = (rank_count(q, k - 1, r, r) / rank_count(q, k, r, r) for k in (m, n))
+    p0 = 1 - (1 - a) * (1 - b) * (1 - Fraction(q ** (r - 1) - 1, q**r - 1))
+    return m * n * ((0 in subset) * p0 + (subset.size - (0 in subset)) * (1 - p0) / (q - 1))
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r",
+    [
+        (2, 8, 8, 2), (2, 7, 7, 2), (2, 6, 6, 3), (2, 5, 5, 4), (3, 5, 5, 2), (4, 4, 4, 2),
+        (2, 8, 7, 2), (4, 4, 3, 2),  # and two whose transpose is another shape
+    ],
+)
+def test_laws_past_the_scan_have_the_closed_form_mean_and_symmetries(q, m, n, r):
+    """Shapes of 2^24 matrices or more, past the scan oracle's reach."""
+    ctx, subset = field_from_order(q), SubsetA(q, 0b10)
+    dist = exact_distribution(ctx, m, n, r, subset)
+    other = exact_distribution(ctx, m, n, r, subset.complement())
+    assert dist.mean == _closed_form_mean(q, m, n, r, subset)
+    assert other.mean == _closed_form_mean(q, m, n, r, subset.complement())
+    assert other.rank_dist == _reflect(dist.rank_dist, m * n)
+    assert other.product_dist == _reflect(dist.product_dist, m * n)
+    assert (other.mean, other.variance) == (m * n - dist.mean, dist.variance)
+    assert other.matrix_tv == dist.matrix_tv
+    assert exact_distribution(ctx, n, m, r, subset) == dist
 
 
 @st.composite
