@@ -30,7 +30,7 @@ from .counting import entry_bias
 from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most
 
 MAX_TUPLE_TABLE = 1 << 20
-MAX_BATTERY_RANK = 8  # GF(2) at 3 trials: r = 8 took 1.7 s, r = 10 15 s; (q-1)^r bounds nothing there
+MAX_BATTERY_WORK = 1 << 17  # (2q)^r at 3 trials: GF(2) r = 8 (2^16) took 1.2-1.7 s, GF(3) r = 7 (2^18.1) 2.4-4.5 s
 _OFF_UNITS_TOL = 1e-12  # fourier_transform refuses more mass than this off the units
 
 
@@ -447,8 +447,8 @@ def verification_battery(
     if r < 0 or trials < 1:
         raise FqrankError(f"need r >= 0 and trials >= 1, got r={r}, trials={trials}")
     _check_tuple_cap(ctx.q, r)
-    if r > MAX_BATTERY_RANK:
-        raise FqrankError(f"battery at r = {r} exceeds the rank cap {MAX_BATTERY_RANK}")
+    if not _power_at_most(2 * ctx.q, r, MAX_BATTERY_WORK):  # 2^r Moebius components of q^r entries
+        raise FqrankError(f"battery at (2q)^r = {2 * ctx.q}^{r} exceeds the cap 2^17")
     table = character_table(ctx)
     rng = np.random.default_rng(seed)
     q = ctx.q

@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -873,59 +874,48 @@ def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
     return out.reshape(total, m, r)
 
 
-def _exact_by_pairs(
-    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
+def _exact_law(
+    ctx: FieldCtx, m: int, n: int, r: int, classes: Iterable[tuple[np.ndarray, ...]], divisor: int
 ) -> ExactDistribution:
-    """Both laws of the entry count and matrix_tv from one right factor Y per
-    row space, in one pass over `_blocks` of them that lists no X and no pair.
+    """Both laws of the entry count and matrix_tv, at m >= n, from classes of
+    right factors Y (r x n), given in blocks of three arrays: each class's
+    row_ct, the count #{j : u . y_j in A} for each of the q^r row vectors u
+    (code order), its weight in the product law, and its weight in the rank
+    law, nonzero only for classes of rank r.
 
-    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  Row i of X @ Y
-    is u @ Y for u = x_i, one of the q^r row vectors, so the count over all
-    X has the law of the m-fold convolution of the histogram (`_tallies`)
-    of row_ct[Y] over the u's, as has G @ Y for G in GL_r: the product law
-    weights it by the F(r, k) = rank_count(q, r, k, k) Y's that share Y's
-    k-dimensional row space.  For Y of rank r, X -> X @ Y is one-to-one from
-    the full-rank X, whose rows span V = GF(q)^r, onto the rank-r matrices
-    of that row space: by Moebius inversion their counts are sum_W mu(W, V)
-    times that convolution over the u in W, over the subspaces W of V, with
-    mu(W, V) = (-1)^d q^(d(d-1)/2) for d = r - dim W.  Only the full pairs
+    Row i of X @ Y is u @ Y for u = x_i, so the count over all X has the law
+    of the m-fold convolution of the histogram (`_tallies`) of row_ct over
+    the u's; the product law sums it with the product weights.  For Y of
+    rank r, X -> X @ Y is one-to-one from the full-rank X, whose rows span
+    V = GF(q)^r, onto the rank-r matrices of Y's row space: by Moebius
+    inversion their counts are sum_W mu(W, V) times that convolution over
+    the u in W, over the subspaces W of V, with mu(W, V) = (-1)^d q^(d(d-1)/2)
+    for d = r - dim W.  The rank tally sums those with the rank weights and
+    divides by `divisor`, the times the weights count each rank-r matrix; a
+    count that does not divide raises RuntimeError.  Only the full pairs
     have products of rank r, uniform over them, so matrix_tv is the closed
-    form; exact_distribution's int64 check keeps the tallies exact.
+    form; exact_distribution's int64 check keeps the tallies exact, the rank
+    tally before its division too.
     """
     q = ctx.q
-    m, n = max(m, n), min(m, n)
-    member = subset_a.member_table()
-    us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
-    # one Y per row space, by dimension k: a representative's transposed
-    # basis above r - k zero rows, standing for F(r, k) Y's; rank r comes last
-    reps = [_orbit_representatives(q, n, k) for k in range(r + 1)]  # Y, n, k
-    ys = np.zeros((sum(len(rep) for rep in reps), r, n), dtype=np.int16)
-    lo = 0
-    for k, rep in enumerate(reps):
-        ys[lo : lo + len(rep), :k] = rep.transpose(0, 2, 1)
-        lo += len(rep)
-    sizes = np.repeat([int(rank_count(q, r, k, k)) for k in range(r + 1)], [len(rep) for rep in reps])
-    first_full = len(ys) - len(reps[r])
     # per dimension k < r, mu(W, V) and the codes of each subspace's u's: the
-    # combinations of the rows of each basis, a transposed representative
-    spaces = []
-    for k in range(r):
+    # combinations of the rows of each basis, a transposed representative, or
+    # for k = 0 the zero code alone
+    spaces = [((-1) ** r * q ** (r * (r - 1) // 2), np.zeros((1, 1), dtype=np.int64))] if r else []
+    for k in range(1, r):
         coeffs = _decode(q, np.arange(q**k, dtype=np.int64), 1, k)[:, 0]  # c, k
         bases = _orbit_representatives(q, r, k).transpose(0, 2, 1)  # W, k, r
         d = r - k
         spaces.append(((-1) ** d * q ** (d * (d - 1) // 2), _encode(q, _index_matmul(ctx, coeffs, bases))))
-    columns = 1 + sum(len(codes) for _, codes in spaces)  # convolutions per rank-r Y
     pair_ct, rank_ct = np.zeros((2, m * n + 1), dtype=np.int64)
-    for lo, hi in _blocks(0, len(ys), max(q**r * n, columns * (m * n + 1))):
-        rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
-        row_ct = member[rows].sum(axis=2)  # Y, u
-        full = np.arange(lo, hi) >= first_full
-
-        # one column per Y for W = V, then one per proper W and rank-r Y
-        hists, weights, full_ct = [_tallies(row_ct, n + 1)], [full.astype(np.int64)], row_ct[full]
+    for row_ct, product_weight, rank_weight in classes:
+        # one column per class for W = V, then one per proper W and rank-r class
+        full = rank_weight != 0
+        hists, weights = [_tallies(row_ct, n + 1)], [rank_weight]
+        full_ct, full_weight = row_ct[full], rank_weight[full]
         for mu, codes in spaces:
             hists.append(_tallies(full_ct[:, codes].reshape(-1, codes.shape[1]), n + 1))
-            weights.append(np.full(hists[-1].shape[1], mu, dtype=np.int64))
+            weights.append(np.repeat(mu * full_weight, len(codes)))
         hist = np.concatenate(hists, axis=1)  # one row's count, column
         # law (count, column: how many X give it) follows n zero rows, and
         # window j (rows j to j + n of padded) ends at law[j]: a row of count v
@@ -941,38 +931,157 @@ def _exact_by_pairs(
         )
         for k in range(1, m + 1):  # law is over k - 1 rows so far; k rows count at most k n
             law[: k * n + 1] = np.einsum("jcw,wc->jc", windows[: k * n + 1], hist[::-1])
-        pair_ct += law[:, : hi - lo] @ sizes[lo:hi]
+        pair_ct += law[:, : len(row_ct)] @ product_weight
         rank_ct += law @ np.concatenate(weights)
 
+    rank_ct, rest = np.divmod(rank_ct, divisor)
+    if rest.any():  # not an assert: python -O would strip it
+        raise RuntimeError(f"the rank tally is not a multiple of {divisor} "
+                           f"at the counts {np.flatnonzero(rest).tolist()}")
     matrices, pairs = int(rank_count(q, m, n, r)), q ** (m * r + r * n)
     found = int(rank_ct.sum()), int(pair_ct.sum())
-    if found != (matrices, pairs):  # not an assert: python -O would strip it
-        raise RuntimeError(f"subspace tally found {found[0]} rank-r matrices and {found[1]} pairs, "
+    if found != (matrices, pairs):
+        raise RuntimeError(f"the tallies found {found[0]} rank-r matrices and {found[1]} pairs, "
                            f"formulas say {matrices} and {pairs}")
     return _exact_result(rank_ct, pair_ct, tv_closed_form_exact(q, m, n, r))
 
 
-def _exact_steps(q: int, m: int, n: int, r: int) -> int:
-    """`_exact_by_pairs`' work at n = min(m, n): q^r n row products for each
-    right factor (one per subspace of GF(q)^n of dimension <= r), and m rows
-    per convolution column, row k touching k n + 1 law entries of n + 1 terms."""
+def _exact_by_row_spaces(
+    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
+) -> ExactDistribution:
+    """`_exact_law` over one right factor Y per row space, in `_blocks` of them.
+
+    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  A Y of row
+    space dimension k stands for the F(r, k) = rank_count(q, r, k, k) Y's
+    that share it in the product law, and has rank weight 1 if k = r: each
+    rank-r matrix is X @ Y for one row space, so the divisor is 1.
+    """
+    q = ctx.q
     m, n = max(m, n), min(m, n)
-    ys, proper, span, sub = 0, 0, 1, 1  # sums over k < r of the terms [n k]_q and [r k]_q
+    member = subset_a.member_table()
+    us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
+    # one Y per row space, by dimension k: a representative's transposed
+    # basis above r - k zero rows; rank r comes last
+    reps = [_orbit_representatives(q, n, k) for k in range(r + 1)]  # Y, n, k
+    ys = np.zeros((sum(len(rep) for rep in reps), r, n), dtype=np.int16)
+    lo = 0
+    for k, rep in enumerate(reps):
+        ys[lo : lo + len(rep), :k] = rep.transpose(0, 2, 1)
+        lo += len(rep)
+    sizes = np.repeat([int(rank_count(q, r, k, k)) for k in range(r + 1)], [len(rep) for rep in reps])
+    full = (np.arange(len(ys)) >= len(ys) - len(reps[r])).astype(np.int64)
+
+    def classes():
+        for lo, hi in _blocks(0, len(ys), max(q**r * n, _columns(q, r) * (m * n + 1))):
+            rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
+            yield member[rows].sum(axis=2), sizes[lo:hi], full[lo:hi]
+
+    return _exact_law(ctx, m, n, r, classes(), 1)
+
+
+def _exact_by_compositions(
+    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
+) -> ExactDistribution:
+    """`_exact_law` over the column histograms of the right factors Y, in
+    `_blocks` of them.
+
+    Y enters the law only through H, the number of its n columns (at
+    n = min(m, n)) with each of the q^r codes c: row_ct = H @ K^T, with
+    K[u, c] = [u . c in A].  So the classes are the compositions H of n
+    into q^r parts, C(n + q^r - 1, q^r - 1) of them, listed in lexicographic
+    order of their bars by itertools.combinations.  H stands for the
+    multinomial n! / prod_c H(c)! Y's, a product of binomials from a Pascal
+    table whose partial products stay below it.  Y has rank r when its
+    columns span, that is when for every u != 0 some c with H(c) > 0 has
+    u . c != 0; the rank law then weighs it by the same multinomial, and so
+    counts each rank-r matrix once per Y of its row space, |GL_r(q)| =
+    rank_count(q, r, r, r) times: the divisor.
+    """
+    q = ctx.q
+    m, n = max(m, n), min(m, n)
+    size = q**r
+    codes = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0]  # c, r
+    dots = _index_matmul(ctx, codes, codes.T)  # u . c; symmetric
+    kernel = subset_a.member_table()[dots].astype(np.int64)  # c, u: K^T
+    nonzero = (dots[:, 1:] != 0).astype(np.int64)  # c, u != 0 (code 0 is u = 0)
+    pascal = _pascal(n)
+    bars = itertools.combinations(range(n + size - 1), size - 1)
+    total = math.comb(n + size - 1, size - 1)
+
+    def classes():
+        for lo, hi in _blocks(0, total, max(4 * size, _columns(q, r) * (m * n + 1))):
+            # the places of each composition's bars, between a -1 and an n + size - 1
+            cuts = np.full((hi - lo, size + 1), -1, dtype=np.int64)
+            cuts[:, -1] = n + size - 1
+            cuts[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, hi - lo)),
+                                        np.int64, (hi - lo) * (size - 1)).reshape(hi - lo, size - 1)
+            h = cuts[:, 1:] - cuts[:, :-1] - 1
+            multinomial = pascal[np.cumsum(h, axis=1), h].prod(axis=1)
+            spans = (h @ nonzero).all(axis=1)
+            yield h @ kernel, multinomial, multinomial * spans
+
+    return _exact_law(ctx, m, n, r, classes(), int(rank_count(q, r, r, r)))
+
+
+def _pascal(n: int) -> np.ndarray:
+    """The binomials C(s, h) at [s, h], for s, h <= n, in int64."""
+    out = np.zeros((n + 1, n + 1), dtype=np.int64)
+    out[:, 0] = 1
+    for s in range(1, n + 1):
+        out[s, 1:] = out[s - 1, 1:] + out[s - 1, :-1]
+    return out
+
+
+def _gaussian(q: int, d: int, r: int) -> list[int]:
+    """The Gaussian binomials [d k]_q, the subspaces of GF(q)^d of dimension
+    k, for k = 0..r."""
+    out = [1]
     for k in range(r):
-        ys, proper = ys + span, proper + sub
-        span = span * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
-        sub = sub * (q ** (r - k) - 1) // (q ** (k + 1) - 1)
-    columns = ys + span + span * proper  # per right factor, and per rank-r one and proper subspace
-    return (ys + span) * q**r * n + columns * (n + 1) * (n * m * (m + 1) // 2 + m)
+        out.append(out[-1] * (q ** (d - k) - 1) // (q ** (k + 1) - 1))
+    return out
+
+
+def _exact_steps(q: int, m: int, n: int, r: int) -> int:
+    """`_exact_by_row_spaces`' work at n = min(m, n): q^r n row products for
+    each right factor (one per subspace of GF(q)^n of dimension <= r), and m
+    rows per convolution column, row k touching k n + 1 law entries of n + 1
+    terms."""
+    m, n = max(m, n), min(m, n)
+    *low, span = _gaussian(q, n, r)
+    return (sum(low) + span) * q**r * n + (sum(low) + span * _columns(q, r)) * _column_steps(m, n)
+
+
+def _composition_steps(q: int, m: int, n: int, r: int) -> int:
+    """`_exact_by_compositions`' work at n = min(m, n), at most: q^(2r) for
+    each composition's row_ct, and one convolution column per composition
+    plus one per proper subspace, as if every composition spanned."""
+    m, n = max(m, n), min(m, n)
+    size = q**r
+    classes = math.comb(n + size - 1, size - 1)
+    return classes * size * size + classes * _columns(q, r) * _column_steps(m, n)
+
+
+def _columns(q: int, r: int) -> int:
+    """`_exact_law`'s convolution columns per class of rank r: one per
+    subspace of GF(q)^r, V and the proper ones."""
+    return sum(_gaussian(q, r, r))
+
+
+def _column_steps(m: int, n: int) -> int:
+    """One convolution column's steps: m rows, row k touching k n + 1 law
+    entries of n + 1 terms."""
+    return (n + 1) * (n * m * (m + 1) // 2 + m)
 
 
 def exact_distribution(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
     """Exact laws of the entry count by exhaustive enumeration: both laws
-    plus the matrix-level total variation from one right factor per row
-    space (see `_exact_by_pairs`).  TooLargeToEnumerate past int64, where
-    q^(mr+rn+r(r-1)/2) >= 2^63, then past MAX_EXACT_STEPS `_exact_steps`.
+    plus the matrix-level total variation, by `_exact_law` over one right
+    factor per row space or over the right factors' column histograms,
+    whichever of `_exact_steps` and `_composition_steps` counts fewer steps
+    (row spaces at a tie).  TooLargeToEnumerate past int64, where
+    q^(mr+rn+r(r-1)/2) >= 2^63, then where both counts pass MAX_EXACT_STEPS.
     A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
@@ -981,8 +1090,11 @@ def exact_distribution(
     exponent = m * r + r * n + r * (r - 1) // 2
     if not _power_at_most(ctx.q, exponent, (1 << 63) - 1):
         raise TooLargeToEnumerate(f"counts up to q^(mr+rn+r(r-1)/2) = {ctx.q}^{exponent} overflow int64")
-    steps = _exact_steps(ctx.q, m, n, r)
+    rows, compositions = _exact_steps(ctx.q, m, n, r), _composition_steps(ctx.q, m, n, r)
+    steps = min(rows, compositions)
     if steps > MAX_EXACT_STEPS:
         raise TooLargeToEnumerate(f"enumeration takes 2^{math.log2(steps):.1f} steps, "
                                   f"over the cap 2^{MAX_EXACT_STEPS.bit_length() - 1}")
-    return _exact_by_pairs(ctx, m, n, r, subset_a)
+    if compositions < rows:
+        return _exact_by_compositions(ctx, m, n, r, subset_a)
+    return _exact_by_row_spaces(ctx, m, n, r, subset_a)

@@ -1,6 +1,7 @@
 """Character tables, Mobius components, and the unit-group Fourier transform."""
 
 from fractions import Fraction
+import re
 import time
 from itertools import product
 
@@ -359,6 +360,15 @@ def test_verification_battery_refuses_huge_rank_quickly():
     with pytest.raises(FqrankError, match=r"3\^10000000"):
         verification_battery(make_field(2, 2), r=10**7)
     assert time.perf_counter() - start < 1.0  # no 3^(10^7) is built
+
+
+@pytest.mark.parametrize("q, r, power", [(3, 7, "6^7"), (4, 6, "8^6"), (2, 9, "4^9")])
+def test_verification_battery_caps_its_work(q, r, power):
+    # (2q)^r past 2^17: GF(3) r = 7 took 2.4-4.5 s, GF(4) r = 6 1.9 s
+    start = time.perf_counter()
+    with pytest.raises(FqrankError, match=re.escape(f"battery at (2q)^r = {power} exceeds the cap 2^17") + "$"):
+        verification_battery(field_from_order(q), r=r)
+    assert time.perf_counter() - start < 1.0
 
 
 GF3 = field_from_order(3)

@@ -211,11 +211,11 @@ def test_lemmas_pass(capsys):
 
 
 def test_lemmas_refuses_a_rank_past_the_cap_quickly(capsys):
-    # (q-1)^r = 1 at q = 2 bounds nothing: without the rank cap r = 40 asks for 2^40 entries
+    # (q-1)^r = 1 at q = 2 bounds nothing: without the (2q)^r cap r = 40 asks for 2^40 entries
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, ["lemmas", "--field", "2", "--r", "40"])
     assert time.perf_counter() - start < 1.0
-    assert (rc, out, err) == (2, "", "error: battery at r = 40 exceeds the rank cap 8\n")
+    assert (rc, out, err) == (2, "", "error: battery at (2q)^r = 4^40 exceeds the cap 2^17\n")
 
 
 def test_exact_refuses_rank_zero_past_the_step_cap_quickly(capsys):
@@ -449,7 +449,7 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "75783200f1de459d67c2c00097408b7b758d004e299e2e6ba26ea675d59f3e5a",
         ),
         (
-            # 651 row spaces of dimension 2 in GF(2)^6; matrix_tv in closed form
+            # 84 compositions of 6 into 4 codes, not 715 row spaces; matrix_tv in closed form
             "exact --field 2 --m 6 --n 6 --r 2 --A 1",
             "a6155714329d41fdb7d166d33b602bba029988d13de52a59cccbf0de557f9591",
         ),

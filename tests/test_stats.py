@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqrank.characters import (
     BadSubset,
@@ -770,9 +771,9 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
     [
         pytest.param(2, 3, 3, 2, 0b10, 8, id="2-3-3-2-2"),
         pytest.param(3, 2, 2, 1, 0b110, 4, id="3-2-2-1-6"),
-        # pairs lists the y's of the transpose, 4 x 3: blocks of one y
+        # the listings take the y's of the transpose, 4 x 3: blocks of one y
         pytest.param(2, 3, 4, 2, 0b10, 64, id="2-3-4-2-2"),
-        # 5 convolutions of 13 counts per y: 15 y's in blocks of 3
+        # 5 convolutions of 13 counts per y: 15 row spaces or 20 compositions in blocks of 3
         pytest.param(2, 4, 3, 2, 0b10, 200, id="2-4-3-2-2"),
     ],
 )
@@ -790,11 +791,14 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
 
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
-    # one loop, over one y per row space of dimension k <= r in
-    # GF(q)^min(m, n): [min(m, n) k]_q = F(min(m, n), k) / |GL_k| of each
+    # each listing runs one loop: over one y per row space of dimension k <= r
+    # in GF(q)^min(m, n), [min(m, n) k]_q = F(min(m, n), k) / |GL_k| of each,
+    # or over the compositions of min(m, n) into q^r parts
     row_spaces = int(sum(rank_count(q, min(m, n), k, k) / rank_count(q, k, k, k) for k in range(r + 1)))
-    assert exact_distribution(ctx, m, n, r, subset) == whole
-    assert most.keys() == {row_spaces} and most[row_spaces] >= 2
+    compositions = math.comb(min(m, n) + q**r - 1, q**r - 1)
+    assert stats._exact_by_row_spaces(ctx, m, n, r, subset) == whole
+    assert stats._exact_by_compositions(ctx, m, n, r, subset) == whole
+    assert most.keys() == {row_spaces, compositions} and min(most.values()) >= 2
 
 
 def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
@@ -946,21 +950,77 @@ def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
     # GF(2) 2 x 3 r=1, run as 3 x 2: 21 rank-1 matrices, 2^5 pairs
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
     count = stats.rank_count
-    # a wrong rank count: the rank tally's total disagrees
+    # a wrong rank count: the rank tally's total disagrees, whichever listing runs
     monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + (args == (2, 3, 2, 1)))
-    with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 32 pairs, formulas say 22 and 32"):
-        exact_distribution(ctx, 2, 3, 1, subset)
+    for listing in (stats._exact_by_row_spaces, stats._exact_by_compositions):
+        with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 32 pairs, formulas say 22 and 32"):
+            listing(ctx, 2, 3, 1, subset)
     # the zero y standing for 2 y's, not F(1, 0) = 1: the product tally's
     # total gains the 2^3 x's of one more y, the rank tally is untouched
     monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + (t == 0))
     with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 40 pairs, formulas say 21 and 32"):
-        exact_distribution(ctx, 2, 3, 1, subset)
+        stats._exact_by_row_spaces(ctx, 2, 3, 1, subset)
+
+
+def test_compositions_refuse_a_wrong_multinomial(monkeypatch):
+    # GF(2) 3 x 3 r=2: C(3, 1) read as 4 weighs some compositions 4/3 of their
+    # Y's, and the rank tally is no longer a multiple of |GL_2(2)| = 6
+    pascal = stats._pascal
+
+    def wrong(n):
+        table = pascal(n)
+        table[3, 1] += 1
+        return table
+
+    monkeypatch.setattr(stats, "_pascal", wrong)
+    with pytest.raises(RuntimeError, match=r"the rank tally is not a multiple of 6 at the counts \[4, 8\]$"):
+        stats._exact_by_compositions(field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 62])
+def test_pascal_holds_the_binomials(n):
+    assert stats._pascal(n).tolist() == [[math.comb(s, h) for h in range(n + 1)] for s in range(n + 1)]
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r",
+    [
+        (2, 4, 5, 2), (2, 8, 8, 2), (2, 4, 4, 2), (2, 6, 6, 3), (2, 12, 12, 1),
+        (2, 5, 5, 4), (2, 3, 3, 0), (3, 5, 5, 2), (4, 4, 4, 2),
+    ],
+)
+@pytest.mark.parametrize("amask", [0b10, 0b11])
+def test_listings_agree(q, m, n, r, amask):
+    ctx, subset = field_from_order(q), SubsetA(q, amask)
+    rows = stats._exact_by_row_spaces(ctx, m, n, r, subset)
+    assert stats._exact_by_compositions(ctx, m, n, r, subset) == rows
+
+
+@st.composite
+def listing_configs(draw):
+    """q <= 4, m, n <= 5, any rank and entry subset (0 in A and r = 0
+    included), where both listings take at most 2^20 steps."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ranks = [r for r in range(min(m, n) + 1)
+             if max(stats._exact_steps(q, m, n, r), stats._composition_steps(q, m, n, r)) <= 1 << 20]
+    return q, m, n, draw(st.sampled_from(ranks)), draw(st.integers(0, (1 << q) - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(listing_configs())
+def test_listings_agree_on_random_configs(config):
+    q, m, n, r, amask = config
+    ctx, subset = field_from_order(q), SubsetA(q, amask)
+    rows = stats._exact_by_row_spaces(ctx, m, n, r, subset)
+    assert stats._exact_by_compositions(ctx, m, n, r, subset) == rows
 
 
 def test_exact_distribution_gates():
     ctx = field_from_order(4)
-    # 6.1e8 steps; the message names powers of two, not the count
-    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^29\.2 steps, over the cap 2\^28$"):
+    # 6.1e8 steps by row spaces and 3.6e8 by compositions: the message names
+    # the fewer, as a power of two, not the count
+    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^28\.4 steps, over the cap 2\^28$"):
         exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4))
     with pytest.raises(RankOutOfRange):
         exact_distribution(ctx, 2, 2, 3, SubsetA.nonzero(4))
@@ -979,6 +1039,39 @@ def test_exact_steps_count_the_work_of_the_route(q, m, n, r, steps):
     assert stats._exact_steps(q, m, n, r) == stats._exact_steps(q, n, m, r) == steps
     if (q, m, n, r) == (2, 8, 8, 2):
         assert steps == 11_051 * 4 * 8 + (11_051 + 4 * 10_795) * sum((8 * k + 1) * 9 for k in range(1, 9))
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, steps",
+    [
+        (2, 4, 5, 2, 57_435), (2, 8, 8, 2, 2_200_440), (2, 12, 12, 1, 320_476),
+        (4, 6, 6, 2, 364_871_136), (2, 150, 150, 0, 256_533_901),
+    ],
+)
+def test_composition_steps_count_the_work_of_the_listing(q, m, n, r, steps):
+    # at 4 x 5 r = 2: 35 compositions of 4 into 4 codes, each with 4 x 4 row
+    # products and, as if all spanned, 1 + 4 convolution columns of
+    # sum_(k <= 5) (4k + 1) 5 steps
+    assert stats._composition_steps(q, m, n, r) == stats._composition_steps(q, n, m, r) == steps
+    if (q, m, n, r) == (2, 4, 5, 2):
+        assert steps == 35 * 16 + 35 * 5 * sum((4 * k + 1) * 5 for k in range(1, 6))
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, listing",
+    [
+        (2, 4, 5, 2, "compositions"), (2, 8, 8, 2, "compositions"), (2, 12, 12, 1, "compositions"),
+        (2, 5, 5, 4, "row spaces"), (4, 4, 4, 2, "row spaces"), (16, 3, 3, 2, "row spaces"),
+        # the two near ties: row spaces count fewer steps
+        (2, 6, 6, 3, "row spaces"), (3, 5, 5, 2, "row spaces"),
+        # 2.8M compositions at GF(16), 8.4M at GF(4096): none is built
+        (4096, 3, 2, 1, "row spaces"),
+    ],
+)
+def test_exact_distribution_runs_the_listing_of_fewer_steps(monkeypatch, q, m, n, r, listing):
+    monkeypatch.setattr(stats, "_exact_by_row_spaces", lambda *args: "row spaces")
+    monkeypatch.setattr(stats, "_exact_by_compositions", lambda *args: "compositions")
+    assert exact_distribution(SimpleNamespace(q=q), m, n, r, SubsetA(q, 0b10)) == listing
 
 
 def test_exact_distribution_refuses_rank_zero_past_the_cap_quickly():
@@ -1000,7 +1093,8 @@ def test_exact_gate_admits_every_shape_the_pair_and_matrix_gates_did(monkeypatch
     """Every q <= 4096, m, n <= 24 and r >= 1 with q^(mr+rn) <= 2^24 pairs or
     q^(mn) <= 2^22 matrices, the two gates the route once had, passes the
     int64 check and the step cap: the route is stubbed, so only the gate runs."""
-    monkeypatch.setattr(stats, "_exact_by_pairs", lambda *args: "admitted")
+    monkeypatch.setattr(stats, "_exact_by_row_spaces", lambda *args: "admitted")
+    monkeypatch.setattr(stats, "_exact_by_compositions", lambda *args: "admitted")
     shapes = 0
     for q in [q for q in range(2, 4097) if len(_prime_factors(q)) == 1]:  # the prime powers
         ctx, subset = SimpleNamespace(q=q), SubsetA(q, 0b10)  # the gate reads only the order
@@ -1040,6 +1134,9 @@ def test_auto_takes_pairs_wherever_the_scan_could_run(scan, q, m, n, r):
         dist = exact_distribution(ctx, *shape, r, subset)
         assert (dist.rank_dist, dist.mean, dist.variance) == law
         assert dist.matrix_tv == tv_closed_form_exact(q, *shape, r)
+    # each listing on its own, whichever the gate would choose
+    for listing in (stats._exact_by_row_spaces, stats._exact_by_compositions):
+        assert listing(ctx, m, n, r, subset) == dist
 
 
 # --- Monte Carlo normality reports -----------------------------------------------------

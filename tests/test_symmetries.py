@@ -99,6 +99,9 @@ def _closed_form_mean(q, m, n, r, subset):
     [
         (2, 8, 8, 2), (2, 7, 7, 2), (2, 6, 6, 3), (2, 5, 5, 4), (3, 5, 5, 2), (4, 4, 4, 2),
         (2, 8, 7, 2), (4, 4, 3, 2),  # and two whose transpose is another shape
+        # past the row-space listing's steps, admitted by the compositions'
+        (2, 9, 9, 2), (2, 10, 10, 2), (2, 24, 24, 1), (3, 8, 8, 2),
+        (2, 31, 31, 1),  # counts up to 2^62; at 32 x 32 the int64 check refuses
     ],
 )
 def test_laws_past_the_scan_have_the_closed_form_mean_and_symmetries(q, m, n, r):
@@ -113,6 +116,14 @@ def test_laws_past_the_scan_have_the_closed_form_mean_and_symmetries(q, m, n, r)
     assert (other.mean, other.variance) == (m * n - dist.mean, dist.variance)
     assert other.matrix_tv == dist.matrix_tv
     assert exact_distribution(ctx, n, m, r, subset) == dist
+
+
+def test_gf2_10x10_rank_2_has_the_law_the_row_spaces_gave():
+    # the mean and variance the row-space listing gives in 6.0 s (2^32.3
+    # steps, past the cap); the compositions take 2^23.1 steps
+    dist = exact_distribution(field_from_order(2), 10, 10, 2, SubsetA(2, 0b10))
+    assert round(float(dist.mean), 4) == 37.5733
+    assert round(float(dist.variance), 4) == 106.7578
 
 
 @st.composite
