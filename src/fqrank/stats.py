@@ -62,7 +62,7 @@ from .matrices import (
 from .sampling import _BLOCK_ENTRIES, _blocks, _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
-MAX_EXACT_STEPS = 1 << 28  # `_exact_steps` cap per exact_distribution call: 0.6-25 ns a step
+MAX_EXACT_STEPS = 1 << 28  # cap on exact_distribution's steps, summed over the inner dimensions
 MAX_DECOMP_TERMS = 1 << 22
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
@@ -874,50 +874,20 @@ def _orbit_representatives(q: int, m: int, r: int) -> np.ndarray:
     return out.reshape(total, m, r)
 
 
-def _exact_law(
-    ctx: FieldCtx, m: int, n: int, r: int, classes: Iterable[tuple[np.ndarray, ...]], divisor: int
-) -> ExactDistribution:
-    """Both laws of the entry count and matrix_tv, at m >= n, from classes of
-    right factors Y (r x n), given in blocks of three arrays: each class's
-    row_ct, the count #{j : u . y_j in A} for each of the q^r row vectors u
-    (code order), its weight in the product law, and its weight in the rank
-    law, nonzero only for classes of rank r.
+def _product_tally(m: int, n: int, classes: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """N_k, the tally of the entry count of X @ Y over every pair of an m x k
+    X and a k x n Y, from classes of Y given in blocks of two arrays: each
+    class's row_ct, the count #{j : u . y_j in A} for each of the q^k row
+    vectors u (code order), and the number of Y's it stands for.
 
-    Row i of X @ Y is u @ Y for u = x_i, so the count over all X has the law
+    Row i of X @ Y is u @ Y for u = x_i, so over all X the count has the law
     of the m-fold convolution of the histogram (`_tallies`) of row_ct over
-    the u's; the product law sums it with the product weights.  For Y of
-    rank r, X -> X @ Y is one-to-one from the full-rank X, whose rows span
-    V = GF(q)^r, onto the rank-r matrices of Y's row space: by Moebius
-    inversion their counts are sum_W mu(W, V) times that convolution over
-    the u in W, over the subspaces W of V, with mu(W, V) = (-1)^d q^(d(d-1)/2)
-    for d = r - dim W.  The rank tally sums those with the rank weights and
-    divides by `divisor`, the times the weights count each rank-r matrix; a
-    count that does not divide raises RuntimeError.  Only the full pairs
-    have products of rank r, uniform over them, so matrix_tv is the closed
-    form; exact_distribution's int64 check keeps the tallies exact, the rank
-    tally before its division too.
+    the u's: one convolution column per class, summed with the weights.
     """
-    q = ctx.q
-    # per dimension k < r, mu(W, V) and the codes of each subspace's u's: the
-    # combinations of the rows of each basis, a transposed representative, or
-    # for k = 0 the zero code alone
-    spaces = [((-1) ** r * q ** (r * (r - 1) // 2), np.zeros((1, 1), dtype=np.int64))] if r else []
-    for k in range(1, r):
-        coeffs = _decode(q, np.arange(q**k, dtype=np.int64), 1, k)[:, 0]  # c, k
-        bases = _orbit_representatives(q, r, k).transpose(0, 2, 1)  # W, k, r
-        d = r - k
-        spaces.append(((-1) ** d * q ** (d * (d - 1) // 2), _encode(q, _index_matmul(ctx, coeffs, bases))))
-    pair_ct, rank_ct = np.zeros((2, m * n + 1), dtype=np.int64)
-    for row_ct, product_weight, rank_weight in classes:
-        # one column per class for W = V, then one per proper W and rank-r class
-        full = rank_weight != 0
-        hists, weights = [_tallies(row_ct, n + 1)], [rank_weight]
-        full_ct, full_weight = row_ct[full], rank_weight[full]
-        for mu, codes in spaces:
-            hists.append(_tallies(full_ct[:, codes].reshape(-1, codes.shape[1]), n + 1))
-            weights.append(np.repeat(mu * full_weight, len(codes)))
-        hist = np.concatenate(hists, axis=1)  # one row's count, column
-        # law (count, column: how many X give it) follows n zero rows, and
+    tally = np.zeros(m * n + 1, dtype=np.int64)
+    for row_ct, weight in classes:
+        hist = _tallies(row_ct, n + 1)  # one row's count, class
+        # law (count, class: how many X give it) follows n zero rows, and
         # window j (rows j to j + n of padded) ends at law[j]: a row of count v
         # moves law[j - v] to j, so the next law is each window dotted with the
         # reversed hist.  np.ndarray makes the view, as numpy 2.4's as_strided
@@ -926,101 +896,128 @@ def _exact_law(
         padded[n] = 1
         row, item = padded.strides
         law = padded[n:]
-        windows = np.ndarray(  # j, column, n + 1
+        windows = np.ndarray(  # j, class, n + 1
             (len(law), hist.shape[1], n + 1), np.int64, buffer=padded, strides=(row, item, row)
         )
-        for k in range(1, m + 1):  # law is over k - 1 rows so far; k rows count at most k n
-            law[: k * n + 1] = np.einsum("jcw,wc->jc", windows[: k * n + 1], hist[::-1])
-        pair_ct += law[:, : len(row_ct)] @ product_weight
-        rank_ct += law @ np.concatenate(weights)
-
-    rank_ct, rest = np.divmod(rank_ct, divisor)
-    if rest.any():  # not an assert: python -O would strip it
-        raise RuntimeError(f"the rank tally is not a multiple of {divisor} "
-                           f"at the counts {np.flatnonzero(rest).tolist()}")
-    matrices, pairs = int(rank_count(q, m, n, r)), q ** (m * r + r * n)
-    found = int(rank_ct.sum()), int(pair_ct.sum())
-    if found != (matrices, pairs):
-        raise RuntimeError(f"the tallies found {found[0]} rank-r matrices and {found[1]} pairs, "
-                           f"formulas say {matrices} and {pairs}")
-    return _exact_result(rank_ct, pair_ct, tv_closed_form_exact(q, m, n, r))
+        for i in range(1, m + 1):  # law is over i - 1 rows so far; i rows count at most i n
+            law[: i * n + 1] = np.einsum("jcw,wc->jc", windows[: i * n + 1], hist[::-1])
+        tally += law @ weight
+    return tally
 
 
-def _exact_by_row_spaces(
-    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
-) -> ExactDistribution:
-    """`_exact_law` over one right factor Y per row space, in `_blocks` of them.
+def _row_space_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -> np.ndarray:
+    """`_product_tally` over one k x n right factor Y per row space, in
+    `_blocks` of them.
 
     ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  A Y of row
-    space dimension k stands for the F(r, k) = rank_count(q, r, k, k) Y's
-    that share it in the product law, and has rank weight 1 if k = r: each
-    rank-r matrix is X @ Y for one row space, so the divisor is 1.
+    space dimension d stands for the F(k, d) = rank_count(q, k, d, d) Y's
+    that share it.
     """
     q = ctx.q
     m, n = max(m, n), min(m, n)
     member = subset_a.member_table()
-    us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)  # u, 1, r
-    # one Y per row space, by dimension k: a representative's transposed
-    # basis above r - k zero rows; rank r comes last
-    reps = [_orbit_representatives(q, n, k) for k in range(r + 1)]  # Y, n, k
-    ys = np.zeros((sum(len(rep) for rep in reps), r, n), dtype=np.int16)
+    us = _decode(q, np.arange(q**k, dtype=np.int64), 1, k)  # u, 1, k
+    # one Y per row space, by dimension d: a representative's transposed
+    # basis above k - d zero rows
+    reps = [_orbit_representatives(q, n, d) for d in range(k + 1)]  # Y, n, d
+    ys = np.zeros((sum(len(rep) for rep in reps), k, n), dtype=np.int16)
     lo = 0
-    for k, rep in enumerate(reps):
-        ys[lo : lo + len(rep), :k] = rep.transpose(0, 2, 1)
+    for d, rep in enumerate(reps):
+        ys[lo : lo + len(rep), :d] = rep.transpose(0, 2, 1)
         lo += len(rep)
-    sizes = np.repeat([int(rank_count(q, r, k, k)) for k in range(r + 1)], [len(rep) for rep in reps])
-    full = (np.arange(len(ys)) >= len(ys) - len(reps[r])).astype(np.int64)
+    sizes = np.repeat([int(rank_count(q, k, d, d)) for d in range(k + 1)], [len(rep) for rep in reps])
 
     def classes():
-        for lo, hi in _blocks(0, len(ys), max(q**r * n, _columns(q, r) * (m * n + 1))):
+        for lo, hi in _blocks(0, len(ys), max(q**k * n, m * n + 1)):
             rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
-            yield member[rows].sum(axis=2), sizes[lo:hi], full[lo:hi]
+            yield member[rows].sum(axis=2), sizes[lo:hi]
 
-    return _exact_law(ctx, m, n, r, classes(), 1)
+    return _product_tally(m, n, classes())
 
 
-def _exact_by_compositions(
-    ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
-) -> ExactDistribution:
-    """`_exact_law` over the column histograms of the right factors Y, in
-    `_blocks` of them.
+def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -> np.ndarray:
+    """`_product_tally` over the column histograms of the k x n right factors
+    Y, in `_blocks` of them.
 
-    Y enters the law only through H, the number of its n columns (at
-    n = min(m, n)) with each of the q^r codes c: row_ct = H @ K^T, with
+    Y enters the tally only through H, the number of its n columns (at
+    n = min(m, n)) with each of the q^k codes c: row_ct = H @ K^T, with
     K[u, c] = [u . c in A].  So the classes are the compositions H of n
-    into q^r parts, C(n + q^r - 1, q^r - 1) of them, listed in lexicographic
+    into q^k parts, C(n + q^k - 1, q^k - 1) of them, listed in lexicographic
     order of their bars by itertools.combinations.  H stands for the
     multinomial n! / prod_c H(c)! Y's, a product of binomials from a Pascal
-    table whose partial products stay below it.  Y has rank r when its
-    columns span, that is when for every u != 0 some c with H(c) > 0 has
-    u . c != 0; the rank law then weighs it by the same multinomial, and so
-    counts each rank-r matrix once per Y of its row space, |GL_r(q)| =
-    rank_count(q, r, r, r) times: the divisor.
+    table whose partial products stay below it.
     """
     q = ctx.q
     m, n = max(m, n), min(m, n)
-    size = q**r
-    codes = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0]  # c, r
-    dots = _index_matmul(ctx, codes, codes.T)  # u . c; symmetric
-    kernel = subset_a.member_table()[dots].astype(np.int64)  # c, u: K^T
-    nonzero = (dots[:, 1:] != 0).astype(np.int64)  # c, u != 0 (code 0 is u = 0)
+    size = q**k
+    codes = _decode(q, np.arange(size, dtype=np.int64), 1, k)[:, 0]  # c, k
+    kernel = subset_a.member_table()[_index_matmul(ctx, codes, codes.T)].astype(np.int64)  # c, u: K^T
     pascal = _pascal(n)
     bars = itertools.combinations(range(n + size - 1), size - 1)
     total = math.comb(n + size - 1, size - 1)
 
     def classes():
-        for lo, hi in _blocks(0, total, max(4 * size, _columns(q, r) * (m * n + 1))):
+        for lo, hi in _blocks(0, total, max(4 * size, m * n + 1)):
             # the places of each composition's bars, between a -1 and an n + size - 1
             cuts = np.full((hi - lo, size + 1), -1, dtype=np.int64)
             cuts[:, -1] = n + size - 1
             cuts[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, hi - lo)),
                                         np.int64, (hi - lo) * (size - 1)).reshape(hi - lo, size - 1)
             h = cuts[:, 1:] - cuts[:, :-1] - 1
-            multinomial = pascal[np.cumsum(h, axis=1), h].prod(axis=1)
-            spans = (h @ nonzero).all(axis=1)
-            yield h @ kernel, multinomial, multinomial * spans
+            yield h @ kernel, pascal[np.cumsum(h, axis=1), h].prod(axis=1)
 
-    return _exact_law(ctx, m, n, r, classes(), int(rank_count(q, r, r, r)))
+    return _product_tally(m, n, classes())
+
+
+def _factor_pairs(q: int, m: int, n: int, k: int, j: int) -> int:
+    """c(k, j), the pairs of an m x k and a k x n factor whose product is one
+    fixed m x n matrix M of rank j <= k.
+
+    X Y = M has a solution Y exactly when the column space W of X holds M's,
+    and then q^(n(k - a)) of them, a = dim W.  Each of the [m-j a-j]_q such W
+    of dimension a is the column space of F(k, a) X's, so c(k, k) is
+    |GL_k(q)| = F(k, k).
+    """
+    over = _gaussian(q, m - j, min(m, k) - j)  # [m-j a-j]_q at a = j..min(m, k)
+    return sum(w * math.prod(q**k - q**i for i in range(a)) * q ** (n * (k - a))
+               for a, w in enumerate(over, j))
+
+
+def _exact_law(q: int, m: int, n: int, tallies: list[np.ndarray]) -> ExactDistribution:
+    """Both laws of the entry count and matrix_tv at rank r, from the
+    product tallies N_0..N_r: N_k over every pair of an m x k and a k x n
+    factor, N_0 the point mass of the zero matrix.
+
+    (X, Y) -> (G X, Y H), for G in GL_m and H in GL_n, maps the pairs with
+    product M onto those with product G M H, and these act transitively on
+    the matrices of each rank j.  So every rank-j matrix is the product of
+    c(k, j) = `_factor_pairs` pairs, and N_k = sum_(j <= k) c(k, j) R_j, R_j
+    the tally over the rank-j matrices: the triangular solve
+    R_k = (N_k - sum_(j < k) c(k, j) R_j) / c(k, k) gives them in turn.  Each
+    term c(k, j) R_j(v) is at most N_k(v) <= q^(mk+kn), so
+    exact_distribution's int64 check on q^(mr+rn) keeps every count exact.
+    A step that leaves a remainder or a negative count raises RuntimeError,
+    as do totals other than q^(mk+kn) pairs and rank_count(q, m, n, k)
+    matrices.  Only the full pairs have products of rank r, uniform over
+    them, so matrix_tv is the closed form.
+    """
+    ranks = []  # R_0, R_1, ...
+    for k, tally in enumerate(tallies):
+        rest = tally.copy()
+        for j, below in enumerate(ranks):
+            rest -= _factor_pairs(q, m, n, k, j) * below
+        rank_k, left = np.divmod(rest, _factor_pairs(q, m, n, k, k))
+        if left.any() or (rest < 0).any():  # not an assert: python -O would strip it
+            raise RuntimeError(f"the rank-{k} tally leaves a remainder or a negative count at the counts "
+                               f"{np.flatnonzero(left | (rest < 0)).tolist()}")
+        found = int(rank_k.sum()), int(tally.sum())
+        expected = int(rank_count(q, m, n, k)), q ** (m * k + k * n)
+        if found != expected:
+            raise RuntimeError(f"the tallies found {found[0]} rank-{k} matrices and {found[1]} pairs, "
+                               f"formulas say {expected[0]} and {expected[1]}")
+        ranks.append(rank_k)
+    r = len(tallies) - 1
+    return _exact_result(ranks[r], tallies[r], tv_closed_form_exact(q, m, n, r))
 
 
 def _pascal(n: int) -> np.ndarray:
@@ -1041,30 +1038,20 @@ def _gaussian(q: int, d: int, r: int) -> list[int]:
     return out
 
 
-def _exact_steps(q: int, m: int, n: int, r: int) -> int:
-    """`_exact_by_row_spaces`' work at n = min(m, n): q^r n row products for
-    each right factor (one per subspace of GF(q)^n of dimension <= r), and m
-    rows per convolution column, row k touching k n + 1 law entries of n + 1
-    terms."""
+def _row_space_steps(q: int, m: int, n: int, k: int) -> int:
+    """`_row_space_tally`'s work at n = min(m, n): for each right factor (one
+    per subspace of GF(q)^n of dimension <= k), q^k n row products and one
+    convolution column."""
     m, n = max(m, n), min(m, n)
-    *low, span = _gaussian(q, n, r)
-    return (sum(low) + span) * q**r * n + (sum(low) + span * _columns(q, r)) * _column_steps(m, n)
+    return sum(_gaussian(q, n, k)) * (q**k * n + _column_steps(m, n))
 
 
-def _composition_steps(q: int, m: int, n: int, r: int) -> int:
-    """`_exact_by_compositions`' work at n = min(m, n), at most: q^(2r) for
-    each composition's row_ct, and one convolution column per composition
-    plus one per proper subspace, as if every composition spanned."""
+def _composition_steps(q: int, m: int, n: int, k: int) -> int:
+    """`_composition_tally`'s work at n = min(m, n): for each composition,
+    q^(2k) products for its row_ct and one convolution column."""
     m, n = max(m, n), min(m, n)
-    size = q**r
-    classes = math.comb(n + size - 1, size - 1)
-    return classes * size * size + classes * _columns(q, r) * _column_steps(m, n)
-
-
-def _columns(q: int, r: int) -> int:
-    """`_exact_law`'s convolution columns per class of rank r: one per
-    subspace of GF(q)^r, V and the proper ones."""
-    return sum(_gaussian(q, r, r))
+    size = q**k
+    return math.comb(n + size - 1, size - 1) * (size * size + _column_steps(m, n))
 
 
 def _column_steps(m: int, n: int) -> int:
@@ -1077,24 +1064,34 @@ def exact_distribution(
     ctx: FieldCtx, m: int, n: int, r: int, subset_a: SubsetA
 ) -> ExactDistribution:
     """Exact laws of the entry count by exhaustive enumeration: both laws
-    plus the matrix-level total variation, by `_exact_law` over one right
-    factor per row space or over the right factors' column histograms,
-    whichever of `_exact_steps` and `_composition_steps` counts fewer steps
-    (row spaces at a tie).  TooLargeToEnumerate past int64, where
-    q^(mr+rn+r(r-1)/2) >= 2^63, then where both counts pass MAX_EXACT_STEPS.
-    A rank outside [0, min(m, n)] raises `_check_rank`'s RankOutOfRange.
+    plus the matrix-level total variation, by `_exact_law`'s solve over the
+    product tallies at each inner dimension k = 1..r.  Each k runs the
+    listing of right factors, `_row_space_tally` or `_composition_tally`,
+    whose `_row_space_steps` or `_composition_steps` count fewer steps (row
+    spaces at a tie).  Rank 0 is the point mass at mn [0 in A], at any size.
+    TooLargeToEnumerate past int64, where q^(mr+rn) >= 2^63, then where the
+    steps summed over k pass MAX_EXACT_STEPS.  A rank outside [0, min(m, n)]
+    raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
     if subset_a.q != ctx.q:
         raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
-    exponent = m * r + r * n + r * (r - 1) // 2
+    zero = m * n * (0 in subset_a)  # the zero matrix's count
+    if not r:  # the zero matrix is the one rank-0 matrix and the one product
+        law = {zero: Fraction(1)}
+        return ExactDistribution(law, dict(law), Fraction(zero), Fraction(0), Fraction(0))
+    exponent = m * r + r * n
     if not _power_at_most(ctx.q, exponent, (1 << 63) - 1):
-        raise TooLargeToEnumerate(f"counts up to q^(mr+rn+r(r-1)/2) = {ctx.q}^{exponent} overflow int64")
-    rows, compositions = _exact_steps(ctx.q, m, n, r), _composition_steps(ctx.q, m, n, r)
-    steps = min(rows, compositions)
+        raise TooLargeToEnumerate(f"counts up to q^(mr+rn) = {ctx.q}^{exponent} overflow int64")
+    listings, steps = [], 0
+    for k in range(1, r + 1):
+        rows, compositions = _row_space_steps(ctx.q, m, n, k), _composition_steps(ctx.q, m, n, k)
+        listings.append(_composition_tally if compositions < rows else _row_space_tally)
+        steps += min(rows, compositions)
     if steps > MAX_EXACT_STEPS:
         raise TooLargeToEnumerate(f"enumeration takes 2^{math.log2(steps):.1f} steps, "
                                   f"over the cap 2^{MAX_EXACT_STEPS.bit_length() - 1}")
-    if compositions < rows:
-        return _exact_by_compositions(ctx, m, n, r, subset_a)
-    return _exact_by_row_spaces(ctx, m, n, r, subset_a)
+    point = np.zeros(m * n + 1, dtype=np.int64)
+    point[zero] = 1
+    tallies = [listing(ctx, m, n, k, subset_a) for k, listing in enumerate(listings, 1)]
+    return _exact_law(ctx.q, m, n, [point] + tallies)

@@ -218,13 +218,16 @@ def test_lemmas_refuses_a_rank_past_the_cap_quickly(capsys):
     assert (rc, out, err) == (2, "", "error: battery at (2q)^r = 4^40 exceeds the cap 2^17\n")
 
 
-def test_exact_refuses_rank_zero_past_the_step_cap_quickly(capsys):
-    # q^0 = 1 pair bounds nothing: the convolution of 2000 x 2000 entries would run for hours
+def test_exact_rank_zero_is_a_point_mass_at_any_size(capsys):
+    # the zero matrix alone, with all of its 2000 x 2000 entries in A = {0}
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "exact --field 2 --m 2000 --n 2000 --r 0 --A 0".split())
     assert time.perf_counter() - start < 1.0
-    assert (rc, out) == (2, "")
-    assert err == "error: enumeration takes 2^42.9 steps, over the cap 2^28\n"
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["rank_dist"] == doc["product_dist"] == {"4000000": "1"}
+    assert doc["mean"]["exact"] == "4000000"
+    assert doc["variance"]["exact"] == doc["matrix_tv"]["exact"] == "0"
 
 
 def test_lemmas_failure_exit_code(capsys, monkeypatch):

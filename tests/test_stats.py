@@ -736,6 +736,16 @@ def test_exact_distribution_rank_zero(scan):
     dist = exact_distribution(ctx, 2, 2, 0, subset)
     assert dist.rank_dist == {4: Fraction(1)}  # the zero matrix: all entries are 0
     assert scan(ctx, 2, 2, 0, subset) == (dist.rank_dist, dist.mean, dist.variance)
+    # the same law as the solve over the one product tally N_0
+    assert _law_by(stats._row_space_tally, ctx, 2, 2, 0, subset) == dist
+
+
+def _law_by(listing, ctx, m, n, r, subset):
+    """`_exact_law` over one listing's product tallies at every inner
+    dimension k = 1..r, whatever the gate would choose."""
+    point = np.zeros(m * n + 1, dtype=np.int64)
+    point[m * n * (0 in subset)] = 1
+    return stats._exact_law(ctx.q, m, n, [point] + [listing(ctx, m, n, k, subset) for k in range(1, r + 1)])
 
 
 @pytest.mark.parametrize("seed, length", [(0, 1), (1, 2), (2, 21), (3, 150), (4, 400)])
@@ -772,9 +782,10 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         pytest.param(2, 3, 3, 2, 0b10, 8, id="2-3-3-2-2"),
         pytest.param(3, 2, 2, 1, 0b110, 4, id="3-2-2-1-6"),
         # the listings take the y's of the transpose, 4 x 3: blocks of one y
-        pytest.param(2, 3, 4, 2, 0b10, 64, id="2-3-4-2-2"),
-        # 5 convolutions of 13 counts per y: 15 row spaces or 20 compositions in blocks of 3
-        pytest.param(2, 4, 3, 2, 0b10, 200, id="2-4-3-2-2"),
+        pytest.param(2, 3, 4, 2, 0b10, 12, id="2-3-4-2-2"),
+        # one convolution of 13 counts per y: at k = 2, 15 row spaces in blocks
+        # of 2, or 20 compositions of 16 row counts each in blocks of one
+        pytest.param(2, 4, 3, 2, 0b10, 26, id="2-4-3-2-2"),
     ],
 )
 def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m, n, r, amask, budget):
@@ -791,14 +802,16 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
 
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
-    # each listing runs one loop: over one y per row space of dimension k <= r
-    # in GF(q)^min(m, n), [min(m, n) k]_q = F(min(m, n), k) / |GL_k| of each,
-    # or over the compositions of min(m, n) into q^r parts
-    row_spaces = int(sum(rank_count(q, min(m, n), k, k) / rank_count(q, k, k, k) for k in range(r + 1)))
-    compositions = math.comb(min(m, n) + q**r - 1, q**r - 1)
-    assert stats._exact_by_row_spaces(ctx, m, n, r, subset) == whole
-    assert stats._exact_by_compositions(ctx, m, n, r, subset) == whole
-    assert most.keys() == {row_spaces, compositions} and min(most.values()) >= 2
+    # each listing runs one loop per inner dimension k: over one y per row
+    # space of dimension d <= k in GF(q)^min(m, n), [min(m, n) d]_q =
+    # F(min(m, n), d) / |GL_d| of each, or over the compositions of
+    # min(m, n) into q^k parts
+    row_spaces = {int(sum(rank_count(q, min(m, n), d, d) / rank_count(q, d, d, d) for d in range(k + 1)))
+                  for k in range(1, r + 1)}
+    compositions = {math.comb(min(m, n) + q**k - 1, q**k - 1) for k in range(1, r + 1)}
+    assert _law_by(stats._row_space_tally, ctx, m, n, r, subset) == whole
+    assert _law_by(stats._composition_tally, ctx, m, n, r, subset) == whole
+    assert most.keys() == row_spaces | compositions and min(most.values()) >= 2
 
 
 def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
@@ -951,20 +964,21 @@ def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
     count = stats.rank_count
     # a wrong rank count: the rank tally's total disagrees, whichever listing runs
-    monkeypatch.setattr(stats, "rank_count", lambda *args: count(*args) + (args == (2, 3, 2, 1)))
-    for listing in (stats._exact_by_row_spaces, stats._exact_by_compositions):
-        with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 32 pairs, formulas say 22 and 32"):
-            listing(ctx, 2, 3, 1, subset)
+    monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + ((s, t, r) == (2, 3, 1)))
+    for listing in (stats._row_space_tally, stats._composition_tally):
+        with pytest.raises(RuntimeError, match="found 21 rank-1 matrices and 32 pairs, formulas say 22 and 32"):
+            _law_by(listing, ctx, 2, 3, 1, subset)
     # the zero y standing for 2 y's, not F(1, 0) = 1: the product tally's
-    # total gains the 2^3 x's of one more y, the rank tally is untouched
+    # total gains the 2^3 x's of one more y, all of count 0, and the solve
+    # puts them among the rank-1 matrices
     monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + (t == 0))
-    with pytest.raises(RuntimeError, match="found 21 rank-r matrices and 40 pairs, formulas say 21 and 32"):
-        stats._exact_by_row_spaces(ctx, 2, 3, 1, subset)
+    with pytest.raises(RuntimeError, match="found 29 rank-1 matrices and 40 pairs, formulas say 21 and 32"):
+        _law_by(stats._row_space_tally, ctx, 2, 3, 1, subset)
 
 
 def test_compositions_refuse_a_wrong_multinomial(monkeypatch):
-    # GF(2) 3 x 3 r=2: C(3, 1) read as 4 weighs some compositions 4/3 of their
-    # Y's, and the rank tally is no longer a multiple of |GL_2(2)| = 6
+    # GF(2) 3 x 3 r=2: C(3, 1) read as 4 weighs the composition (2, 1) of the
+    # 3 columns over q^1 = 2 codes at 4 Y's, not 3, so k = 1 counts 8 pairs too many
     pascal = stats._pascal
 
     def wrong(n):
@@ -973,13 +987,47 @@ def test_compositions_refuse_a_wrong_multinomial(monkeypatch):
         return table
 
     monkeypatch.setattr(stats, "_pascal", wrong)
-    with pytest.raises(RuntimeError, match=r"the rank tally is not a multiple of 6 at the counts \[4, 8\]$"):
-        stats._exact_by_compositions(field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
+    with pytest.raises(RuntimeError, match="found 57 rank-1 matrices and 72 pairs, formulas say 49 and 64$"):
+        _law_by(stats._composition_tally, field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 62])
 def test_pascal_holds_the_binomials(n):
     assert stats._pascal(n).tolist() == [[math.comb(s, h) for h in range(n + 1)] for s in range(n + 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_factor_pairs_count_every_pair_once(q):
+    """Over the ranks j <= k, the c(k, j) pairs of each rank-j product add up
+    to every pair, and c(k, k) = |GL_k(q)|."""
+    for m, n in product(range(1, 6), repeat=2):
+        for k in range(min(m, n) + 1):
+            pairs = sum(stats._factor_pairs(q, m, n, k, j) * rank_count(q, m, n, j) for j in range(k + 1))
+            assert pairs == q ** (m * k + k * n), (q, m, n, k)
+            assert stats._factor_pairs(q, m, n, k, k) == rank_count(q, k, k, k)
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2)])
+def test_factor_pairs_are_the_pairs_of_each_product(q, m, n):
+    # every pair of an m x k and a k x n factor, tallied by its product's
+    # code: each m x n matrix of rank j <= k is the product of c(k, j) pairs
+    ctx = field_from_order(q)
+    ranks = _rank_stack(ctx, _decode(q, np.arange(q ** (m * n), dtype=np.int64), m, n))
+    for k in range(min(m, n) + 1):
+        xs = _decode(q, np.arange(q ** (m * k), dtype=np.int64), m, k)
+        ys = _decode(q, np.arange(q ** (k * n), dtype=np.int64), k, n)
+        prod = _index_matmul(ctx, xs[:, None], ys).reshape(-1, m * n)
+        hits = np.bincount(_encode(q, prod), minlength=q ** (m * n))
+        assert hits.tolist() == [stats._factor_pairs(q, m, n, k, j) if j <= k else 0 for j in ranks.tolist()]
+
+
+@pytest.mark.parametrize("k, j", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+def test_solve_refuses_a_wrong_factor_count(monkeypatch, k, j):
+    # GF(2) 3 x 3 r=2 with one c(k, j) off by one
+    count = stats._factor_pairs
+    monkeypatch.setattr(stats, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (k, j)))
+    with pytest.raises(RuntimeError, match=f"the rank-{k} tally leaves a remainder or a negative count"):
+        exact_distribution(field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
 
 
 @pytest.mark.parametrize(
@@ -991,9 +1039,23 @@ def test_pascal_holds_the_binomials(n):
 )
 @pytest.mark.parametrize("amask", [0b10, 0b11])
 def test_listings_agree(q, m, n, r, amask):
+    _listings_agree(q, m, n, r, amask)
+
+
+def _listings_agree(q, m, n, r, amask):
+    """Both listings give the same product tally at every inner dimension
+    k <= r, and so the same laws."""
     ctx, subset = field_from_order(q), SubsetA(q, amask)
-    rows = stats._exact_by_row_spaces(ctx, m, n, r, subset)
-    assert stats._exact_by_compositions(ctx, m, n, r, subset) == rows
+    for k in range(1, r + 1):
+        rows = stats._row_space_tally(ctx, m, n, k, subset)
+        assert np.array_equal(stats._composition_tally(ctx, m, n, k, subset), rows), k
+    rows = _law_by(stats._row_space_tally, ctx, m, n, r, subset)
+    assert _law_by(stats._composition_tally, ctx, m, n, r, subset) == rows
+
+
+def _steps_by_both(q, m, n, r):
+    """The steps of running both listings at every k <= r."""
+    return sum(stats._row_space_steps(q, m, n, k) + stats._composition_steps(q, m, n, k) for k in range(1, r + 1))
 
 
 @st.composite
@@ -1002,84 +1064,87 @@ def listing_configs(draw):
     included), where both listings take at most 2^20 steps."""
     q = draw(st.sampled_from([2, 3, 4]))
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    ranks = [r for r in range(min(m, n) + 1)
-             if max(stats._exact_steps(q, m, n, r), stats._composition_steps(q, m, n, r)) <= 1 << 20]
+    ranks = [r for r in range(min(m, n) + 1) if _steps_by_both(q, m, n, r) <= 1 << 20]
     return q, m, n, draw(st.sampled_from(ranks)), draw(st.integers(0, (1 << q) - 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(listing_configs())
 def test_listings_agree_on_random_configs(config):
-    q, m, n, r, amask = config
-    ctx, subset = field_from_order(q), SubsetA(q, amask)
-    rows = stats._exact_by_row_spaces(ctx, m, n, r, subset)
-    assert stats._exact_by_compositions(ctx, m, n, r, subset) == rows
+    _listings_agree(*config)
 
 
 def test_exact_distribution_gates():
     ctx = field_from_order(4)
-    # 6.1e8 steps by row spaces and 3.6e8 by compositions: the message names
-    # the fewer, as a power of two, not the count
-    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^28\.4 steps, over the cap 2\^28$"):
-        exact_distribution(ctx, 6, 6, 2, SubsetA.nonzero(4))
+    # 2.0e5 steps at k = 1 and 3.2e8 at k = 2, by compositions (row spaces
+    # take 9.0e6 and 2.6e9): the message names the sum, as a power of two,
+    # not the count
+    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^28\.3 steps, over the cap 2\^28$"):
+        exact_distribution(ctx, 7, 7, 2, SubsetA.nonzero(4))
     with pytest.raises(RankOutOfRange):
         exact_distribution(ctx, 2, 2, 3, SubsetA.nonzero(4))
 
 
 @pytest.mark.parametrize(
-    "q, m, n, r, steps",
+    "q, m, n, k, steps",
     [
-        (2, 12, 12, 1, 101_044_188), (2, 8, 8, 2, 144_825_016), (2, 9, 9, 2, 902_806_272),
-        (4, 6, 6, 2, 612_455_772), (2, 150, 150, 0, 256_534_050), (4096, 4, 2, 1, 34_160_856),
+        (2, 12, 12, 1, 50_577_408), (2, 8, 8, 2, 29_793_496), (2, 9, 9, 2, 183_522_672),
+        (4, 6, 6, 2, 96_348_180), (4096, 4, 2, 1, 33_865_872),
     ],
 )
-def test_exact_steps_count_the_work_of_the_route(q, m, n, r, steps):
-    # at 8 x 8 r = 2: 11,051 right factors of 4 u's and 8 columns, then
-    # 11,051 + 4 * 10,795 convolution columns of sum_(k <= 8) (8k + 1) 9 steps
-    assert stats._exact_steps(q, m, n, r) == stats._exact_steps(q, n, m, r) == steps
-    if (q, m, n, r) == (2, 8, 8, 2):
-        assert steps == 11_051 * 4 * 8 + (11_051 + 4 * 10_795) * sum((8 * k + 1) * 9 for k in range(1, 9))
+def test_row_space_steps_count_the_work_of_the_listing(q, m, n, k, steps):
+    # at 8 x 8 k = 2: 1 + 255 + 10,795 right factors, each of 4 u's and 8
+    # columns and one convolution column of sum_(i <= 8) (8i + 1) 9 steps
+    assert stats._row_space_steps(q, m, n, k) == stats._row_space_steps(q, n, m, k) == steps
+    if (q, m, n, k) == (2, 8, 8, 2):
+        assert steps == (1 + 255 + 10_795) * (4 * 8 + sum((8 * i + 1) * 9 for i in range(1, 9)))
 
 
 @pytest.mark.parametrize(
-    "q, m, n, r, steps",
-    [
-        (2, 4, 5, 2, 57_435), (2, 8, 8, 2, 2_200_440), (2, 12, 12, 1, 320_476),
-        (4, 6, 6, 2, 364_871_136), (2, 150, 150, 0, 256_533_901),
-    ],
+    "q, m, n, k, steps",
+    [(2, 4, 5, 2, 11_935), (2, 8, 8, 2, 442_200), (2, 12, 12, 1, 160_264), (4, 6, 6, 2, 64_031_520)],
 )
-def test_composition_steps_count_the_work_of_the_listing(q, m, n, r, steps):
-    # at 4 x 5 r = 2: 35 compositions of 4 into 4 codes, each with 4 x 4 row
-    # products and, as if all spanned, 1 + 4 convolution columns of
-    # sum_(k <= 5) (4k + 1) 5 steps
-    assert stats._composition_steps(q, m, n, r) == stats._composition_steps(q, n, m, r) == steps
-    if (q, m, n, r) == (2, 4, 5, 2):
-        assert steps == 35 * 16 + 35 * 5 * sum((4 * k + 1) * 5 for k in range(1, 6))
+def test_composition_steps_count_the_work_of_the_listing(q, m, n, k, steps):
+    # at 4 x 5 k = 2: 35 compositions of 4 into 4 codes, each with 4 x 4 row
+    # products and one convolution column of sum_(i <= 5) (4i + 1) 5 steps
+    assert stats._composition_steps(q, m, n, k) == stats._composition_steps(q, n, m, k) == steps
+    if (q, m, n, k) == (2, 4, 5, 2):
+        assert steps == 35 * (16 + sum((4 * i + 1) * 5 for i in range(1, 6)))
 
 
 @pytest.mark.parametrize(
-    "q, m, n, r, listing",
+    "q, m, n, r, listing",  # listing: the one run at k = r
     [
         (2, 4, 5, 2, "compositions"), (2, 8, 8, 2, "compositions"), (2, 12, 12, 1, "compositions"),
         (2, 5, 5, 4, "row spaces"), (4, 4, 4, 2, "row spaces"), (16, 3, 3, 2, "row spaces"),
-        # the two near ties: row spaces count fewer steps
-        (2, 6, 6, 3, "row spaces"), (3, 5, 5, 2, "row spaces"),
+        # near ties at k = r: row spaces count fewer steps at GF(3) 5 x 5, and
+        # compositions at GF(2) 6 x 6
+        (2, 6, 6, 3, "compositions"), (3, 5, 5, 2, "row spaces"),
         # 2.8M compositions at GF(16), 8.4M at GF(4096): none is built
         (4096, 3, 2, 1, "row spaces"),
     ],
 )
 def test_exact_distribution_runs_the_listing_of_fewer_steps(monkeypatch, q, m, n, r, listing):
-    monkeypatch.setattr(stats, "_exact_by_row_spaces", lambda *args: "row spaces")
-    monkeypatch.setattr(stats, "_exact_by_compositions", lambda *args: "compositions")
-    assert exact_distribution(SimpleNamespace(q=q), m, n, r, SubsetA(q, 0b10)) == listing
+    runs = []
+    monkeypatch.setattr(stats, "_row_space_tally", lambda ctx, m, n, k, subset: runs.append(("row spaces", k)))
+    monkeypatch.setattr(stats, "_composition_tally", lambda ctx, m, n, k, subset: runs.append(("compositions", k)))
+    monkeypatch.setattr(stats, "_exact_law", lambda *args: "law")
+    assert exact_distribution(SimpleNamespace(q=q), m, n, r, SubsetA(q, 0b10)) == "law"
+    assert [k for _, k in runs] == list(range(1, r + 1)) and runs[-1][0] == listing
+    for name, k in runs:
+        rows, compositions = stats._row_space_steps(q, m, n, k), stats._composition_steps(q, m, n, k)
+        assert name == ("row spaces" if rows <= compositions else "compositions"), k
 
 
-def test_exact_distribution_refuses_rank_zero_past_the_cap_quickly():
-    # q^0 = 1 pair, but the convolution of 160,000 entries takes 1.3e10 steps
+def test_exact_distribution_rank_zero_is_a_point_mass_at_any_size():
+    # one rank-0 matrix and one product, the zero matrix: no tally of
+    # 160,001 counts is formed
     start = time.perf_counter()
-    with pytest.raises(TooLargeToEnumerate, match=r"takes 2\^33\.6 steps"):
-        exact_distribution(field_from_order(2), 400, 400, 0, SubsetA.zero_only(2))
+    dist = exact_distribution(field_from_order(2), 400, 400, 0, SubsetA.zero_only(2))
     assert time.perf_counter() - start < 1.0
+    assert dist.rank_dist == dist.product_dist == {160_000: Fraction(1)}
+    assert (dist.mean, dist.variance, dist.matrix_tv) == (160_000, 0, 0)
+    assert exact_distribution(field_from_order(3), 5, 7, 0, SubsetA(3, 0b110)).rank_dist == {0: Fraction(1)}
 
 
 def test_exact_distribution_checks_int64_before_the_steps(monkeypatch):
@@ -1092,9 +1157,11 @@ def test_exact_distribution_checks_int64_before_the_steps(monkeypatch):
 def test_exact_gate_admits_every_shape_the_pair_and_matrix_gates_did(monkeypatch):
     """Every q <= 4096, m, n <= 24 and r >= 1 with q^(mr+rn) <= 2^24 pairs or
     q^(mn) <= 2^22 matrices, the two gates the route once had, passes the
-    int64 check and the step cap: the route is stubbed, so only the gate runs."""
-    monkeypatch.setattr(stats, "_exact_by_row_spaces", lambda *args: "admitted")
-    monkeypatch.setattr(stats, "_exact_by_compositions", lambda *args: "admitted")
+    int64 check and the step cap: the tallies and the solve are stubbed, so
+    only the gate runs."""
+    monkeypatch.setattr(stats, "_row_space_tally", lambda *args: None)
+    monkeypatch.setattr(stats, "_composition_tally", lambda *args: None)
+    monkeypatch.setattr(stats, "_exact_law", lambda *args: "admitted")
     shapes = 0
     for q in [q for q in range(2, 4097) if len(_prime_factors(q)) == 1]:  # the prime powers
         ctx, subset = SimpleNamespace(q=q), SubsetA(q, 0b10)  # the gate reads only the order
@@ -1121,8 +1188,9 @@ def test_exact_distribution_argument_errors():
         # q^(mr+rn) over 2^24 factor pairs, q^(mn) within the scan's reach of 2^22 matrices
         (2, 2, 11, 2), (2, 4, 5, 3), (2, 4, 5, 4), (2, 3, 7, 3), (4, 3, 3, 3), (3, 3, 4, 3),
         # 2 x 8, 2 x 11 and 1 x 18 list the row spaces of their transposes, 4 x 4 r = 3
-        # signs 16 subspaces, and GF(8) and GF(9) add in characteristic 2 and by the
-        # flat gather of the add table over fields that are not prime
+        # solves through three inner dimensions, and GF(8) and GF(9) add in
+        # characteristic 2 and by the flat gather of the add table over fields
+        # that are not prime
         (2, 4, 5, 2), (2, 4, 4, 3), (2, 2, 8, 2), (2, 1, 18, 1),
         (3, 3, 3, 2), (4, 2, 3, 2), (5, 3, 2, 2), (8, 2, 3, 2), (9, 2, 3, 2),
     ],
@@ -1134,9 +1202,9 @@ def test_auto_takes_pairs_wherever_the_scan_could_run(scan, q, m, n, r):
         dist = exact_distribution(ctx, *shape, r, subset)
         assert (dist.rank_dist, dist.mean, dist.variance) == law
         assert dist.matrix_tv == tv_closed_form_exact(q, *shape, r)
-    # each listing on its own, whichever the gate would choose
-    for listing in (stats._exact_by_row_spaces, stats._exact_by_compositions):
-        assert listing(ctx, m, n, r, subset) == dist
+    # each listing on its own at every k, whichever the gate would choose
+    for listing in (stats._row_space_tally, stats._composition_tally):
+        assert _law_by(listing, ctx, m, n, r, subset) == dist
 
 
 # --- Monte Carlo normality reports -----------------------------------------------------

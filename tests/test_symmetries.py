@@ -102,6 +102,8 @@ def _closed_form_mean(q, m, n, r, subset):
         # past the row-space listing's steps, admitted by the compositions'
         (2, 9, 9, 2), (2, 10, 10, 2), (2, 24, 24, 1), (3, 8, 8, 2),
         (2, 31, 31, 1),  # counts up to 2^62; at 32 x 32 the int64 check refuses
+        # near the gate: 2^25.9, 2^24.1 and 2^25.6 steps, and counts up to 2^62
+        (4, 6, 6, 2), (2, 8, 8, 3), (2, 7, 7, 4), (2, 16, 15, 2),
     ],
 )
 def test_laws_past_the_scan_have_the_closed_form_mean_and_symmetries(q, m, n, r):
@@ -119,8 +121,9 @@ def test_laws_past_the_scan_have_the_closed_form_mean_and_symmetries(q, m, n, r)
 
 
 def test_gf2_10x10_rank_2_has_the_law_the_row_spaces_gave():
-    # the mean and variance the row-space listing gives in 6.0 s (2^32.3
-    # steps, past the cap); the compositions take 2^23.1 steps
+    # the mean and variance that a listing of one right factor per row space
+    # gave by Moebius inversion in 6.0 s (2^32.3 steps, past the cap); the
+    # product tallies take 2^20.8 steps, by compositions
     dist = exact_distribution(field_from_order(2), 10, 10, 2, SubsetA(2, 0b10))
     assert round(float(dist.mean), 4) == 37.5733
     assert round(float(dist.variance), 4) == 106.7578
