@@ -31,6 +31,7 @@ from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most
 
 MAX_TUPLE_TABLE = 1 << 20
 MAX_BATTERY_WORK = 1 << 17  # (2q)^r at 3 trials: GF(2) r = 8 (2^16) took 1.2-1.7 s, GF(3) r = 7 (2^18.1) 2.4-4.5 s
+_TABLE_PER_WORK = 16  # q^2 character-table entries the battery spends as much time on as one unit of (2q)^r
 _OFF_UNITS_TOL = 1e-12  # fourier_transform refuses more mass than this off the units
 
 
@@ -449,6 +450,11 @@ def verification_battery(
     _check_tuple_cap(ctx.q, r)
     if not _power_at_most(2 * ctx.q, r, MAX_BATTERY_WORK):  # 2^r Moebius components of q^r entries
         raise FqrankError(f"battery at (2q)^r = {2 * ctx.q}^{r} exceeds the cap 2^17")
+    # plus q^2 work per field: its character table, and at r <= 1 the transforms and Jacobi checks
+    work = (2 * ctx.q) ** r + ctx.q**2 // _TABLE_PER_WORK
+    if work > MAX_BATTERY_WORK:
+        raise FqrankError(f"battery at (2q)^r + q^2/{_TABLE_PER_WORK} = {work} at q = {ctx.q} "
+                          f"exceeds the cap 2^17 = {MAX_BATTERY_WORK}")
     table = character_table(ctx)
     rng = np.random.default_rng(seed)
     q = ctx.q

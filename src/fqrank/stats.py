@@ -64,10 +64,12 @@ from .sampling import _BLOCK_ENTRIES, _blocks, _draw_seeded_block
 MAX_DECOMP_RANK = 6
 MAX_EXACT_STEPS = 1 << 28  # cap on exact_distribution's steps, summed over the inner dimensions
 MAX_DECOMP_TERMS = 1 << 22
+MAX_COEFFICIENT_WORK = 1 << 34  # A = nonzero: GF(211) r = 2 (2^33.9) took 0.58 s, GF(983) r = 1 (2^34.0) 1.9 s
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
 _BLAS_SLAB = 1 << 18  # real multiply-adds per matmul call; a complex one counts as four
 _MATMUL_PER_GATHER = 8  # transform multiply-adds that cost as much as one product gather
+_TRANSFORM_CALL = 1 << 15  # gathers' worth of the transform's fixed cost per call, past the product's
 _ROUND_MARGIN = 0.25  # a transform count further than this from an integer is recounted
 
 
@@ -185,9 +187,22 @@ def _element_coefficients(ctx: FieldCtx, a: int, r: int) -> list[np.ndarray]:
 @lru_cache(maxsize=None)
 def _coefficient_arrays(ctx: FieldCtx, amask: int, r: int) -> tuple[np.ndarray, ...]:
     """The element coefficient arrays summed over the entry subset in member
-    order, one read-only array of shape (q-1,)*|S| per subset mask S."""
-    total = [np.zeros((ctx.q - 1,) * s.size, dtype=np.complex128) for s in all_subsets(r)]
-    for a in SubsetA(ctx.q, amask).members():
+    order, one read-only array of shape (q-1,)*|S| per subset mask S.
+
+    Each member runs 2^r `units_transform` calls of r (q-1)^(r+1)
+    multiply-adds, and each call also copies the (q-1)^2 character values
+    of the units, an entry counting _MATMUL_PER_GATHER multiply-adds as a
+    gather does (0.5-1.2 ns against 70-90 ps on one core, q <= 2048).
+    TooLargeToEnumerate, before the character table is built, when that
+    work passes MAX_COEFFICIENT_WORK.
+    """
+    q, members = ctx.q, SubsetA(ctx.q, amask).members()
+    work = len(members) * 2**r * (_MATMUL_PER_GATHER * (q - 1) ** 2 + r * (q - 1) ** (r + 1))
+    if work > MAX_COEFFICIENT_WORK:
+        raise TooLargeToEnumerate(f"coefficients take 2^{math.log2(work):.1f} multiply-adds, "
+                                  f"over the cap 2^{MAX_COEFFICIENT_WORK.bit_length() - 1}")
+    total = [np.zeros((q - 1,) * s.size, dtype=np.complex128) for s in all_subsets(r)]
+    for a in members:
         for acc, coeffs in zip(total, _element_coefficients(ctx, a, r)):
             acc += coeffs
     return _read_only(*total)
@@ -460,12 +475,15 @@ def product_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> int:
 def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> np.ndarray:
     """product_ct of each pair of the int16 stacks xs (B, m, r) and ys (B, r, n).
 
-    The route is chosen once for the stack by estimated work per pair.
-    The transform's r q^(r+1) multiply-adds count 1/_MATMUL_PER_GATHER of
+    The route is chosen once for the stack by estimated work.  Per pair,
+    the transform's r q^(r+1) multiply-adds count 1/_MATMUL_PER_GATHER of
     a gather each (fitted on one core over q <= 256, r <= 7, m = n <= 512,
     where a multiply-add took 0.2-2.3 ns and a gather of the product 1-2 ns;
     4 to 8 per gather choose equally well there), plus q (r+1) min(m, q^r)
     + n r gathers for the codes; the product takes (2r+1) m n gathers.
+    The transform adds _TRANSFORM_CALL gathers once per call, the fixed cost
+    it pays beyond the product's (fitted on the same grid, stacks of 1 to 64
+    pairs), so a single small pair is counted by its product.
     The transform also needs q^r <= MAX_TRANSFORM_CODES, and q^2 <=
     _BLAS_SLAB so that its matmul calls stay on one thread (see
     `_transform`).  It counts `_blocks` of pairs, each pair gathering
@@ -483,8 +501,8 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     if (
         q * q <= _BLAS_SLAB
         and _power_at_most(q, r, MAX_TRANSFORM_CODES)
-        and r * q ** (r + 1) / _MATMUL_PER_GATHER + q * (r + 1) * min(m, q**r) + n * r
-        < (2 * r + 1) * m * n
+        and pairs * (r * q ** (r + 1) / _MATMUL_PER_GATHER + q * (r + 1) * min(m, q**r) + n * r)
+        + _TRANSFORM_CALL < pairs * (2 * r + 1) * m * n
     ):
         values = np.concatenate(
             [_transform_ct(ctx, xs[lo:hi], ys[lo:hi], amask)
@@ -505,10 +523,11 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     """ct_A(x @ y) of each pair by the character identity, unrounded (real
     for p = 2, complex otherwise).
 
-    `_tallies` counts the column codes of every pair in one bincount and
-    hands the histograms over codes first, (q^r, B): `_transform` copies
-    them C-ordered into that layout and works on them in place, and one
-    gather reads every pair's transform at code * B + k.  The codes of
+    `_tallies` counts the column codes of every pair in one bincount (one
+    row sum at q^r = 2) and hands the histograms over codes first, (q^r, B):
+    `_transform` copies them C-ordered into that layout and works on them in
+    place, and one gather reads every pair's transform at code * B + k.  The
+    codes of
     a x_i come from one `np.take` of the product table.  When q^r <= m the
     rows are tallied by `_tallies` as well, and sum_i H^_Y(a x_i) is taken
     as sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every value of
@@ -540,9 +559,16 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
 
 
 def _tallies(values: np.ndarray, bins: int) -> np.ndarray:
-    """The histogram of each row of values (B, k) in range(bins), as (bins, B):
-    one bincount over row-major bins, row j's value v at j * bins + v."""
+    """The histogram of each row of values (B, k) in range(bins), as (bins, B)
+    int64: one bincount over row-major bins, row j's value v at j * bins + v.
+    With two bins a row's counts are k - s and s, s its int64 sum (its ones),
+    in about a tenth of the bincount's time on 256 x 256 values."""
     rows = len(values)
+    if bins == 2:
+        out = np.empty((2, rows), dtype=np.int64)
+        values.sum(axis=1, dtype=np.int64, out=out[1])
+        np.subtract(values.shape[1], out[1], out=out[0])
+        return out
     codes = values + bins * np.arange(rows)[:, None]
     return np.bincount(codes.ravel(), minlength=bins * rows).reshape(rows, bins).T
 

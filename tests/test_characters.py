@@ -4,6 +4,7 @@ from fractions import Fraction
 import re
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fqrank.characters import (
     units_transform,
     verification_battery,
 )
+from fqrank import characters
 from fqrank.field import FqrankError, field_from_order, make_field
 
 
@@ -369,6 +371,34 @@ def test_verification_battery_caps_its_work(q, r, power):
     with pytest.raises(FqrankError, match=re.escape(f"battery at (2q)^r = {power} exceeds the cap 2^17") + "$"):
         verification_battery(field_from_order(q), r=r)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "q, r, work",
+    [(1429, 1, None), (1433, 1, 131209), (4096, 1, 1056768), (1447, 0, None), (2048, 0, 262145),
+     (179, 2, None), (181, 2, 133091)],
+)
+def test_verification_battery_counts_its_table_work(monkeypatch, q, r, work):
+    """At r <= 1 the battery's time grows as q^2, which (2q)^r does not see:
+    GF(4096) r = 1 took 1.8 s, GF(1429) r = 1 0.26 s and GF(179) r = 2
+    0.13 s, each with its cold character table.  The cap refuses before
+    the table is built; it reads only the field's order."""
+
+    class Built(Exception):
+        pass
+
+    def build(ctx):
+        raise Built
+
+    monkeypatch.setattr(characters, "character_table", build)
+    field = SimpleNamespace(q=q)
+    if work is None:
+        with pytest.raises(Built):
+            verification_battery(field, r=r)
+    else:
+        message = f"battery at (2q)^r + q^2/16 = {work} at q = {q} exceeds the cap 2^17 = 131072"
+        with pytest.raises(FqrankError, match=re.escape(message) + "$"):
+            verification_battery(field, r=r)
 
 
 GF3 = field_from_order(3)

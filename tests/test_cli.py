@@ -218,6 +218,15 @@ def test_lemmas_refuses_a_rank_past_the_cap_quickly(capsys):
     assert (rc, out, err) == (2, "", "error: battery at (2q)^r = 4^40 exceeds the cap 2^17\n")
 
 
+def test_lemmas_refuses_a_large_field_before_its_table(capsys):
+    # at r = 1 the battery's q^2 work passes the cap: GF(4096) took 0.9 s, plus 0.9 s for its table
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["lemmas", "--field", "4096", "--r", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert err == "error: battery at (2q)^r + q^2/16 = 1056768 at q = 4096 exceeds the cap 2^17 = 131072\n"
+
+
 def test_exact_rank_zero_is_a_point_mass_at_any_size(capsys):
     # the zero matrix alone, with all of its 2000 x 2000 entries in A = {0}
     start = time.perf_counter()
@@ -550,6 +559,23 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
         (
             "clt --field 3 --A 1 --r 1 --m 64 --n 64 --N 500 --seed 9 --workers 2",
             "aebb6870205c141acf23c004021957cacbfd36f6db8ceb0aebf8a94e5ffe8605",
+        ),
+        (
+            # q = 2, r = 1: both factors' two-code tallies come from row sums
+            "clt --field 2 --A 1 --r 1 --m 64 --n 64 --N 500 --seed 9",
+            "69d3ca2ef4b50b5479fbbc7a16e3f8a3e6e9139808719bd3e7ced1b31bfa6698",
+        ),
+        (
+            "clt --field 2 --A 1 --r 1 --m 64 --n 64 --N 500 --seed 9 --workers 2",
+            "69d3ca2ef4b50b5479fbbc7a16e3f8a3e6e9139808719bd3e7ced1b31bfa6698",
+        ),
+        (
+            "clt --field 2 --A 0 --r 1 --m 64 --n 64 --N 500 --seed 9",
+            "d4274bfa3447bb9fed6c5cdca0a45b1875adb0931ea7f74fdc6153a905bba04e",
+        ),
+        (
+            "clt --field 2 --A 0 --r 1 --m 64 --n 64 --N 500 --seed 9 --workers 2",
+            "d4274bfa3447bb9fed6c5cdca0a45b1875adb0931ea7f74fdc6153a905bba04e",
         ),
         (
             # power-of-two residues, and pair-major tallies of both factors at B > 1

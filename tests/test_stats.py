@@ -4,6 +4,7 @@ from fractions import Fraction
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -239,6 +240,46 @@ def test_decompose_validation():
         decompose_ct(zero_matrix(gf4096, 1, 2), zero_matrix(gf4096, 2, 1), SubsetA.full(4096))
 
 
+@pytest.mark.parametrize(
+    "q, r, a, work",
+    [
+        # admitted: the identity benchmark's set-up, CI's identity runs, and the
+        # cap's edges (GF(211) r = 2 took 0.58 s cold, GF(983) r = 1 1.9 s)
+        (16, 3, "nonzero", None),
+        (64, 3, 0b10, None),
+        (16, 4, "nonzero", None),
+        (9, 3, 0b110, None),
+        (211, 2, "nonzero", None),
+        (983, 1, "nonzero", None),
+        # refused: at r = 2 the build grows as about q^4 (GF(512) took 10.5 s)
+        (256, 2, "nonzero", "2^35.0"),
+        (512, 2, "nonzero", "2^39.0"),
+        (1024, 2, "nonzero", "2^43.0"),
+        (1024, 1, "nonzero", "2^34.2"),
+    ],
+)
+def test_coefficient_arrays_cap_their_work(monkeypatch, q, r, a, work):
+    """The cold coefficient build is refused, before the character table is
+    built, past MAX_COEFFICIENT_WORK multiply-adds."""
+
+    class Built(Exception):
+        pass
+
+    def build(ctx):
+        raise Built
+
+    monkeypatch.setattr(stats, "character_table", build)
+    cold = stats._coefficient_arrays.__wrapped__  # past the cache other tests may have filled
+    ctx = field_from_order(q)
+    amask = SubsetA.nonzero(q).mask if a == "nonzero" else a
+    if work is None:
+        with pytest.raises(Built):
+            cold(ctx, amask, r)
+    else:
+        with pytest.raises(TooLargeToEnumerate, match=rf"take {re.escape(work)} multiply-adds, over the cap 2\^34$"):
+            cold(ctx, amask, r)
+
+
 def per_key_coefficients(ctx, subset_a, r, keys=None):
     """The route subset_coefficients replaced: one embedded-restriction
     alternating sum per (element, subset, tuple), summed in member order."""
@@ -436,6 +477,39 @@ def test_product_ct_table_too_large():
             assert product_ct(x, y, subset) == ct(mat_mul(x, y), subset)
 
 
+@pytest.mark.parametrize(
+    "q, r, m, pairs, route",
+    [
+        # clt GF(2) r = 1 256 x 256 (blocks of 256 samples) and GF(16) r = 4
+        # 512 x 512 (blocks of 32): the transform even for one pair, so for
+        # any block, as before the cost per call was counted
+        (2, 1, 256, 1, "transform"),
+        (2, 1, 256, 256, "transform"),
+        (16, 4, 512, 1, "transform"),
+        (16, 4, 512, 32, "transform"),
+        # identity GF(16) r = 3 64 x 64 counts one pair at a time: 28,864
+        # gathers' worth of transform against 28,672 product gathers per pair
+        (16, 3, 64, 1, "product"),
+        # one GF(2) r = 6 8 x 8 pair: 38 us by the transform, 20 us by the
+        # product, on one core; a stack of 256 shares the transform's cost per call
+        (2, 6, 8, 1, "product"),
+        (2, 6, 8, 256, "transform"),
+    ],
+)
+def test_product_ct_stack_route_counts_a_cost_per_call(monkeypatch, q, r, m, pairs, route):
+    taken = set()
+    monkeypatch.setattr(
+        stats, "_transform_ct", lambda ctx, xs, ys, amask: taken.add("transform") or np.zeros(len(xs))
+    )
+    monkeypatch.setattr(
+        stats, "_index_matmul",
+        lambda ctx, xs, ys: taken.add("product") or np.zeros((len(xs), m, m), dtype=np.int16),
+    )
+    xs, ys = np.zeros((pairs, m, r), dtype=np.int16), np.zeros((pairs, r, m), dtype=np.int16)
+    assert stats._product_ct_stack(field_from_order(q), xs, ys, 0b10).tolist() == [0] * pairs
+    assert taken == {route}
+
+
 def test_product_ct_large_field_takes_the_product(monkeypatch):
     """At q = 2048, r = 2 the transform would take r q^(r+1), about 1.7e10,
     multiply-adds per pair: an 8 x 8 clt run counts every product instead."""
@@ -553,6 +627,44 @@ def test_tallies_is_a_bincount_per_row(bins):
     want = np.stack([np.bincount(row, minlength=bins) for row in values], axis=1)
     assert np.array_equal(stats._tallies(values, bins), want)
     assert stats._tallies(values[:0], bins).shape == (bins, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("rows", [0, 1, 3, 256])
+@pytest.mark.parametrize("k", [0, 1, 2, 8, 256])
+def test_two_bin_tallies_are_a_bincount_per_row(dtype, rows, k):
+    """Two bins are tallied from row sums: the same int64 (2, B) histograms
+    as each row's bincount, rows of all 0s and all 1s among them."""
+    values = np.random.default_rng(rows * 1000 + k).integers(0, 2, (rows, k)).astype(dtype)
+    values[:1], values[1:2] = 0, 1
+    want = np.zeros((2, rows), dtype=np.int64)
+    for j, row in enumerate(values):
+        want[:, j] = np.bincount(row, minlength=2)
+    got = stats._tallies(values, 2)
+    assert got.dtype == np.int64 and got.shape == (2, rows)
+    assert np.array_equal(got, want)
+
+
+def test_two_bin_tallies_do_not_wrap_in_int16():
+    values = np.ones((2, 40_000), dtype=np.int16)
+    values[1, ::2] = 0
+    assert stats._tallies(values, 2).tolist() == [[0, 20_000], [40_000, 20_000]]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 256])
+def test_product_ct_stack_counts_gf2_rank_1_products(size):
+    """GF(2) r = 1 stacks, whose row and column codes are tallied by row
+    sums on the transform route, count what their formed products do, on
+    whichever route the stack takes and on the transform itself."""
+    ctx = make_field(2, 1)
+    rng = np.random.default_rng(size)
+    xs = rng.integers(0, 2, (5, size, 1)).astype(np.int16)
+    ys = rng.integers(0, 2, (5, 1, size)).astype(np.int16)
+    xs[0], ys[1], xs[2], ys[2] = 0, 0, 1, 1
+    for amask in (0b01, 0b10, 0b11):
+        want = [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), SubsetA(2, amask)) for x, y in zip(xs, ys)]
+        assert stats._product_ct_stack(ctx, xs, ys, amask).tolist() == want
+        assert stats._transform_ct(ctx, xs, ys, amask).tolist() == want
 
 
 @pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (16, 2)])
@@ -1397,6 +1509,9 @@ def test_run_clt_workers_under_spawn(tmp_path):
 )
 def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, transform):
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
+    # blocks this small would all take the product by the transform's cost
+    # per call: with it off, each block takes the route its work per pair gives
+    monkeypatch.setattr(stats, "_TRANSFORM_CALL", 0)
     counted = []
     by_transform = stats._transform_ct
     monkeypatch.setattr(
