@@ -297,11 +297,10 @@ def units_transform(f: FunctionTable, table: CharacterTable) -> np.ndarray:
     """
     _check_table_field(f, table)
     t = f.arity
-    out = np.array(_units_block(f.values))
-    conj_units = np.conj(table.mult[:, 1:])
+    out = np.conj(_units_block(f.values))  # sum conj(chi) f = conj(sum chi conj(f)): no conjugated table copy
     for _ in range(t):
-        out = np.moveaxis(np.tensordot(conj_units, out, axes=([1], [0])), 0, t - 1)
-    return out / (table.field.q - 1) ** t
+        out = np.moveaxis(np.tensordot(table.mult[:, 1:], out, axes=([1], [0])), 0, t - 1)
+    return np.conj(out) / (table.field.q - 1) ** t
 
 
 def fourier_inverse(fhat: np.ndarray, table: CharacterTable) -> FunctionTable:
@@ -447,8 +446,8 @@ def verification_battery(
     """
     if r < 0 or trials < 1:
         raise FqrankError(f"need r >= 0 and trials >= 1, got r={r}, trials={trials}")
-    _check_tuple_cap(ctx.q, r)
-    if not _power_at_most(2 * ctx.q, r, MAX_BATTERY_WORK):  # 2^r Moebius components of q^r entries
+    # 2^r Moebius components of q^r entries; (q-1)^r < (2q)^r keeps the character-tuple cap
+    if not _power_at_most(2 * ctx.q, r, MAX_BATTERY_WORK):
         raise FqrankError(f"battery at (2q)^r = {2 * ctx.q}^{r} exceeds the cap 2^17")
     # plus q^2 work per field: its character table, and at r <= 1 the transforms and Jacobi checks
     work = (2 * ctx.q) ** r + ctx.q**2 // _TABLE_PER_WORK

@@ -931,39 +931,30 @@ def _product_tally(m: int, n: int, classes: Iterable[tuple[np.ndarray, np.ndarra
     return tally
 
 
-def _row_space_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -> np.ndarray:
-    """`_product_tally` over one k x n right factor Y per row space, in
-    `_blocks` of them.
+def _row_space_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -> tuple[np.ndarray, list[int]]:
+    """C_k, `_product_tally` over one rank-k right factor Y per row space, in
+    `_blocks` of them, and `_exact_law`'s coefficients [n-j k-j]_q, j <= k.
 
-    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  A Y of row
-    space dimension d stands for the F(k, d) = rank_count(q, k, d, d) Y's
-    that share it.
+    ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  Over every X,
+    a rank-k Y gives once each m x n matrix whose row space lies in Y's.
     """
     q = ctx.q
     m, n = max(m, n), min(m, n)
-    member = subset_a.member_table()
     us = _decode(q, np.arange(q**k, dtype=np.int64), 1, k)  # u, 1, k
-    # one Y per row space, by dimension d: a representative's transposed
-    # basis above k - d zero rows
-    reps = [_orbit_representatives(q, n, d) for d in range(k + 1)]  # Y, n, d
-    ys = np.zeros((sum(len(rep) for rep in reps), k, n), dtype=np.int16)
-    lo = 0
-    for d, rep in enumerate(reps):
-        ys[lo : lo + len(rep), :d] = rep.transpose(0, 2, 1)
-        lo += len(rep)
-    sizes = np.repeat([int(rank_count(q, k, d, d)) for d in range(k + 1)], [len(rep) for rep in reps])
+    ys = _orbit_representatives(q, n, k).transpose(0, 2, 1)  # Y, k, n: one basis per row space
 
     def classes():
         for lo, hi in _blocks(0, len(ys), max(q**k * n, m * n + 1)):
             rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
-            yield member[rows].sum(axis=2), sizes[lo:hi]
+            # the row counts by an int64 matmul, in about 60 % of a sum's time over the short axis
+            yield subset_a.member_table()[rows] @ np.ones(n, dtype=np.int64), np.ones(hi - lo, dtype=np.int64)
 
-    return _product_tally(m, n, classes())
+    return _product_tally(m, n, classes()), [_gaussian(q, n - j, k - j)[-1] for j in range(k + 1)]
 
 
-def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -> np.ndarray:
-    """`_product_tally` over the column histograms of the k x n right factors
-    Y, in `_blocks` of them.
+def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -> tuple[np.ndarray, list[int]]:
+    """N_k, `_product_tally` over the column histograms of the k x n right
+    factors Y, in `_blocks` of them, and `_exact_law`'s coefficients c(k, j).
 
     Y enters the tally only through H, the number of its n columns (at
     n = min(m, n)) with each of the q^k codes c: row_ct = H @ K^T, with
@@ -974,6 +965,7 @@ def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA)
     table whose partial products stay below it.
     """
     q = ctx.q
+    coefficients = [_factor_pairs(q, m, n, k, j) for j in range(k + 1)]
     m, n = max(m, n), min(m, n)
     size = q**k
     codes = _decode(q, np.arange(size, dtype=np.int64), 1, k)[:, 0]  # c, k
@@ -992,9 +984,10 @@ def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA)
             h = cuts[:, 1:] - cuts[:, :-1] - 1
             yield h @ kernel, pascal[np.cumsum(h, axis=1), h].prod(axis=1)
 
-    return _product_tally(m, n, classes())
+    return _product_tally(m, n, classes()), coefficients
 
 
+@lru_cache(maxsize=None)  # a pure function of five ints, asked again by `_exact_law` at k = r
 def _factor_pairs(q: int, m: int, n: int, k: int, j: int) -> int:
     """c(k, j), the pairs of an m x k and a k x n factor whose product is one
     fixed m x n matrix M of rank j <= k.
@@ -1009,41 +1002,49 @@ def _factor_pairs(q: int, m: int, n: int, k: int, j: int) -> int:
                for a, w in enumerate(over, j))
 
 
-def _exact_law(q: int, m: int, n: int, tallies: list[np.ndarray]) -> ExactDistribution:
-    """Both laws of the entry count and matrix_tv at rank r, from the
-    product tallies N_0..N_r: N_k over every pair of an m x k and a k x n
-    factor, N_0 the point mass of the zero matrix.
+def _exact_law(q: int, m: int, n: int, rows: list[tuple[np.ndarray, list[int]]]) -> ExactDistribution:
+    """Both laws of the entry count and matrix_tv at rank r, from one row
+    (T_k, [a_k0..a_kk]) per k = 0..r: T_k = sum_(j <= k) a_kj R_j, R_j the
+    tally over the rank-j m x n matrices.
 
     (X, Y) -> (G X, Y H), for G in GL_m and H in GL_n, maps the pairs with
     product M onto those with product G M H, and these act transitively on
-    the matrices of each rank j.  So every rank-j matrix is the product of
-    c(k, j) = `_factor_pairs` pairs, and N_k = sum_(j <= k) c(k, j) R_j, R_j
-    the tally over the rank-j matrices: the triangular solve
-    R_k = (N_k - sum_(j < k) c(k, j) R_j) / c(k, k) gives them in turn.  Each
-    term c(k, j) R_j(v) is at most N_k(v) <= q^(mk+kn), so
-    exact_distribution's int64 check on q^(mr+rn) keeps every count exact.
-    A step that leaves a remainder or a negative count raises RuntimeError,
-    as do totals other than q^(mk+kn) pairs and rank_count(q, m, n, k)
-    matrices.  Only the full pairs have products of rank r, uniform over
+    the matrices of each rank j.  So N_k, over every pair of an m x k and a
+    k x n factor, counts each rank-j matrix c(k, j) = `_factor_pairs` times
+    (N_0 is the zero matrix's point mass), and the row-space tally C_k
+    [n-j k-j]_q times, once per k-dimensional row space above its own.  The
+    solve R_k = (T_k - sum_(j < k) a_kj R_j) / a_kk gives them in turn.  T_k
+    totals at most q^(mk+kn), as [n k]_q <= q^(kn), and a_kj R_j(v) <= T_k(v),
+    so exact_distribution's int64 check on q^(mr+rn) keeps every count exact.
+    A remainder, a negative count or a T_k not totalling sum_j a_kj
+    rank_count(q, m, n, j) raises RuntimeError; each R_k then totals
+    rank_count(q, m, n, k).  The product law is N_r's: T_r if its
+    coefficients are c(r, .), else sum_j c(r, j) R_j, which must total
+    q^(mr+rn).  Only the full pairs have products of rank r, uniform over
     them, so matrix_tv is the closed form.
     """
+    counts = [int(rank_count(q, m, n, j)) for j in range(len(rows))]
     ranks = []  # R_0, R_1, ...
-    for k, tally in enumerate(tallies):
+    for k, (tally, coefficients) in enumerate(rows):
         rest = tally.copy()
-        for j, below in enumerate(ranks):
-            rest -= _factor_pairs(q, m, n, k, j) * below
-        rank_k, left = np.divmod(rest, _factor_pairs(q, m, n, k, k))
+        for a, below in zip(coefficients, ranks):
+            rest -= a * below
+        rank_k, left = np.divmod(rest, coefficients[k])
         if left.any() or (rest < 0).any():  # not an assert: python -O would strip it
             raise RuntimeError(f"the rank-{k} tally leaves a remainder or a negative count at the counts "
                                f"{np.flatnonzero(left | (rest < 0)).tolist()}")
-        found = int(rank_k.sum()), int(tally.sum())
-        expected = int(rank_count(q, m, n, k)), q ** (m * k + k * n)
+        found, expected = int(tally.sum()), sum(a * count for a, count in zip(coefficients, counts))
         if found != expected:
-            raise RuntimeError(f"the tallies found {found[0]} rank-{k} matrices and {found[1]} pairs, "
-                               f"formulas say {expected[0]} and {expected[1]}")
+            raise RuntimeError(f"the tally at k = {k} holds {found} pairs, formulas say {expected}")
         ranks.append(rank_k)
-    r = len(tallies) - 1
-    return _exact_result(ranks[r], tallies[r], tv_closed_form_exact(q, m, n, r))
+    r = len(rows) - 1
+    pair_ct, coefficients = rows[r]
+    pairs = [_factor_pairs(q, m, n, r, j) for j in range(r + 1)]
+    if coefficients != pairs:  # row spaces ran at k = r
+        pair_ct = sum(c * rank_j for c, rank_j in zip(pairs, ranks))
+        if (found := int(pair_ct.sum())) != q ** (m * r + r * n):
+            raise RuntimeError(f"N_{r} from the rank tallies holds {found} pairs, formulas say {q ** (m * r + r * n)}")
+    return _exact_result(ranks[r], pair_ct, tv_closed_form_exact(q, m, n, r))
 
 
 def _pascal(n: int) -> np.ndarray:
@@ -1066,10 +1067,10 @@ def _gaussian(q: int, d: int, r: int) -> list[int]:
 
 def _row_space_steps(q: int, m: int, n: int, k: int) -> int:
     """`_row_space_tally`'s work at n = min(m, n): for each right factor (one
-    per subspace of GF(q)^n of dimension <= k), q^k n row products and one
+    per k-dimensional subspace of GF(q)^n), q^k n row products and one
     convolution column."""
     m, n = max(m, n), min(m, n)
-    return sum(_gaussian(q, n, k)) * (q**k * n + _column_steps(m, n))
+    return _gaussian(q, n, k)[-1] * (q**k * n + _column_steps(m, n))
 
 
 def _composition_steps(q: int, m: int, n: int, k: int) -> int:
@@ -1093,8 +1094,8 @@ def exact_distribution(
     plus the matrix-level total variation, by `_exact_law`'s solve over the
     product tallies at each inner dimension k = 1..r.  Each k runs the
     listing of right factors, `_row_space_tally` or `_composition_tally`,
-    whose `_row_space_steps` or `_composition_steps` count fewer steps (row
-    spaces at a tie).  Rank 0 is the point mass at mn [0 in A], at any size.
+    whose `_row_space_steps` or `_composition_steps` count fewer steps
+    (compositions at a tie).  Rank 0 is the point mass at mn [0 in A], at any size.
     TooLargeToEnumerate past int64, where q^(mr+rn) >= 2^63, then where the
     steps summed over k pass MAX_EXACT_STEPS.  A rank outside [0, min(m, n)]
     raises `_check_rank`'s RankOutOfRange.
@@ -1112,12 +1113,12 @@ def exact_distribution(
     listings, steps = [], 0
     for k in range(1, r + 1):
         rows, compositions = _row_space_steps(ctx.q, m, n, k), _composition_steps(ctx.q, m, n, k)
-        listings.append(_composition_tally if compositions < rows else _row_space_tally)
+        listings.append(_row_space_tally if rows < compositions else _composition_tally)
         steps += min(rows, compositions)
     if steps > MAX_EXACT_STEPS:
         raise TooLargeToEnumerate(f"enumeration takes 2^{math.log2(steps):.1f} steps, "
                                   f"over the cap 2^{MAX_EXACT_STEPS.bit_length() - 1}")
     point = np.zeros(m * n + 1, dtype=np.int64)
     point[zero] = 1
-    tallies = [listing(ctx, m, n, k, subset_a) for k, listing in enumerate(listings, 1)]
-    return _exact_law(ctx.q, m, n, [point] + tallies)
+    rows = [listing(ctx, m, n, k, subset_a) for k, listing in enumerate(listings, 1)]
+    return _exact_law(ctx.q, m, n, [(point, [_factor_pairs(ctx.q, m, n, 0, 0)])] + rows)

@@ -359,9 +359,10 @@ def test_verification_battery_all_ok(q):
 
 def test_verification_battery_refuses_huge_rank_quickly():
     start = time.perf_counter()
-    with pytest.raises(FqrankError, match=r"3\^10000000"):
+    # the (2q)^r cap refuses it, and with it every (q-1)^r past the character-tuple cap
+    with pytest.raises(FqrankError, match=re.escape("battery at (2q)^r = 8^10000000 exceeds the cap 2^17") + "$"):
         verification_battery(make_field(2, 2), r=10**7)
-    assert time.perf_counter() - start < 1.0  # no 3^(10^7) is built
+    assert time.perf_counter() - start < 1.0  # no 8^(10^7) is built
 
 
 @pytest.mark.parametrize("q, r, power", [(3, 7, "6^7"), (4, 6, "8^6"), (2, 9, "4^9")])

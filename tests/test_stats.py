@@ -852,12 +852,18 @@ def test_exact_distribution_rank_zero(scan):
     assert _law_by(stats._row_space_tally, ctx, 2, 2, 0, subset) == dist
 
 
-def _law_by(listing, ctx, m, n, r, subset):
-    """`_exact_law` over one listing's product tallies at every inner
-    dimension k = 1..r, whatever the gate would choose."""
+def _point(m, n, subset):
+    """N_0 = R_0, the point mass of the zero matrix's count."""
     point = np.zeros(m * n + 1, dtype=np.int64)
     point[m * n * (0 in subset)] = 1
-    return stats._exact_law(ctx.q, m, n, [point] + [listing(ctx, m, n, k, subset) for k in range(1, r + 1)])
+    return point
+
+
+def _law_by(listing, ctx, m, n, r, subset):
+    """`_exact_law` over one listing's tallies and coefficients at every
+    inner dimension k = 1..r, whatever the gate would choose."""
+    rows = [listing(ctx, m, n, k, subset) for k in range(1, r + 1)]
+    return stats._exact_law(ctx.q, m, n, [(_point(m, n, subset), [1])] + rows)
 
 
 @pytest.mark.parametrize("seed, length", [(0, 1), (1, 2), (2, 21), (3, 150), (4, 400)])
@@ -895,7 +901,7 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         pytest.param(3, 2, 2, 1, 0b110, 4, id="3-2-2-1-6"),
         # the listings take the y's of the transpose, 4 x 3: blocks of one y
         pytest.param(2, 3, 4, 2, 0b10, 12, id="2-3-4-2-2"),
-        # one convolution of 13 counts per y: at k = 2, 15 row spaces in blocks
+        # one convolution of 13 counts per y: at k = 2, 7 row spaces in blocks
         # of 2, or 20 compositions of 16 row counts each in blocks of one
         pytest.param(2, 4, 3, 2, 0b10, 26, id="2-4-3-2-2"),
     ],
@@ -915,11 +921,10 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
     monkeypatch.setattr(stats, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
     # each listing runs one loop per inner dimension k: over one y per row
-    # space of dimension d <= k in GF(q)^min(m, n), [min(m, n) d]_q =
-    # F(min(m, n), d) / |GL_d| of each, or over the compositions of
+    # space of dimension k in GF(q)^min(m, n), [min(m, n) k]_q =
+    # F(min(m, n), k) / |GL_k| of them, or over the compositions of
     # min(m, n) into q^k parts
-    row_spaces = {int(sum(rank_count(q, min(m, n), d, d) / rank_count(q, d, d, d) for d in range(k + 1)))
-                  for k in range(1, r + 1)}
+    row_spaces = {int(rank_count(q, min(m, n), k, k) / rank_count(q, k, k, k)) for k in range(1, r + 1)}
     compositions = {math.comb(min(m, n) + q**k - 1, q**k - 1) for k in range(1, r + 1)}
     assert _law_by(stats._row_space_tally, ctx, m, n, r, subset) == whole
     assert _law_by(stats._composition_tally, ctx, m, n, r, subset) == whole
@@ -1072,19 +1077,23 @@ def test_product_has_rank_r_iff_both_factors_do(q, m, n, r):
 
 
 def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
-    # GF(2) 2 x 3 r=1, run as 3 x 2: 21 rank-1 matrices, 2^5 pairs
+    # GF(2) 2 x 3 r=1, run as 3 x 2: 21 rank-1 matrices; 2^5 pairs of factors,
+    # 11 + 21 of them by c(1, j), and [2 1]_2 2^3 = 24 of an x and a row
+    # space, 3 + 21 by [2-j 1-j]_2
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
     count = stats.rank_count
-    # a wrong rank count: the rank tally's total disagrees, whichever listing runs
+    # a wrong rank count: the tally's total disagrees, whichever listing runs
     monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + ((s, t, r) == (2, 3, 1)))
-    for listing in (stats._row_space_tally, stats._composition_tally):
-        with pytest.raises(RuntimeError, match="found 21 rank-1 matrices and 32 pairs, formulas say 22 and 32"):
+    for listing, pairs in [(stats._row_space_tally, 24), (stats._composition_tally, 32)]:
+        with pytest.raises(RuntimeError, match=f"the tally at k = 1 holds {pairs} pairs, formulas say {pairs + 1}$"):
             _law_by(listing, ctx, 2, 3, 1, subset)
-    # the zero y standing for 2 y's, not F(1, 0) = 1: the product tally's
-    # total gains the 2^3 x's of one more y, all of count 0, and the solve
-    # puts them among the rank-1 matrices
-    monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + (t == 0))
-    with pytest.raises(RuntimeError, match="found 29 rank-1 matrices and 40 pairs, formulas say 21 and 32"):
+    monkeypatch.setattr(stats, "rank_count", count)
+    # a wrong [n k]_q total: one row space listed twice adds the 2^3 x's
+    # of its y, and the solve puts the 7 rank-1 products and the zero matrix
+    # among the rank-1 matrices
+    reps = stats._orbit_representatives
+    monkeypatch.setattr(stats, "_orbit_representatives", lambda q, m, r: np.concatenate([reps(q, m, r)[:1], reps(q, m, r)]))
+    with pytest.raises(RuntimeError, match="the tally at k = 1 holds 32 pairs, formulas say 24$"):
         _law_by(stats._row_space_tally, ctx, 2, 3, 1, subset)
 
 
@@ -1099,7 +1108,7 @@ def test_compositions_refuse_a_wrong_multinomial(monkeypatch):
         return table
 
     monkeypatch.setattr(stats, "_pascal", wrong)
-    with pytest.raises(RuntimeError, match="found 57 rank-1 matrices and 72 pairs, formulas say 49 and 64$"):
+    with pytest.raises(RuntimeError, match="the tally at k = 1 holds 72 pairs, formulas say 64$"):
         _law_by(stats._composition_tally, field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
 
 
@@ -1135,11 +1144,36 @@ def test_factor_pairs_are_the_pairs_of_each_product(q, m, n):
 
 @pytest.mark.parametrize("k, j", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
 def test_solve_refuses_a_wrong_factor_count(monkeypatch, k, j):
-    # GF(2) 3 x 3 r=2 with one c(k, j) off by one
+    # GF(2) 4 x 5 r=2, by compositions at k = 1 and 2, with one c(k, j) off by one
     count = stats._factor_pairs
     monkeypatch.setattr(stats, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (k, j)))
     with pytest.raises(RuntimeError, match=f"the rank-{k} tally leaves a remainder or a negative count"):
+        exact_distribution(field_from_order(2), 4, 5, 2, SubsetA(2, 0b10))
+
+
+@pytest.mark.parametrize("j, pairs", [(0, 4097), (1, 4145), (2, 4390)])
+def test_product_law_refuses_a_wrong_factor_count(monkeypatch, j, pairs):
+    # GF(2) 3 x 3 r=2 runs row spaces at k = 2, so N_2 = sum_j c(2, j) R_j
+    # comes from the solve: c(2, j) off by one adds R_j's rank_count(2, 3, 3, j)
+    # matrices to its 2^12 pairs
+    count = stats._factor_pairs
+    monkeypatch.setattr(stats, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (2, j)))
+    with pytest.raises(RuntimeError, match=f"N_2 from the rank tallies holds {pairs} pairs, formulas say 4096$"):
         exact_distribution(field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
+
+
+@pytest.mark.parametrize("k, j", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+def test_solve_refuses_a_wrong_gaussian_coefficient(monkeypatch, k, j):
+    # GF(2) 3 x 3 r=2 by row spaces at k = 1 and 2, with one [3-j k-j]_2 off by one
+    listing = stats._row_space_tally
+
+    def wrong(ctx, m, n, at, subset):
+        tally, coefficients = listing(ctx, m, n, at, subset)
+        return tally, [a + ((at, i) == (k, j)) for i, a in enumerate(coefficients)]
+
+    with pytest.raises(RuntimeError, match=f"the rank-{k} tally leaves a remainder or a negative count|"
+                                           f"the tally at k = {k} holds"):
+        _law_by(wrong, field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
 
 
 @pytest.mark.parametrize(
@@ -1155,12 +1189,23 @@ def test_listings_agree(q, m, n, r, amask):
 
 
 def _listings_agree(q, m, n, r, amask):
-    """Both listings give the same product tally at every inner dimension
-    k <= r, and so the same laws."""
+    """Both listings give the same rank tally R_k at every inner dimension
+    k <= r, each by the triangular solve over its own tallies and
+    coefficients; the N_k rebuilt from the row spaces' R_j is the
+    compositions' N_k; and so both give the same laws."""
     ctx, subset = field_from_order(q), SubsetA(q, amask)
+    listings = (stats._row_space_tally, stats._composition_tally)
+    ranks = {listing: [_point(m, n, subset)] for listing in listings}
     for k in range(1, r + 1):
-        rows = stats._row_space_tally(ctx, m, n, k, subset)
-        assert np.array_equal(stats._composition_tally(ctx, m, n, k, subset), rows), k
+        for listing, below in ranks.items():
+            tally, coefficients = listing(ctx, m, n, k, subset)
+            rest = tally - sum(a * rank for a, rank in zip(coefficients, below))
+            assert not (rest % coefficients[k]).any(), (listing.__name__, k)
+            below.append(rest // coefficients[k])
+        rows, compositions = ranks.values()
+        assert np.array_equal(rows[k], compositions[k]), k
+        rebuilt = sum(stats._factor_pairs(q, m, n, k, j) * rows[j] for j in range(k + 1))
+        assert np.array_equal(rebuilt, tally), k  # tally: the compositions' N_k
     rows = _law_by(stats._row_space_tally, ctx, m, n, r, subset)
     assert _law_by(stats._composition_tally, ctx, m, n, r, subset) == rows
 
@@ -1200,16 +1245,16 @@ def test_exact_distribution_gates():
 @pytest.mark.parametrize(
     "q, m, n, k, steps",
     [
-        (2, 12, 12, 1, 50_577_408), (2, 8, 8, 2, 29_793_496), (2, 9, 9, 2, 183_522_672),
-        (4, 6, 6, 2, 96_348_180), (4096, 4, 2, 1, 33_865_872),
+        (2, 12, 12, 1, 50_565_060), (2, 8, 8, 2, 29_103_320), (2, 9, 9, 2, 181_384_560),
+        (4, 6, 6, 2, 94_954_860), (4096, 4, 2, 1, 33_857_608),
     ],
 )
 def test_row_space_steps_count_the_work_of_the_listing(q, m, n, k, steps):
-    # at 8 x 8 k = 2: 1 + 255 + 10,795 right factors, each of 4 u's and 8
+    # at 8 x 8 k = 2: [8 2]_2 = 10,795 right factors, each of 4 u's and 8
     # columns and one convolution column of sum_(i <= 8) (8i + 1) 9 steps
     assert stats._row_space_steps(q, m, n, k) == stats._row_space_steps(q, n, m, k) == steps
     if (q, m, n, k) == (2, 8, 8, 2):
-        assert steps == (1 + 255 + 10_795) * (4 * 8 + sum((8 * i + 1) * 9 for i in range(1, 9)))
+        assert steps == 10_795 * (4 * 8 + sum((8 * i + 1) * 9 for i in range(1, 9)))
 
 
 @pytest.mark.parametrize(
@@ -1229,9 +1274,11 @@ def test_composition_steps_count_the_work_of_the_listing(q, m, n, k, steps):
     [
         (2, 4, 5, 2, "compositions"), (2, 8, 8, 2, "compositions"), (2, 12, 12, 1, "compositions"),
         (2, 5, 5, 4, "row spaces"), (4, 4, 4, 2, "row spaces"), (16, 3, 3, 2, "row spaces"),
-        # near ties at k = r: row spaces count fewer steps at GF(3) 5 x 5, and
-        # compositions at GF(2) 6 x 6
-        (2, 6, 6, 3, "compositions"), (3, 5, 5, 2, "row spaces"),
+        # near ties at k = r, where row spaces count fewer steps: GF(2) 6 x 6,
+        # 1,355,940 against 1,695,408, and GF(3) 5 x 5, 635,250 against
+        # 722,007; GF(2) 4 x 5, the first case, is an exact tie at k = 2, 35
+        # row spaces and 35 compositions of 16 row products each
+        (2, 6, 6, 3, "row spaces"), (3, 5, 5, 2, "row spaces"),
         # 2.8M compositions at GF(16), 8.4M at GF(4096): none is built
         (4096, 3, 2, 1, "row spaces"),
     ],
@@ -1245,7 +1292,7 @@ def test_exact_distribution_runs_the_listing_of_fewer_steps(monkeypatch, q, m, n
     assert [k for _, k in runs] == list(range(1, r + 1)) and runs[-1][0] == listing
     for name, k in runs:
         rows, compositions = stats._row_space_steps(q, m, n, k), stats._composition_steps(q, m, n, k)
-        assert name == ("row spaces" if rows <= compositions else "compositions"), k
+        assert name == ("row spaces" if rows < compositions else "compositions"), k
 
 
 def test_exact_distribution_rank_zero_is_a_point_mass_at_any_size():

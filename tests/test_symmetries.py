@@ -102,7 +102,7 @@ def _closed_form_mean(q, m, n, r, subset):
         # past the row-space listing's steps, admitted by the compositions'
         (2, 9, 9, 2), (2, 10, 10, 2), (2, 24, 24, 1), (3, 8, 8, 2),
         (2, 31, 31, 1),  # counts up to 2^62; at 32 x 32 the int64 check refuses
-        # near the gate: 2^25.9, 2^24.1 and 2^25.6 steps, and counts up to 2^62
+        # near the gate: 2^25.9, 2^24.1 and 2^24.7 steps, and counts up to 2^62
         (4, 6, 6, 2), (2, 8, 8, 3), (2, 7, 7, 4), (2, 16, 15, 2),
     ],
 )
