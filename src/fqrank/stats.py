@@ -47,7 +47,7 @@ from .counting import (
     subset_bias,
     tv_closed_form_exact,
 )
-from .field import FieldCtx, FqrankError, _power_at_most, make_field
+from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most, make_field
 from .matrices import (
     DimensionMismatch,
     FieldMismatch,
@@ -937,17 +937,20 @@ def _row_space_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA) -
 
     ct_A(M) = ct_A(M^T), so the pass runs at n = min(m, n).  Over every X,
     a rank-k Y gives once each m x n matrix whose row space lies in Y's.
+    Its row table u . Y grows one digit of u at a time: the table over i
+    digits plus each multiple of Y's row i is the table over i + 1.
     """
     q = ctx.q
     m, n = max(m, n), min(m, n)
-    us = _decode(q, np.arange(q**k, dtype=np.int64), 1, k)  # u, 1, k
-    ys = _orbit_representatives(q, n, k).transpose(0, 2, 1)  # Y, k, n: one basis per row space
+    ys = _orbit_representatives(q, n, k)  # Y^T, n, k: one basis per row space, as columns
 
     def classes():
         for lo, hi in _blocks(0, len(ys), max(q**k * n, m * n + 1)):
-            rows = _index_matmul(ctx, us, ys[lo:hi, None])[:, :, 0]  # Y, u, n
-            # the row counts by an int64 matmul, in about 60 % of a sum's time over the short axis
-            yield subset_a.member_table()[rows] @ np.ones(n, dtype=np.int64), np.ones(hi - lo, dtype=np.int64)
+            rows = ctx.mul_table[ys[lo:hi, :, 0]]  # Y, n, u: u . Y over the first digit of u
+            for i in range(1, k):  # digit i weighs q^i: the q multiples of row i, added to each lower table
+                rows = _add_arrays(ctx, ctx.mul_table[ys[lo:hi, :, i], :, None], rows[:, :, None])
+                rows = rows.reshape(hi - lo, n, -1)
+            yield subset_a.member_table()[rows].sum(axis=1, dtype=np.int64), np.ones(hi - lo, dtype=np.int64)
 
     return _product_tally(m, n, classes()), [_gaussian(q, n - j, k - j)[-1] for j in range(k + 1)]
 
@@ -958,11 +961,11 @@ def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA)
 
     Y enters the tally only through H, the number of its n columns (at
     n = min(m, n)) with each of the q^k codes c: row_ct = H @ K^T, with
-    K[u, c] = [u . c in A].  So the classes are the compositions H of n
-    into q^k parts, C(n + q^k - 1, q^k - 1) of them, listed in lexicographic
-    order of their bars by itertools.combinations.  H stands for the
-    multinomial n! / prod_c H(c)! Y's, a product of binomials from a Pascal
-    table whose partial products stay below it.
+    K[u, c] = [u . c in A].  So the classes are the multisets of n column
+    codes, C(n + q^k - 1, q^k - 1) of them, each listed as its Y with
+    ascending codes (itertools.combinations_with_replacement), H by
+    `_tallies`.  H stands for the multinomial n! / prod_c H(c)! Y's, a
+    product of Pascal-table binomials whose partial products stay below it.
     """
     q = ctx.q
     coefficients = [_factor_pairs(q, m, n, k, j) for j in range(k + 1)]
@@ -971,17 +974,15 @@ def _composition_tally(ctx: FieldCtx, m: int, n: int, k: int, subset_a: SubsetA)
     codes = _decode(q, np.arange(size, dtype=np.int64), 1, k)[:, 0]  # c, k
     kernel = subset_a.member_table()[_index_matmul(ctx, codes, codes.T)].astype(np.int64)  # c, u: K^T
     pascal = _pascal(n)
-    bars = itertools.combinations(range(n + size - 1), size - 1)
+    multisets = itertools.combinations_with_replacement(range(size), n)
     total = math.comb(n + size - 1, size - 1)
 
     def classes():
-        for lo, hi in _blocks(0, total, max(4 * size, m * n + 1)):
-            # the places of each composition's bars, between a -1 and an n + size - 1
-            cuts = np.full((hi - lo, size + 1), -1, dtype=np.int64)
-            cuts[:, -1] = n + size - 1
-            cuts[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, hi - lo)),
-                                        np.int64, (hi - lo) * (size - 1)).reshape(hi - lo, size - 1)
-            h = cuts[:, 1:] - cuts[:, :-1] - 1
+        # a class holds its n codes, then its histogram, row counts and binomials over the q^k codes
+        for lo, hi in _blocks(0, total, max(n + 3 * size, m * n + 1)):
+            columns = np.fromiter(itertools.chain.from_iterable(itertools.islice(multisets, hi - lo)),
+                                  np.int64, (hi - lo) * n).reshape(hi - lo, n)
+            h = _tallies(columns, size).T  # class, c
             yield h @ kernel, pascal[np.cumsum(h, axis=1), h].prod(axis=1)
 
     return _product_tally(m, n, classes()), coefficients
@@ -1018,10 +1019,11 @@ def _exact_law(q: int, m: int, n: int, rows: list[tuple[np.ndarray, list[int]]])
     so exact_distribution's int64 check on q^(mr+rn) keeps every count exact.
     A remainder, a negative count or a T_k not totalling sum_j a_kj
     rank_count(q, m, n, j) raises RuntimeError; each R_k then totals
-    rank_count(q, m, n, k).  The product law is N_r's: T_r if its
-    coefficients are c(r, .), else sum_j c(r, j) R_j, which must total
-    q^(mr+rn).  Only the full pairs have products of rank r, uniform over
-    them, so matrix_tv is the closed form.
+    rank_count(q, m, n, k).  The product law is N_r = sum_j c(r, j) R_j
+    whichever listing ran at k = r (compositions' T_r is that sum), each
+    term at most N_r's count, and it must total q^(mr+rn).  Only the full
+    pairs have products of rank r, uniform over them, so matrix_tv is the
+    closed form.
     """
     counts = [int(rank_count(q, m, n, j)) for j in range(len(rows))]
     ranks = []  # R_0, R_1, ...
@@ -1038,12 +1040,9 @@ def _exact_law(q: int, m: int, n: int, rows: list[tuple[np.ndarray, list[int]]])
             raise RuntimeError(f"the tally at k = {k} holds {found} pairs, formulas say {expected}")
         ranks.append(rank_k)
     r = len(rows) - 1
-    pair_ct, coefficients = rows[r]
-    pairs = [_factor_pairs(q, m, n, r, j) for j in range(r + 1)]
-    if coefficients != pairs:  # row spaces ran at k = r
-        pair_ct = sum(c * rank_j for c, rank_j in zip(pairs, ranks))
-        if (found := int(pair_ct.sum())) != q ** (m * r + r * n):
-            raise RuntimeError(f"N_{r} from the rank tallies holds {found} pairs, formulas say {q ** (m * r + r * n)}")
+    pair_ct = sum(_factor_pairs(q, m, n, r, j) * rank_j for j, rank_j in enumerate(ranks))
+    if (found := int(pair_ct.sum())) != q ** (m * r + r * n):
+        raise RuntimeError(f"N_{r} from the rank tallies holds {found} pairs, formulas say {q ** (m * r + r * n)}")
     return _exact_result(ranks[r], pair_ct, tv_closed_form_exact(q, m, n, r))
 
 
@@ -1067,7 +1066,7 @@ def _gaussian(q: int, d: int, r: int) -> list[int]:
 
 def _row_space_steps(q: int, m: int, n: int, k: int) -> int:
     """`_row_space_tally`'s work at n = min(m, n): for each right factor (one
-    per k-dimensional subspace of GF(q)^n), q^k n row products and one
+    per k-dimensional subspace of GF(q)^n), q^k n row-table entries and one
     convolution column."""
     m, n = max(m, n), min(m, n)
     return _gaussian(q, n, k)[-1] * (q**k * n + _column_steps(m, n))

@@ -902,7 +902,8 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         # the listings take the y's of the transpose, 4 x 3: blocks of one y
         pytest.param(2, 3, 4, 2, 0b10, 12, id="2-3-4-2-2"),
         # one convolution of 13 counts per y: at k = 2, 7 row spaces in blocks
-        # of 2, or 20 compositions of 16 row counts each in blocks of one
+        # of 2, or 20 multisets of 3 column codes, each with a histogram, row
+        # counts and binomials over the 4 codes (15 entries), in blocks of one
         pytest.param(2, 4, 3, 2, 0b10, 26, id="2-4-3-2-2"),
     ],
 )
@@ -922,8 +923,8 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
     # each listing runs one loop per inner dimension k: over one y per row
     # space of dimension k in GF(q)^min(m, n), [min(m, n) k]_q =
-    # F(min(m, n), k) / |GL_k| of them, or over the compositions of
-    # min(m, n) into q^k parts
+    # F(min(m, n), k) / |GL_k| of them, or over the multisets of min(m, n)
+    # column codes out of q^k
     row_spaces = {int(rank_count(q, min(m, n), k, k) / rank_count(q, k, k, k)) for k in range(1, r + 1)}
     compositions = {math.comb(min(m, n) + q**k - 1, q**k - 1) for k in range(1, r + 1)}
     assert _law_by(stats._row_space_tally, ctx, m, n, r, subset) == whole
@@ -1587,6 +1588,55 @@ def test_run_clt_product_mode():
     report = run_clt(ctx, subset, 1, 8, 8, 150, seed=1, mode="product")
     assert report.mode == "product"
     assert sum(report.counts) == 150
+
+
+# fixed before any run of the test was seen; the test holds for this one seed
+_CLT_AGAINST_EXACT_SEED = 2307
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, mode, by_transform, worker_counts",
+    [
+        pytest.param(2, 8, 8, 2, "exact", 20_000, [1], id="gf2-8x8"),
+        pytest.param(2, 10, 10, 2, "exact", 20_000, [1], id="gf2-10x10"),
+        # odd p: blocks of 6553 pairs go by the transform, the last 341 by the product
+        pytest.param(3, 5, 5, 2, "exact", 19_659, [1, 2], id="gf3-5x5"),
+        pytest.param(16, 3, 3, 2, "exact", 0, [1], id="gf16-3x3"),
+        # a pair's factors are both invertible with probability 9/64: most streams are redrawn
+        pytest.param(2, 2, 2, 2, "exact", 0, [1, 2], id="gf2-2x2"),
+        pytest.param(2, 8, 8, 2, "product", 20_000, [1], id="gf2-8x8-product"),
+        # the rank and product laws lie 0.51 apart here, but 0.0103 at 8 x 8, inside the band
+        pytest.param(2, 2, 2, 2, "product", 0, [1], id="gf2-2x2-product"),
+    ],
+)
+def test_clt_samples_follow_the_exact_law(monkeypatch, q, m, n, r, mode, by_transform, worker_counts):
+    """`run_clt`'s 20,000 counts, the normalisation undone, lie within the
+    Dvoretzky-Kiefer-Wolfowitz band (Massart's constant) at alpha = 1e-6 of
+    `exact_distribution`'s law: rank_dist in exact mode, product_dist in
+    product mode.  The band is sqrt(ln(2 / alpha) / (2 N)) = 0.0190, with
+    no slack added, so a correct pipeline fails it with probability at most
+    1e-6 per run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    samples, alpha = 20_000, 1e-6
+    band = math.sqrt(math.log(2 / alpha) / (2 * samples))
+    ctx, subset = field_from_order(q), SubsetA.from_indices(q, [1])
+    dist = exact_distribution(ctx, m, n, r, subset)
+    law = dist.rank_dist if mode == "exact" else dist.product_dist
+    cdf = np.cumsum([float(law.get(v, 0)) for v in range(m * n + 1)])
+    mu, sigma = stats._normalization(q, subset, r, m, n)
+    counted = []
+    transform = stats._transform_ct
+    monkeypatch.setattr(stats, "_transform_ct", lambda *args: counted.append(len(args[1])) or transform(*args))
+    for workers in worker_counts:
+        values = run_clt(ctx, subset, r, m, n, samples, seed=_CLT_AGAINST_EXACT_SEED, mode=mode,
+                         workers=workers).samples
+        cts = np.rint(values * sigma + mu)
+        assert np.abs(values * sigma + mu - cts).max() < 1e-6
+        seen = np.cumsum(np.bincount(cts.astype(np.int64), minlength=m * n + 1)) / samples
+        assert np.abs(seen - cdf).max() <= band, workers
+        if workers == 1:  # the counting routes of the caller's chunk: all of it
+            assert sum(counted) == by_transform
+    assert multiprocessing.active_children() == []
 
 
 def test_run_clt_validation():
