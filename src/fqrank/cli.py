@@ -12,11 +12,11 @@ rounded to 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import IO
 
 import numpy as np
@@ -43,24 +43,61 @@ class UsageError(FqrankError):
     """Bad flag values; rendered on stderr with exit code 2."""
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+def _float_text(x: float) -> str:
+    x = float(f"{x:.12g}")
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
+# The text of each scalar type, in json's order of tests: bool before int.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    Fraction: lambda x: encode_basestring_ascii(str(x)),
+    type(None): lambda x: "null",
+    bool: lambda x: "true" if x else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, int) and not isinstance(key, bool):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+
+
+def _json_text(obj, indent: str) -> str:
+    text = _SCALAR_TEXT.get(type(obj))  # exact types first; subclasses (np.float64) below
+    if text is not None:
+        return text(obj)
     if isinstance(obj, dict):
-        return {key: _jsonify(val) for key, val in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_key_text(key)}: {_json_text(val, inner)}" for key, val in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(obj, list):
-        return [_jsonify(val) for val in obj]
-    if isinstance(obj, float):
-        return _round12(obj)
-    return obj
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(val, inner) for val in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    for cls, text in _SCALAR_TEXT.items():
+        if isinstance(obj, cls):
+            return text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(obj, stream: IO[str]) -> None:
-    stream.write(json.dumps(_jsonify(obj), indent=2) + "\n")
+    """Write obj as JSON in one pass: two spaces a level, ASCII only, int
+    keys quoted, each Fraction as its str and each float rounded to 12
+    significant digits, as json.dumps(..., indent=2) spells them."""
+    stream.write(_json_text(obj, "") + "\n")
 
 
 def _rational(value: Fraction) -> dict:
@@ -211,7 +248,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         "variance": _rational(dist.variance),
         "product_dist": dist.product_dist,
         "matrix_tv": _rational(dist.matrix_tv),
-        "tv_closed_form": _rational(tv_closed_form_exact(ctx.q, m, n, r)),
+        "tv_closed_form": _rational(dist.matrix_tv),  # the closed form, by construction
     }
     _emit(out, sys.stdout)
     return 0
@@ -329,8 +366,9 @@ def _cmd_clt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)  # one parser per process, built at the first call, not at import
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)  # one set of parsers per process, built at the first call, not at import
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="fqrank",
         description="Entry statistics of random fixed-rank matrices over GF(q).",
@@ -396,11 +434,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_clt.add_argument("--csv-samples", help="write sorted samples CSV to this path")
     p_clt.set_defaults(handler=_cmd_clt)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: by its subcommand's parser when the first word
+    names one, with the top-level parser's usage and exit code 2 for words
+    left over; any other argv (none, -h, an unknown command) by the
+    top-level parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except (FqrankError, OSError) as exc:

@@ -581,16 +581,17 @@ def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
     and writes table^T @ each (q, q^k B) slice into a second buffer, so no
     pass moves an axis; when q^k B is 1 it is one (rows, q) @ table product.
     No matmul call contracts more than _BLAS_SLAB multiply-adds, batch items
-    included, a complex one (odd p) counting as four: OpenBLAS starts its
-    threads above that size, and beside the other clt worker processes they
-    only contend for the same cores.
+    included, and a complex one (odd p) holds fewer than _BLAS_SLAB / 4:
+    OpenBLAS's zgemm starts its threads at 2^16 complex multiply-adds (real
+    gemm stayed on one thread up to 2^19), and beside the other clt worker
+    processes they only contend for the same cores.
     The passes reshape and write with `out=`, which on a strided array
     would land in temporary copies, so hist is copied C-ordered whatever
     its own layout (a transposed tally among them).
     """
     q = len(table)
     pairs = hist.shape[1]
-    slab = _BLAS_SLAB // 4 if np.iscomplexobj(table) else _BLAS_SLAB
+    slab = _BLAS_SLAB // 4 - 1 if np.iscomplexobj(table) else _BLAS_SLAB
     src = hist.astype(table.dtype, order="C")
     dst = np.empty_like(src)
     for k in range(r):

@@ -1,6 +1,8 @@
-"""The direct scan, the oracle of `exact_distribution`'s rank law: every
-m x n matrix over GF(q), ranked by elimination and counted entry by entry."""
+"""The tests' oracles: the direct scan, the oracle of `exact_distribution`'s
+rank law (every m x n matrix over GF(q), ranked by elimination and counted
+entry by entry), and json.dumps, the oracle of the CLI's JSON writer."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,3 +50,27 @@ def scan_law(ctx, m, n, r, subset_a) -> tuple[dict[int, Fraction], Fraction, Fra
 def scan():
     """`scan_law`, for tests that check exact_distribution against it."""
     return scan_law
+
+
+def _jsonify(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _jsonify(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_jsonify(val) for val in obj]
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    return obj
+
+
+def json_text(obj) -> str:
+    """What `cli._emit` must write: obj with each Fraction as its str and each
+    float rounded to 12 significant digits, through json.dumps(indent=2)."""
+    return json.dumps(_jsonify(obj), indent=2) + "\n"
+
+
+@pytest.fixture(scope="session")
+def json_oracle():
+    """`json_text`, for tests that check the CLI's writer against it."""
+    return json_text

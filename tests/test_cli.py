@@ -1,17 +1,21 @@
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fqrank
 from fqrank import cli, sampling
 from fqrank.cli import main
-from fqrank.field import make_field
+from fqrank.field import FqrankError, make_field
 from fqrank.matrices import dump_matrix, load_matrix, mat_mul, matrix, rank
 from fqrank.sampling import SeedSpec, draw_factor_pair
 
@@ -633,3 +637,123 @@ def test_main_calls_in_one_process_print_what_fresh_processes_do(capsys, monkeyp
             rc = exc.code
         fresh = _fresh_process(argv.split(), COLUMNS="80")
         assert (rc, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# --- the JSON writer and the one parse -------------------------------------------
+
+_scalars = st.one_of(
+    st.text(max_size=6),  # quotes, backslashes, control and non-ASCII characters among them
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.floats(),  # nan, infinities, -0.0 and subnormals among them
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e16, 0.1 + 0.2, 5e-324, 2.2e-308]),
+    st.floats().map(np.float64),  # a float subclass, as numpy 1.24 hands out
+)
+_documents = st.recursive(
+    _scalars,
+    lambda items: st.one_of(
+        st.lists(items, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), items, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_documents)
+def test_emit_writes_the_bytes_of_json_dumps(json_oracle, obj):
+    out = io.StringIO()
+    cli._emit(obj, out)
+    assert out.getvalue() == json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), {"a": b"x"}, [object()], {(1, 2): 0}])
+def test_emit_refuses_what_json_dumps_refuses(json_oracle, obj):
+    with pytest.raises(TypeError):
+        json_oracle(obj)
+    with pytest.raises(TypeError):
+        cli._emit(obj, io.StringIO())
+
+
+def _main_by_the_top_level_parser(argv):
+    """main as it was: one parse of the whole argv by the top-level parser."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (FqrankError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # argparse's own errors and help, which exit through SystemExit
+        "",
+        "-h",
+        "--help",
+        "--version",
+        "bogus --field 2",
+        "exact",
+        "exact -h",
+        "exact --help",
+        "count --field 2 --m 2",
+        "sample --field 2 --m 2 --n 2 --r 1 --mode bogus",
+        "exact --field 2 --m 2 --n 2 --r 1 --A 1 --method pairs",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N x --seed 1",
+        "exact --fie 2 --m 2 --n 2 --r 1 --A 1",
+        "exact --field 2 --m 2 --n 2 --r 1 --A 1 stray",
+        # the handlers' usage errors, which return 2
+        "count --field 6 --m 2 --n 2 --r 1",
+        "count --field 8192 --m 2 --n 2 --r 1",
+        "exact --field 2 --m 2 --n 2 --r 1 --A 7",
+        "count --field 2 --m 2 --n 2 --r 1 --A x",
+        "count --field 2 --m 2 --n 2 --r 1 --A ,",
+        "identity --field 3 --A 1 --r -1",
+        "exact --field 2 --m 2 --n 2 --r 5 --A 1",
+        "exact --field 2 --A 1 --m -1 --n 2 --r 0",
+        "count --field 2 --m 2 --n -3 --r 1",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 120 --seed -3",
+        "identity --field 2 --A 1 --x-file {bad} --y-file {bad}",
+        "identity --field 2 --A 1 --x-file {bad}",
+        "identity --field 2 --A 1 --tolerance nan",
+        "sample --field 2 --m -1 --n 2 --r 1 --mode product",
+        "lemmas --field 2 --r 40",
+        "lemmas --field 4096 --r 1",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --workers 0",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 100 --seed 1 --csv-hist {bad}/h.csv",
+        "exact --field 3 --m 100 --n 100 --r 100 --A 1",
+        "count --field 2 --m 3000 --n 3000 --r 3000",
+    ],
+)
+def test_main_parses_once_as_the_top_level_parser_did(tmp_path, capsys, monkeypatch, argv):
+    """Each command's own parser gives the exit code, stdout and stderr that
+    the top-level parser's one pass over the whole argv gave."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1 2\n1\nx\n")
+    argv = argv.format(bad=bad).split()
+    results = []
+    for run in (main, _main_by_the_top_level_parser):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        results.append((rc, *capsys.readouterr()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exact --field 2 --m 4 --n 5 --r 2 --A 1",
+        "sample --fi 3 --m 3 --n 4 --r 2 --count 5 --seed 11 --format=json",
+        "identity --field 16 --A nonzero --r 3 --x-file x.txt --y-file y.txt",
+        "clt --field 2 --A 1 --r 1 --m 8 --n 8 --N 120 --seed 1 --workers 2 --csv-hist -",
+    ],
+)
+def test_parse_gives_the_namespace_of_the_top_level_parser(argv):
+    argv = argv.split()
+    assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))

@@ -759,6 +759,13 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     else:
         assert np.array_equal(got, whole)
     assert len(sizes) == r  # one call per pass
+    if ctx.p == 2 and q * q < 1 << 16:
+        # a complex table at q = 2^e: zgemm starts its threads at 2^16 multiply-adds
+        monkeypatch.setattr(stats, "_BLAS_SLAB", 1 << 18)
+        sizes.clear()
+        values = stats._transform(hist, character_table(ctx).add, r)  # -1 is -1 + 1.2e-16j
+        assert np.array_equal(np.rint(values.real), got)
+        assert sum(sizes) == r * pairs * q ** (r + 1) and max(sizes) < 1 << 16
 
 
 @pytest.mark.parametrize(
@@ -892,6 +899,23 @@ def test_exact_distribution_matrix_tv_matches_closed_form():
         ctx = field_from_order(q)
         dist = exact_distribution(ctx, m, n, r, SubsetA.nonzero(q))
         assert dist.matrix_tv == tv_closed_form_exact(q, m, n, r)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_matrix_tv_is_the_closed_form_at_every_admitted_shape(q):
+    """`exact` prints matrix_tv under both TV keys, the closed form's too, so
+    a route that measured the TV would have to keep equal to the formula:
+    every admitted m, n <= 4 and r <= min(m, n), rank 0 included."""
+    ctx, admitted = field_from_order(q), 0
+    for m, n in product(range(5), repeat=2):
+        for r in range(min(m, n) + 1):
+            try:
+                dist = exact_distribution(ctx, m, n, r, SubsetA.nonzero(q))
+            except TooLargeToEnumerate:
+                continue
+            assert dist.matrix_tv == tv_closed_form_exact(q, m, n, r), (m, n, r)
+            admitted += 1
+    assert admitted == (55 if q < 4 else 54)  # GF(4) 4 x 4 r = 4 is past int64
 
 
 @pytest.mark.parametrize(
