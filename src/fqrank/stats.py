@@ -70,7 +70,9 @@ _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the 
 _BLAS_SLAB = 1 << 18  # real multiply-adds per matmul call; a complex one counts as four
 _MATMUL_PER_GATHER = 8  # transform multiply-adds that cost as much as one product gather
 _TRANSFORM_CALL = 1 << 15  # gathers' worth of the transform's fixed cost per call, past the product's
+_CHAR_TRANSFORM_CALL = 1 << 11  # complex multiply-adds' worth of _char_sums' transform's fixed cost per call
 _ROUND_MARGIN = 0.25  # a transform count further than this from an integer is recounted
+_SCALE_TABLE = 1 << 12  # entries of `_scaled_codes`' table of a c per element a and chunk c
 
 
 class DegenerateSubset(FqrankError):
@@ -237,6 +239,43 @@ def _char_sums(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
     subset S = {k : t_k < q-1} at the characters t restricted to S, and the
     q^r entries hold every subset's (q-1)^|S| sums.
 
+    Two routes give the same sums, and the one of less estimated work runs,
+    counted in complex multiply-adds: `_char_sums_by_product` takes q^r per
+    entry, and `_char_sums_by_transform` r q^(r+1) whatever the width, plus
+    _CHAR_TRANSFORM_CALL for its fixed cost per call.  That constant was
+    fitted on one core over q <= 128, r <= 4 and widths 1 to 4096 (276
+    shapes): the routes it chose took 0.1 % longer in all than the faster
+    route of each shape (2^13: 0.3 %), and the 7 shapes it sent more than
+    10 % the slower way ran in under 80 us by either route.  The
+    transform also needs its smallest matmul call, one (q, q) contraction,
+    to stay on one thread (`_one_thread_transform`), so q >= 256 takes the
+    product.  The sums are exact on either route where the character values
+    are (q = 2) and equal row_char_sum's to rounding elsewhere (the routes
+    differed by at most 2.5e-13 over those shapes).
+    """
+    r, width = entries.shape
+    if not r:
+        return np.full((), width, dtype=np.complex128)  # 0-d: the row count
+    q = table.mult.shape[1]
+    if _one_thread_transform(q, True) and r * q ** (r + 1) + _CHAR_TRANSFORM_CALL < q**r * width:
+        return _char_sums_by_transform(entries, table)
+    return _char_sums_by_product(entries, table)
+
+
+def _char_sums_by_transform(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
+    """`_char_sums` as `_transform` of the histogram of the entries' codes,
+    coordinate 0 the most significant digit, so that the transform's codes
+    read as the (q,)*r result in C order; the table is E transposed, as
+    `_transform` sums hist[c] * table[c_k, t_k] over each digit c_k."""
+    r = len(entries)
+    q = table.mult.shape[1]
+    hist = np.bincount(_encode(q, entries[::-1].T), minlength=q**r)
+    return _transform(hist[:, None], _extended_mult(table).T, r).reshape((q,) * r)
+
+
+def _char_sums_by_product(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
+    """`_char_sums` as one matrix product of Khatri-Rao rows, for r >= 1.
+
     The coordinates split in two, a tail of the trailing ones and a head of
     the rest, and the Khatri-Rao rows of each part, one per index tuple of
     its coordinates, are the operands of one matrix product, head @ tail.T.
@@ -250,18 +289,15 @@ def _char_sums(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
     the full width would overflow a call, each call takes a span of about
     sqrt(slab / tail rows) entries and the spans' products add up (with
     every head row elementwise instead, GF(16) r = 3 at 4096 entries took
-    66 ms against 9-16 ms).  The sums are exact where the character values
-    are (q = 2) and equal row_char_sum's to rounding elsewhere.
+    66 ms against 9-16 ms).
     No matmul call holds _BLAS_SLAB / 4 complex multiply-adds (four real
     ones each), and none has one row, which is an elementwise product and
     sum instead: OpenBLAS's zgemm starts its threads at that size, and its
     zgemv at 4096 entries.
     """
     r, width = entries.shape
-    if not r:
-        return np.full((), width, dtype=np.complex128)  # 0-d: the row count
     q = table.mult.shape[1]
-    budget = _BLAS_SLAB // 4 - 1
+    budget = _slab(True)
     extended = _extended_mult(table)
     # C-ordered (q, width) per coordinate, as np.take gives and extended[:, e] does not:
     # the products keep their operands' layout, and the sums' order follows it
@@ -375,7 +411,11 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     the term-count cap admits).
 
     The row and column character sums of every index subset come from one
-    `_char_sums` call per factor, read out in subset_coefficients' key order
+    `_char_sums` call per factor, which takes the Khatri-Rao product or the
+    character transform of the factor's histogram of row (column) codes,
+    whichever it estimates to be less work at that factor's width, so the
+    two factors of one pair may take different routes.  The sums are read
+    out in subset_coefficients' key order
     through `_key_order`'s cached index, and the all-trivial keys are
     centred by `_row_centring`'s cached expected_char_sum values.  The main
     term is one vector expression over all q^r keys: coefficient * dx * dy
@@ -386,7 +426,7 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     Every constant that does not depend on the pair is cached, per field,
     entry subset and r, or per (q, r, m) for the row-count terms.  Transient
     memory is about 100 * q^r bytes, plus a `_BLOCK_ENTRIES` block of head
-    rows.
+    rows on the product route.
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
@@ -484,10 +524,12 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     The transform adds _TRANSFORM_CALL gathers once per call, the fixed cost
     it pays beyond the product's (fitted on the same grid, stacks of 1 to 64
     pairs), so a single small pair is counted by its product.
-    The transform also needs q^r <= MAX_TRANSFORM_CODES, and q^2 <=
-    _BLAS_SLAB so that its matmul calls stay on one thread (see
-    `_transform`).  It counts `_blocks` of pairs, each pair gathering
-    q max(m, q^r) values, so a pair with q^r = 2^16 is counted alone.
+    The transform also needs q^r <= MAX_TRANSFORM_CODES, and
+    `_one_thread_transform`, so that its matmul calls stay on one thread
+    (see `_transform`): q^2 <= _BLAS_SLAB for p = 2, and for odd p, whose
+    table is complex, q^2 < _BLAS_SLAB / 4, so q < 256.  It counts
+    `_blocks` of pairs, each pair gathering q max(m, q^r) values, so a pair
+    with q^r = 2^16 is counted alone.
     Pairs the rounding check refuses, and every pair when the product is
     cheaper, are counted by their products, formed in `_blocks` of pairs.
     The stated bound on the transform's rounding is 1e-6: for odd p its
@@ -499,7 +541,7 @@ def _product_ct_stack(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int)
     cts = np.zeros(pairs, dtype=np.int64)
     exact = np.zeros(pairs, dtype=bool)
     if (
-        q * q <= _BLAS_SLAB
+        _one_thread_transform(q, ctx.p != 2)
         and _power_at_most(q, r, MAX_TRANSFORM_CODES)
         and pairs * (r * q ** (r + 1) / _MATMUL_PER_GATHER + q * (r + 1) * min(m, q**r) + n * r)
         + _TRANSFORM_CALL < pairs * (2 * r + 1) * m * n
@@ -527,35 +569,84 @@ def _transform_ct(ctx: FieldCtx, xs: np.ndarray, ys: np.ndarray, amask: int) -> 
     row sum at q^r = 2) and hands the histograms over codes first, (q^r, B):
     `_transform` copies them C-ordered into that layout and works on them in
     place, and one gather reads every pair's transform at code * B + k.  The
-    codes of
-    a x_i come from one `np.take` of the product table.  When q^r <= m the
-    rows are tallied by `_tallies` as well, and sum_i H^_Y(a x_i) is taken
-    as sum_c G_X(c) H^_Y(a c) over the q^r codes c.  For p = 2 every value of
+    codes of a x_i come from `_scaled_codes`, a few digits at a time.  The
+    additive table and the weights c_A(a) are cached (`_additive_terms`).
+    When q^r <= m the rows are tallied by `_tallies` as well, and
+    sum_i H^_Y(a x_i) is taken as sum_c G_X(c) H^_Y(a c) over the q^r
+    codes c.  For p = 2 every value of
     every pass of `_transform` is a signed sum of the n column counts, so it
     runs in float32, exact below 2^24, when n < 2^24 (float64 otherwise);
     the sums gathered from it, up to m n, accumulate in float64.
     """
     q, (pairs, m, r) = ctx.q, xs.shape
     size = q**r
-    table = character_table(ctx).add  # psi(a b)
-    weights = table[:, SubsetA(q, amask).member_table()].conj().sum(axis=1)  # c_A(a)
     n = ys.shape[-1]
-    if ctx.p == 2:  # psi is exactly +-1, so every value of hat is an integer of size <= n
-        exact = np.float32 if n < 1 << 24 else np.float64  # float32 holds integers to 2^24
-        table, weights = table.real.astype(exact), weights.real
+    # psi is exactly +-1 for p = 2, so every value of hat is an integer of size <= n,
+    # and float32 holds integers to 2^24
+    dtype = np.complex128 if ctx.p != 2 else np.float32 if n < 1 << 24 else np.float64
+    table, weights = _additive_terms(ctx, amask, dtype)
     wide = weights.dtype  # float64 or complex128: the gathered sums reach m * n
     hat = _transform(_tallies(_encode(q, ys.swapaxes(1, 2)), size), table, r)  # (q^r, B)
     if size <= m:
         patterns = _decode(q, np.arange(size, dtype=np.int64), 1, r)[:, 0, :]
-        multiples = _encode(q, ctx.mul_table[:, patterns])  # code of a c, per a and c
+        multiples = _scaled_codes(ctx, patterns)  # code of a c, per a and c
         g_x = _tallies(_encode(q, xs), size)  # (q^r, B), as hat
         sums = (hat.astype(wide, copy=False)[multiples] * g_x).sum(axis=1).T
     else:
         # code of a x_i, per a, pair, i, at its place in hat
-        offsets = np.arange(pairs)[:, None]
-        multiples = _encode(q, np.take(ctx.mul_table, xs, axis=1)) * pairs + offsets
+        multiples = _scaled_codes(ctx, xs) * pairs + np.arange(pairs)[:, None]
         sums = hat.ravel()[multiples].sum(axis=2, dtype=wide).T
     return (sums * weights).sum(axis=1) / q  # not a BLAS call: see _transform
+
+
+@lru_cache(maxsize=None)
+def _additive_terms(ctx: FieldCtx, amask: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """`_transform_ct`'s table psi(a b) in dtype and its weights c_A(a) =
+    sum_{s in A} conj psi(a s), real for p = 2, read-only, once per field,
+    entry subset and dtype."""
+    table = character_table(ctx).add
+    weights = table[:, SubsetA(ctx.q, amask).member_table()].conj().sum(axis=1)
+    if ctx.p == 2:
+        table, weights = table.real.astype(dtype), weights.real
+    return _read_only(table, weights)
+
+
+def _scaled_codes(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
+    """The code of a v for every element a and every vector v along digits'
+    last axis: (q,) + digits.shape[:-1], int64.
+
+    Horner's rule over chunks of s = `_scale_digits` digits, most
+    significant first: a v's chunk is `_scale_table`'s entry at a and the
+    code of v's chunk, as a acts on each digit alone, and a short top chunk
+    reads the same table, its missing digits being zeros.  At s = 1 the
+    table is the product table, and this is one gather and one Horner step
+    per digit."""
+    q, r = ctx.q, digits.shape[-1]
+    s = _scale_digits(q, r)
+    table = _scale_table(ctx, s)
+    top, *rest = range(0, max(r, 1), s)[::-1]
+    out = np.take(table, _encode(q, digits[..., top:]), axis=1)
+    for lo in rest:
+        out *= q**s
+        out += np.take(table, _encode(q, digits[..., lo : lo + s]), axis=1)
+    return out
+
+
+def _scale_digits(q: int, r: int) -> int:
+    """The chunk width s of `_scaled_codes`: the most digits, up to r, whose
+    scale table of q^(s+1) entries fits in _SCALE_TABLE, and at least one."""
+    s = 1
+    while s < r and q ** (s + 2) <= _SCALE_TABLE:
+        s += 1
+    return s
+
+
+@lru_cache(maxsize=None)
+def _scale_table(ctx: FieldCtx, s: int) -> np.ndarray:
+    """The code of a c for every element a and every c of s digits, (q, q^s)
+    int64, read-only, once per field and s."""
+    digits = _decode(ctx.q, np.arange(ctx.q**s, dtype=np.int64), 1, s)[:, 0, :]
+    return _read_only(_encode(ctx.q, ctx.mul_table[:, digits]))[0]
 
 
 def _tallies(values: np.ndarray, bins: int) -> np.ndarray:
@@ -591,7 +682,7 @@ def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
     """
     q = len(table)
     pairs = hist.shape[1]
-    slab = _BLAS_SLAB // 4 - 1 if np.iscomplexobj(table) else _BLAS_SLAB
+    slab = _slab(np.iscomplexobj(table))
     src = hist.astype(table.dtype, order="C")
     dst = np.empty_like(src)
     for k in range(r):
@@ -611,6 +702,19 @@ def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:
                     np.matmul(table.T, slabs[part], out=out[part])
         src, dst = dst, src
     return src
+
+
+def _slab(complex_table: bool) -> int:
+    """The most multiply-adds one matmul call may hold: _BLAS_SLAB real ones,
+    or, counting a complex one as four, fewer than _BLAS_SLAB / 4 complex
+    ones (zgemm's threads start at 2^16)."""
+    return _BLAS_SLAB // 4 - 1 if complex_table else _BLAS_SLAB
+
+
+def _one_thread_transform(q: int, complex_table: bool) -> bool:
+    """Whether `_transform`'s smallest matmul call, one (q, q) contraction,
+    fits in a slab, so that every call stays on one thread."""
+    return q * q <= _slab(complex_table)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fqrank.characters import (
     BadSubset,
@@ -29,7 +29,7 @@ from fqrank.characters import (
 )
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import FqrankError, _power_at_most, _prime_factors, field_from_order, make_field
-from fqrank import sampling, stats
+from fqrank import cli, sampling, stats
 from fqrank.matrices import (
     DimensionMismatch,
     FieldMismatch,
@@ -346,8 +346,9 @@ def test_decompose_matches_per_key_route_gf16_r3():
 @pytest.mark.parametrize("slab", [stats._BLAS_SLAB, stats._BLAS_SLAB // 64])
 @pytest.mark.parametrize("q, r, m, n", [(7, 2, 30, 20), (7, 3, 100, 96), (9, 2, 24, 30), (9, 3, 64, 50)])
 def test_decompose_matches_per_key_route_odd_characteristic(monkeypatch, slab, q, r, m, n):
-    # inexact character values; at the smaller slab every factor has a head of
-    # Khatri-Rao rows, and the sums run through matmul calls
+    # inexact character values; at the smaller slab every factor the product
+    # route takes has a head of Khatri-Rao rows, the r = 3 factors take the
+    # transform, and either way the sums run through matmul calls
     monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
     ctx = field_from_order(q)
     subset = SubsetA.nonzero(q)
@@ -356,6 +357,40 @@ def test_decompose_matches_per_key_route_odd_characteristic(monkeypatch, slab, q
     x = uniform_matrix(ctx, m, r, stream)
     y = uniform_matrix(ctx, r, n, stream)
     assert abs(decompose_ct(x, y, subset).main_term - per_key_main_term(x, y, coeffs)) < 1e-12
+
+
+def test_decompose_on_the_transform_route_matches_per_key_route(monkeypatch):
+    """GF(16) r = 3 at 256 x 256: both factors' sums come from the transform,
+    and the main term is the per-key route's."""
+    routes = []
+    by_transform = stats._char_sums_by_transform
+    monkeypatch.setattr(
+        stats, "_char_sums_by_transform", lambda *args: routes.append(1) or by_transform(*args)
+    )
+    monkeypatch.setattr(stats, "_char_sums_by_product", None)  # any call would fail
+    ctx = field_from_order(16)
+    subset = SubsetA.nonzero(16)
+    coeffs = stats.subset_coefficients(ctx, subset, 3)
+    stream = SeedSpec(256).stream(0)
+    x = uniform_matrix(ctx, 256, 3, stream)
+    y = uniform_matrix(ctx, 3, 256, stream)
+    dec = decompose_ct(x, y, subset)
+    assert routes == [1, 1]
+    assert abs(dec.main_term - per_key_main_term(x, y, coeffs)) < 1e-12
+    assert abs(dec.residual) < 1e-9
+
+
+def test_small_decompositions_take_the_product_route(monkeypatch, capsys):
+    """The bit-exact cases and the pinned GF(3) identity argv are counted by
+    the product route, whose sums the per-key route matches bit for bit."""
+    monkeypatch.setattr(stats, "_char_sums_by_transform", None)  # any call would fail
+    for q in (3, 5):
+        ctx = field_from_order(q)
+        stream = SeedSpec(5).stream(q)
+        for m, n in [(9, 11), (1, 4), (30, 2)]:
+            decompose_ct(uniform_matrix(ctx, m, 2, stream), uniform_matrix(ctx, 2, n, stream), SubsetA.nonzero(q))
+    assert cli.main("identity --field 3 --A nonzero --m 4 --n 4 --r 2 --count 5 --seed 4".split()) == 0
+    assert '"pass": true' in capsys.readouterr().out
 
 
 def test_decompose_constants_cached(monkeypatch):
@@ -398,7 +433,8 @@ def test_decompose_constants_cached(monkeypatch):
         (4, None, 0, 3, 4),
         (16, None, 4, 64, 64),  # |S| = 4: a head of 225 Khatri-Rao rows
         (64, 0b10, 3, 32, 32),  # A = {1}: 4096 head rows
-        (16, None, 3, 2100, 8),  # x's calls each cover part of its 2100 rows
+        (16, None, 3, 2100, 8),  # x takes the transform, y's 8 columns the product
+        (256, 0b10, 2, 300, 4),  # the product at any width: x's calls each cover part of its 300 rows
     ],
 )
 def test_decompose_edge_and_scale(q, amask, r, m, n):
@@ -527,6 +563,43 @@ def test_product_ct_large_field_takes_the_product(monkeypatch):
     assert report.samples[0] == want
 
 
+def record_matmul_sizes(monkeypatch) -> list[int]:
+    """Patch np.matmul to append the multiply-adds of each call, every item
+    of a batched call included, to the list it returns."""
+    sizes = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        items = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        sizes.append(items * a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("q", [256, 257, 343])
+def test_product_ct_transform_stays_on_one_thread(monkeypatch, q):
+    """At r = 1 the transform's smallest call is one (q, q) contraction.  For
+    GF(257) and GF(343) the table is complex, and q^2 complex multiply-adds
+    pass zgemm's thread onset of 2^16, so the product counts the pairs and
+    no matmul call is made; GF(256)'s real table fits _BLAS_SLAB and takes
+    the transform.  The counts are exact on either route."""
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+    xs = rng.integers(0, q, (2, 512, 1)).astype(np.int16)
+    ys = rng.integers(0, q, (2, 1, 512)).astype(np.int16)
+    subset = SubsetA.from_indices(q, [1, 2])
+    want = [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), subset) for x, y in zip(xs, ys)]
+    sizes = record_matmul_sizes(monkeypatch)
+    assert stats._product_ct_stack(ctx, xs, ys, subset.mask).tolist() == want
+    if ctx.p == 2:
+        assert sizes and max(sizes) <= stats._BLAS_SLAB
+    else:
+        assert not sizes
+        assert not stats._one_thread_transform(q, True)
+
+
 @pytest.mark.parametrize(
     "q, r, m, n",
     [
@@ -616,6 +689,49 @@ def test_transform_ct_counts_every_pair_of_a_stack(q, r, m, n):
     want = [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), subset) for x, y in zip(xs, ys)]
     values = stats._transform_ct(ctx, xs, ys, subset.mask)
     assert np.abs(values - want).max() < 1e-6
+
+
+@pytest.mark.parametrize("cap", [1 << 4, 1 << 8, 1 << 12])
+@pytest.mark.parametrize("q, r, shape", [(2, 0, (3, 4)), (3, 5, (2, 0)), (4, 3, (2, 7)), (16, 4, (1, 9)), (5, 5, (3, 6))])
+def test_scaled_codes_are_the_codes_of_each_multiple(monkeypatch, cap, q, r, shape):
+    """`_scaled_codes` gives the code of a v for every a, however many digits
+    its chunks take (one at the smallest cap), with a short top chunk when s
+    does not divide r, at r = 0 and with no vectors."""
+    monkeypatch.setattr(stats, "_SCALE_TABLE", cap)
+    ctx = field_from_order(q)
+    digits = np.random.default_rng(q * r).integers(0, q, shape + (r,)).astype(np.int16)
+    want = _encode(q, np.take(ctx.mul_table, digits, axis=1))
+    got = stats._scaled_codes(ctx, digits)
+    assert got.dtype == np.int64 and got.shape == (q,) + shape
+    assert np.array_equal(got, want)
+    s = stats._scale_digits(q, r)
+    assert s == 1 or q ** (s + 1) <= cap
+    assert not stats._scale_table(ctx, s).flags.writeable
+
+
+@pytest.mark.parametrize("q, r, m, n", [(3, 0, 4, 5), (2, 0, 0, 3), (4, 2, 0, 6), (3, 3, 5, 4), (16, 3, 40, 9)])
+def test_transform_ct_at_rank_zero_odd_rank_and_no_rows(q, r, m, n):
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q + r + m)
+    xs = rng.integers(0, q, (3, m, r)).astype(np.int16)
+    ys = rng.integers(0, q, (3, r, n)).astype(np.int16)
+    for amask in (0b01, 0b10, 0b11):
+        want = [ct(mat_mul(MatrixFq(ctx, x), MatrixFq(ctx, y)), SubsetA(q, amask)) for x, y in zip(xs, ys)]
+        assert np.abs(stats._transform_ct(ctx, xs, ys, amask) - want).max() < 1e-9
+
+
+def test_transform_ct_constants_are_cached(monkeypatch):
+    """A second count at the same field and entry subset builds no table:
+    the additive table, its weights and the scale table are cached and
+    read-only."""
+    ctx = field_from_order(9)
+    xs, ys = _draw_seeded_block(ctx, 20, 20, 3, 1, 0, 2, "exact")
+    first = stats._transform_ct(ctx, xs, ys, 0b110)
+    monkeypatch.setattr(stats, "character_table", None)  # any call would fail
+    monkeypatch.setattr(stats, "_decode", None)
+    assert np.array_equal(stats._transform_ct(ctx, xs, ys, 0b110), first)
+    table, weights = stats._additive_terms(ctx, 0b110, np.complex128)
+    assert not table.flags.writeable and not weights.flags.writeable
 
 
 @pytest.mark.parametrize("bins", [1, 2, 7])
@@ -727,16 +843,8 @@ def test_transform_ct_keeps_its_rounding_bound(q, amask, r, size):
 def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     """No matmul call of the transform contracts more than _BLAS_SLAB
     multiply-adds, counting every item of a batched call and a complex
-    multiply-add (odd p) as four, and the slabs give the one-call-per-pass
-    product."""
-    sizes = []
-    matmul = np.matmul
-
-    def recording(a, b, out=None):
-        items = math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
-        sizes.append(items * a.shape[-2] * a.shape[-1] * b.shape[-1])
-        return matmul(a, b, out=out)
-
+    multiply-add (odd p, and `_char_sums`' extended table at every q) as
+    four, and the slabs give the one-call-per-pass product."""
     ctx = field_from_order(q)
     table = character_table(ctx).add
     if ctx.p == 2:
@@ -744,7 +852,7 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
     rng = np.random.default_rng(q * r)
     hist = rng.integers(0, 50, (q**r, pairs))
     cost = 1 if ctx.p == 2 else 4
-    monkeypatch.setattr(np, "matmul", recording)
+    sizes = record_matmul_sizes(monkeypatch)
     got = stats._transform(hist, table, r)
     assert sizes and cost * max(sizes) <= stats._BLAS_SLAB
     assert sum(sizes) == r * pairs * q ** (r + 1)
@@ -766,16 +874,29 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
         values = stats._transform(hist, character_table(ctx).add, r)  # -1 is -1 + 1.2e-16j
         assert np.array_equal(np.rint(values.real), got)
         assert sum(sizes) == r * pairs * q ** (r + 1) and max(sizes) < 1 << 16
+    if q * q < 1 << 16:
+        # `_char_sums`' extended table, transposed: complex at every q
+        extended = stats._extended_mult(character_table(ctx)).T
+        monkeypatch.setattr(stats, "_BLAS_SLAB", 1 << 18)
+        sizes.clear()
+        values = stats._transform(hist, extended, r)
+        assert sum(sizes) == r * pairs * q ** (r + 1) and max(sizes) < 1 << 16
+        monkeypatch.setattr(stats, "_BLAS_SLAB", 4 * r * pairs * q ** (r + 1))
+        sizes.clear()
+        whole = stats._transform(hist, extended, r)
+        assert len(sizes) == r
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(values, whole, rtol=0, atol=eps * np.abs(whole).max())
 
 
 @pytest.mark.parametrize(
     "q, r, width", [(16, 3, 64), (16, 4, 20), (64, 3, 31), (17, 3, 64), (5, 4, 300), (256, 2, 300)]
 )
 def test_char_sums_contract_in_blas_slabs(monkeypatch, q, r, width):
-    """No matmul call of the character sums holds _BLAS_SLAB / 4 complex
-    multiply-adds or has one row or column, at the true slab and at a
-    smaller one, and the sums of every subset are the per-tuple sums either
-    way."""
+    """No matmul call of the character sums' product route holds _BLAS_SLAB
+    / 4 complex multiply-adds or has one row or column, at the true slab and
+    at a smaller one, and the sums of every subset are the per-tuple sums
+    either way."""
     sizes = []
     matmul = np.matmul
 
@@ -796,10 +917,39 @@ def test_char_sums_contract_in_blas_slabs(monkeypatch, q, r, width):
     for slab in (stats._BLAS_SLAB, stats._BLAS_SLAB // 16):
         monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
         sizes.clear()
-        got = stats._char_sums(entries, table)
+        got = stats._char_sums_by_product(entries, table)
         assert 4 * max(sizes, default=0) < slab
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert sizes  # GF(256): two head rows of 300 entries overflow a call, which splits them
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([3, 5, 9, 16, 64]),
+    st.integers(1, 4),
+    st.integers(1, 1024),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_char_sums_routes_agree(q, r, width, rows, seed):
+    """The product and the transform give the same sums within 1e-12, on a
+    grid that straddles `_char_sums`' work rule (GF(3) r = 1 takes the
+    transform past 685 entries, GF(16) r = 2 past 40), for row entries
+    (strided, as x.data.T) and column entries, and `_char_sums` returns
+    one of them."""
+    assume(q**r * width <= 1 << 24)  # the product's multiply-adds
+    rng = np.random.default_rng(seed)
+    if rows:
+        entries = rng.integers(0, q, (width, r)).astype(np.int16).T
+    else:
+        entries = rng.integers(0, q, (r, width)).astype(np.int16)
+    table = character_table(field_from_order(q))
+    by_product = stats._char_sums_by_product(entries, table)
+    by_transform = stats._char_sums_by_transform(entries, table)
+    assert by_product.shape == by_transform.shape == (q,) * r
+    np.testing.assert_allclose(by_transform, by_product, rtol=0, atol=1e-12)
+    got = stats._char_sums(entries, table)
+    assert np.array_equal(got, by_product) or np.array_equal(got, by_transform)
 
 
 def test_product_ct_input_checks():
