@@ -7,8 +7,8 @@ keeps rank-0 factorisations free of special cases.
 
 The enumeration oracles work on stacks of index arrays instead: `_index_matmul`
 is the one GF(q) product formula and `_encode`/`_decode` the one spelling of
-a matrix as an integer code, which the enumeration oracles and the
-character-transform count in `fqrank.stats` share.
+a matrix as an integer code, which the rank tables, the enumeration
+oracles and the character-transform count in `fqrank.stats` share.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .field import FieldCtx, FqrankError, _add_arrays, _mul_arrays, field_from_order
+
+_BLOCK_ENTRIES = 1 << 17  # entries in one block of a stack loop, or of a rank table's listing
 
 
 class DimensionMismatch(FqrankError):
@@ -174,78 +176,60 @@ def mat_add(a: MatrixFq, b: MatrixFq) -> MatrixFq:
 
 
 def rank(mat: MatrixFq) -> int:
-    """Rank by Gaussian elimination, exact over the field.
-
-    Row echelon reduction with the first nonzero entry of the working column
-    as pivot; elimination uses vectorised table gathers per pivot.
-    """
-    return _rank_array(mat.field, mat.data)
-
-
-def _rank_array(ctx: FieldCtx, a: np.ndarray) -> int:
-    """`rank` of an int16 (rows, cols) array of element indices, unchecked.
-
-    Its gathers index the tables by two arrays, not through `_mul_arrays`
-    and `_add_arrays`: on the one-row slices of a tiny matrix, where the
-    samplers' rank checks spend their time, the flat index costs more than
-    it saves (2 x 2 over GF(2) and GF(3): about 2 us more of 15-20 us)."""
-    a = a.copy()
-    m, n = a.shape
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        pivot_rows = np.nonzero(a[r:, col])[0]
-        if pivot_rows.size == 0:
-            continue
-        piv = r + int(pivot_rows[0])
-        if piv != r:
-            a[[r, piv], :] = a[[piv, r], :]
-        inv_p = ctx.inv_table[a[r, col]]
-        a[r, :] = ctx.mul_table[a[r, :], inv_p]
-        below = np.nonzero(a[r + 1 :, col])[0] + r + 1
-        if below.size:
-            fac = ctx.neg_table[a[below, col]]
-            scaled = ctx.mul_table[fac[:, None], a[r, :][None, :]]
-            a[below, :] = ctx.add_table[a[below, :], scaled]
-        r += 1
-    return r
+    """Rank by Gaussian elimination, exact over the field: `_rank_stack` on
+    the one matrix, so a shape of few enough matrices is a table lookup."""
+    return int(_rank_stack(mat.field, mat.data[None])[0])
 
 
 def _rank_stack(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
-    """Rank of every matrix in an int16 (B, rows, cols) stack.
+    """Rank of every matrix in an int16 (B, rows, cols) stack, as int64.
 
     With k = min(rows, cols) = 1 each matrix is a vector, of rank 1 exactly
-    when it is nonzero: that test comes first, for a stack of any size, so
-    no vector is eliminated.  Otherwise a stack of one matrix goes through
-    `_rank_array`, `rank`'s elimination, the faster route at that size.
+    when it is nonzero: that test comes first, so no vector is eliminated.
+    A shape all of whose q^(rows cols) matrices fit in one _BLOCK_ENTRIES
+    block is listable, and each matrix is ranked by one lookup of its
+    `_encode` code in `_rank_table`.  Any other stack goes to `_eliminate`.
     For larger k, a leading k x k block of rank k certifies that its matrix
-    has rank k, so `_eliminate` may rank the blocks first and then only the
-    other matrices in full.  A uniform block is invertible with probability
-    P = prod_{i=1..k} (1 - q^-i), about 0.93 at q = 16, and the blocks are
-    tried only when the entries they are expected to spare, P rows cols,
-    exceed their own k^2: never for a square stack, nor for a 4 x 2 one
-    over GF(2), where the second pass would cost more than the first saves.
+    has rank k, so the blocks may be ranked first, through this function,
+    and then only the other matrices in full.  A uniform block is
+    invertible with probability P = prod_{i=1..k} (1 - q^-i), about 0.93 at
+    q = 16, and the blocks are tried only when the entries they are
+    expected to spare, P rows cols, exceed their own k^2: never for a
+    square stack, nor for a 4 x 2 one over GF(2), where the second pass
+    would cost more than the first saves.
     """
     count, rows, cols = stack.shape
-    k = min(rows, cols)
+    k, size = min(rows, cols), rows * cols
     if k == 1:
         return stack.any(axis=(1, 2)).astype(np.int64)
-    if count == 1:
-        return np.array([_rank_array(ctx, stack[0])])
+    # q^size * size <= _BLOCK_ENTRIES needs 2^size <= _BLOCK_ENTRIES, so the
+    # bit length bounds size before any large power is formed
+    if size < _BLOCK_ENTRIES.bit_length() and ctx.q**size * size <= _BLOCK_ENTRIES:
+        return _rank_table(ctx, rows, cols)[_encode(ctx.q, stack.reshape(count, size))]
     invertible = math.prod(1 - ctx.q**-i for i in range(1, k + 1))
-    if invertible * rows * cols <= k * k:
+    if invertible * size <= k * k:
         return _eliminate(ctx, stack)
-    ranks = _eliminate(ctx, stack[:, :k, :k])
+    ranks = _rank_stack(ctx, stack[:, :k, :k])
     rest = np.flatnonzero(ranks < k)
     if rest.size:
         ranks[rest] = _eliminate(ctx, stack[rest])
     return ranks
 
 
+@lru_cache(maxsize=None)
+def _rank_table(ctx: FieldCtx, rows: int, cols: int) -> np.ndarray:
+    """The read-only int64 rank of every rows x cols matrix over the field,
+    indexed by its `_encode` code: `_eliminate` on the `_decode` listing of
+    all q^(rows cols) codes, once per field and shape."""
+    codes = np.arange(ctx.q ** (rows * cols), dtype=np.int64)
+    table = _eliminate(ctx, _decode(ctx.q, codes, rows, cols))
+    table.setflags(write=False)
+    return table
+
+
 def _eliminate(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
-    """Rank of every matrix in an int16 (B, rows, cols) stack, by `rank`'s
-    elimination on all matrices at once.
+    """Rank of every matrix in an int16 (B, rows, cols) stack, by Gaussian
+    elimination on all matrices at once: the library's one elimination.
 
     Column by column, each matrix takes as pivot its first nonzero row at or
     below its current rank, swaps it up, scales it to 1 and clears the rows

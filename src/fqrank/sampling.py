@@ -40,10 +40,9 @@ import numpy as np
 
 from .counting import RankOutOfRange, _check_rank
 from .field import FieldCtx, FqrankError
-from .matrices import MatrixFq, _index_matmul, _rank_stack
+from .matrices import _BLOCK_ENTRIES, MatrixFq, _index_matmul, _rank_stack
 
 REJECTION_CAP = 10_000  # attempts per matrix before the rejection loop gives up
-_BLOCK_ENTRIES = 1 << 17  # entries one block of `_blocks` holds at once
 
 
 class RejectionOverflow(RuntimeError):

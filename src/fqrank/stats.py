@@ -49,6 +49,7 @@ from .counting import (
 )
 from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most, make_field
 from .matrices import (
+    _BLOCK_ENTRIES,
     DimensionMismatch,
     FieldMismatch,
     MatrixFq,
@@ -59,7 +60,7 @@ from .matrices import (
     _index_matmul,
     ct,
 )
-from .sampling import _BLOCK_ENTRIES, _blocks, _draw_seeded_block
+from .sampling import _blocks, _draw_seeded_block
 
 MAX_DECOMP_RANK = 6
 MAX_EXACT_STEPS = 1 << 28  # cap on exact_distribution's steps, summed over the inner dimensions
@@ -425,8 +426,10 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     the character values are (q = 2) and correct to rounding elsewhere.
     Every constant that does not depend on the pair is cached, per field,
     entry subset and r, or per (q, r, m) for the row-count terms.  Transient
-    memory is about 100 * q^r bytes, plus a `_BLOCK_ENTRIES` block of head
-    rows on the product route.
+    memory is about 100 * q^r bytes, and more on the product route, which
+    first gathers the r coordinate tables of q x width complex values, r q
+    width 16 bytes (64 MiB at GF(1024) r = 1 and width 4096), and then a
+    `_BLOCK_ENTRIES` block of head rows.
     """
     _check_pair(x, y, subset_a)
     ctx = x.field

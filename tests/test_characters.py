@@ -217,6 +217,14 @@ def test_fourier_requires_unit_support():
         fourier_transform(FunctionTable(3, np.array([1.0, 0.0, 0.0])), table)
 
 
+def test_fourier_transform_refuses_a_tuple_table_past_its_cap():
+    """GF(103) at arity 3 has (q-1)^3 = 1,061,208 unit tuples, past 2^20."""
+    table = character_table(field_from_order(103))
+    f = FunctionTable(103, np.zeros((103,) * 3))
+    with pytest.raises(FqrankError, match=r"\(q-1\)\^t = 102\^3 exceeds 1048576"):
+        fourier_transform(f, table)
+
+
 def test_transforms_refuse_a_function_over_another_field():
     table = character_table(make_field(3, 1))
     f = FunctionTable(5, np.ones((5, 5)))

@@ -501,12 +501,20 @@ def test_field_order_past_the_maximum_is_refused_at_once(capsys, order):
             "2a5efbf79e332a3604b1eb77aed85affc3429bf27381934e7cbcaefd07c0fb9d",
         ),
         (
+            "clt --field 2 --A 1 --r 2 --m 2 --n 2 --N 400 --seed 3 --workers 2",
+            "2a5efbf79e332a3604b1eb77aed85affc3429bf27381934e7cbcaefd07c0fb9d",
+        ),
+        (
             "lemmas --field 9 --r 3 --seed 5",
             "2c56154ea0109824aa3bdefd78b869b0c3d4f64ad842795c8f4035ef9e98296c",
         ),
         (
             # every pair takes the product route
             "clt --field 3 --A 1 --r 2 --m 2 --n 2 --N 400 --seed 3",
+            "53a70e83dd12f395a091edb0526fad6bcdfa39a1598477e80a4ef80115c458a0",
+        ),
+        (
+            "clt --field 3 --A 1 --r 2 --m 2 --n 2 --N 400 --seed 3 --workers 2",
             "53a70e83dd12f395a091edb0526fad6bcdfa39a1598477e80a4ef80115c458a0",
         ),
         (

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqrank import matrices
+from fqrank.counting import rank_count
 from fqrank.field import FqrankError, make_field, field_from_order
 from fqrank.matrices import (
     DimensionMismatch,
     FieldMismatch,
     MatrixFq,
     SubsetA,
+    _decode,
     _digit_weights,
     _encode,
     _index_matmul,
@@ -306,12 +309,15 @@ def recording_eliminate(monkeypatch):
 def test_rank_stack_is_rank_with_the_leading_block_certificate(monkeypatch, q, r, shape):
     """Tall and wide stacks rank their leading blocks first and then, in
     full, the matrices whose block is singular; a square stack is ranked
-    once; vectors (r = 1) are ranked by a nonzero test, with no elimination."""
-    shapes = recording_eliminate(monkeypatch)
+    once; vectors (r = 1) are ranked by a nonzero test, with no elimination.
+    With no block room no shape is listable, so the eliminations are seen."""
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 0)
     ctx = field_from_order(q)
     rows, cols = {"tall": (6 * r, r), "wide": (r, 6 * r), "square": (r, r)}[shape]
     stack = certificate_stack(ctx, rows, cols, seed=100 * q + 10 * r + len(shape))
-    want = [rank(MatrixFq(ctx, mat)) for mat in stack]
+    want = eliminate_by_two_array_gathers(ctx, stack).tolist()
+    singular = int((eliminate_by_two_array_gathers(ctx, stack[:, :r, :r]) < r).sum())
+    shapes = recording_eliminate(monkeypatch)
     assert _rank_stack(ctx, stack).tolist() == want
     if r == 1:
         assert shapes == []
@@ -320,7 +326,6 @@ def test_rank_stack_is_rank_with_the_leading_block_certificate(monkeypatch, q, r
     if shape == "square":
         assert shapes == [(40, r, r)]
     else:
-        singular = int((np.array([rank(MatrixFq(ctx, mat[:r, :r])) for mat in stack]) < r).sum())
         assert shapes[1:] == [(singular, rows, cols)]
 
 
@@ -349,13 +354,18 @@ def test_rank_stack_ranks_vectors_by_a_nonzero_test(monkeypatch, q):
 def test_rank_stack_skips_the_certificate_where_it_cannot_pay(monkeypatch):
     """A 2 x 2 block over GF(2) is invertible with probability 3/8, which
     spares less than its own 4 entries of a 4 x 2 or 2 x 5 matrix (the
-    factors of the 4 x 5 rank-2 enumeration): those are ranked in one pass."""
-    shapes = recording_eliminate(monkeypatch)
+    factors of the 4 x 5 rank-2 enumeration): with no block room for their
+    rank tables, those are ranked in one pass."""
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 0)
     ctx = make_field(2, 1)
+    cases = []
     for rows, cols in [(4, 2), (2, 5)]:
         stack = certificate_stack(ctx, rows, cols, seed=rows)
+        cases.append((rows, cols, stack, eliminate_by_two_array_gathers(ctx, stack).tolist()))
+    shapes = recording_eliminate(monkeypatch)
+    for rows, cols, stack, want in cases:
         shapes.clear()
-        assert _rank_stack(ctx, stack).tolist() == [rank(MatrixFq(ctx, mat)) for mat in stack]
+        assert _rank_stack(ctx, stack).tolist() == want
         assert shapes == [(40, rows, cols)]
 
 
@@ -451,6 +461,40 @@ def test_rank_stack_of_empty_matrices_or_no_matrices_is_int64_zeros(q, shape):
     stack = np.zeros(shape, dtype=np.int16)
     for ranks in (_rank_stack(ctx, stack), matrices._eliminate(ctx, stack)):
         assert ranks.dtype == np.int64 and ranks.tolist() == [0] * shape[0]
+
+
+LISTABLE = [  # (q, rows, cols): every matrix of the shape fits in one block
+    (q, rows, cols)
+    for q in (2, 3, 4, 5, 13)
+    for rows in range(1, 14)
+    for cols in range(1, 14)
+    if q ** (rows * cols) * rows * cols <= matrices._BLOCK_ENTRIES
+]
+
+
+@pytest.mark.parametrize("q, rows, cols", LISTABLE)
+def test_rank_table_is_the_elimination_of_every_matrix(q, rows, cols):
+    """The rank table of a listable shape ranks all q^(rows cols) matrices
+    as the two-array elimination does, so it tallies to rank_count; once it
+    is built, a drawn stack of the shape is ranked with no elimination."""
+    ctx = field_from_order(q)
+    table = matrices._rank_table(ctx, rows, cols)
+    listing = _decode(q, np.arange(q ** (rows * cols), dtype=np.int64), rows, cols)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.tolist() == eliminate_by_two_array_gathers(ctx, listing).tolist()
+    tally = np.bincount(table, minlength=min(rows, cols) + 1)
+    assert tally.tolist() == [int(rank_count(q, rows, cols, r)) for r in range(len(tally))]
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, q ** (rows * cols) - 1), min_size=1, max_size=30))
+    def ranked_by_lookups(codes):
+        stack = _decode(q, np.array(codes, dtype=np.int64), rows, cols)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrices, "_eliminate", None)
+            got = _rank_stack(ctx, stack)
+        assert got.dtype == np.int64 and got.tolist() == table[codes].tolist()
+
+    ranked_by_lookups()
 
 
 # --- entry subsets and counting statistics -----------------------------------

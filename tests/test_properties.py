@@ -239,7 +239,7 @@ def test_product_fallback_counts_in_blocks(q, m, r, n):
 
 @st.composite
 def rank_stacks(draw):
-    """Stacks of 2 to 6 matrices (one matrix goes through rank itself) with
+    """Stacks of 2 to 6 matrices (rank itself ranks a stack of one) with
     dimensions 0 to 8, sparse or rank-deficient by construction: entries are
     zero with a drawn probability, and a drawn share of the stacks is a
     product through an inner size below both dimensions."""
@@ -287,7 +287,8 @@ def test_rank_stack_tallies_rank_count(shape):
     clearing permutes the matrices; the per-matrix test above catches it.
     The zero matrix has a singular leading block, so a non-square stack
     reaches the full elimination, unless its matrices are vectors, which
-    are ranked by a nonzero test and reach no elimination."""
+    are ranked by a nonzero test and reach no elimination.  With no block
+    room, no shape is ranked by a rank table, so the elimination is tested."""
     q, rows, cols = shape
     stack = _decode(q, np.arange(q ** (rows * cols), dtype=np.int64), rows, cols)
     shapes = []
@@ -297,6 +298,7 @@ def test_rank_stack_tallies_rank_count(shape):
         return _eliminate(ctx, stack)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("fqrank.matrices._BLOCK_ENTRIES", 0)
         patch.setattr("fqrank.matrices._eliminate", eliminate)
         ranks = _rank_stack(field_from_order(q), stack)
     tally = np.bincount(ranks, minlength=min(rows, cols) + 1)

@@ -380,8 +380,12 @@ def test_seeded_block_index_range():
             ),
             "dimensions must be >= 0, got -1 x 2",
         ),
+        (
+            lambda: uniform_matrix(make_field(2, 1), -1, 2, np.random.default_rng(0)),
+            "dimensions must be >= 0, got -1 x 2",
+        ),
     ],
-    ids=["rate-order-1", "rate-negative-rows", "product-pair-negative-rows"],
+    ids=["rate-order-1", "rate-negative-rows", "product-pair-negative-rows", "uniform-negative-rows"],
 )
 def test_input_errors(call, message):
     with pytest.raises(FqrankError, match=message):

@@ -988,7 +988,7 @@ def test_exact_distribution_frozen_2222(scan):
     assert dist.matrix_tv == tv_closed_form_exact(2, 2, 2, 2)
 
 
-def test_exact_distribution_methods_agree(scan):
+def test_exact_distribution_matches_the_scan_on_small_shapes(scan):
     """The pairs route's rank law and moments are the scan oracle's."""
     for q, m, n, r, amask in [
         (2, 2, 2, 1, 2), (2, 2, 2, 2, 2), (3, 2, 2, 1, 6), (2, 3, 2, 1, 1),
@@ -1106,7 +1106,7 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
     assert most.keys() == row_spaces | compositions and min(most.values()) >= 2
 
 
-def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
+def _per_pair_products_oracle(ctx, m, n, r, subset_a):
     """The per-pair route: the GF(q) product of every factor pair, its
     member count and code, and elimination on every distinct product."""
     q = ctx.q
@@ -1142,15 +1142,15 @@ def _exact_by_pairs_oracle(ctx, m, n, r, subset_a):
 )
 def test_exact_by_pairs_matches_per_pair_products(q, m, n, r, amask):
     ctx, subset = field_from_order(q), SubsetA(q, amask)
-    expected = _exact_by_pairs_oracle(ctx, m, n, r, subset)
+    expected = _per_pair_products_oracle(ctx, m, n, r, subset)
     assert exact_distribution(ctx, m, n, r, subset) == expected
 
 
-def test_exact_by_pairs_without_matrices():
+def test_exact_distribution_matches_the_per_pair_oracle_without_products():
     # the route lists no product, yet has the per-pair oracle's laws, and its
     # matrix_tv, the closed form, is the one the oracle enumerates
     ctx, subset = field_from_order(2), SubsetA(2, 0b10)
-    expected = _exact_by_pairs_oracle(ctx, 3, 3, 1, subset)
+    expected = _per_pair_products_oracle(ctx, 3, 3, 1, subset)
     assert expected.matrix_tv == tv_closed_form_exact(2, 3, 3, 1)
     assert exact_distribution(ctx, 3, 3, 1, subset) == expected
 
@@ -1224,7 +1224,7 @@ def test_orbit_representatives_meet_each_full_rank_matrix_once(q, m, r):
     assert np.array_equal(np.sort(products), full)  # every full-rank x as rep @ G, once
 
 
-def test_exact_by_pairs_memory_is_bounded_by_its_blocks():
+def test_exact_distribution_memory_is_bounded_by_its_blocks():
     # 2^18 or 2^22 rank-1 matrices, either way round: the pass lists the y's
     # of the shape with one column, and only the tallies span its blocks
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
