@@ -82,26 +82,27 @@ from .sampling import (
     uniform_matrix,
     uniform_rank_r,
 )
-from .stats import (
-    CltReport,
+from .decomposition import (
     Decomposition,
-    DegenerateSubset,
-    ExactDistribution,
-    TooLargeToEnumerate,
     col_char_sum,
     count_zero_cols,
     count_zero_rows,
     decompose_ct,
-    exact_distribution,
     expected_char_sum,
+    row_char_sum,
+    subset_coefficients,
+    zero_count_moments,
+)
+from .exact import ExactDistribution, exact_distribution
+from .stats import (
+    CltReport,
+    DegenerateSubset,
+    TooLargeToEnumerate,
     ks_distance,
     normal_cdf,
     normalized_ct,
     product_ct,
-    row_char_sum,
     run_clt,
-    subset_coefficients,
-    zero_count_moments,
 )
 
 __version__ = "0.1.0"

@@ -33,10 +33,12 @@ from .counting import (
     subset_bias,
     tv_closed_form_exact,
 )
+from .decomposition import decompose_ct
+from .exact import exact_distribution
 from .field import FieldCtx, FqrankError, parse_field_spec
 from .matrices import MatrixFq, SubsetA, _index_matmul, dump_matrix, load_matrix
 from .sampling import SeedSpec, _blocks, _draw_seeded_block
-from .stats import _normal_cdf_array, decompose_ct, exact_distribution, run_clt
+from .stats import _normal_cdf_array, run_clt
 
 
 class UsageError(FqrankError):
@@ -131,17 +133,19 @@ def _subset_from_args(args: argparse.Namespace, q: int) -> SubsetA:
         raise UsageError(f"--A: {exc}") from exc
 
 
-def _check_shape_flags(m: int, n: int, r: int | None = None) -> None:
+def _check_shape_flags(m: int, n: int, r: int | None = None, least: int = 0) -> None:
     """The one check of --m/--n of the five shape commands, then of --r as
-    the rank of an m x n matrix where r is given."""
+    the rank of an m x n matrix where r is given, then of --m/--n against
+    `least`, 1 where the command normalises the count (MomentParams' bound)."""
     if min(m, n) < 0:  # first, else the rank check would blame --r
         raise UsageError(f"--m/--n: dimensions must be >= 0, got {m} x {n}")
-    if r is None:
-        return
-    try:
-        _check_rank(r, m, n)
-    except RankOutOfRange as exc:
-        raise UsageError(f"--r: {exc}") from exc
+    if r is not None:
+        try:
+            _check_rank(r, m, n)
+        except RankOutOfRange as exc:
+            raise UsageError(f"--r: {exc}") from exc
+    if min(m, n) < least:
+        raise UsageError(f"--m/--n: dimensions must be >= {least}, got {m} x {n}")
 
 
 def _seed_flag(seed: int) -> int:
@@ -165,7 +169,7 @@ def _count_flag(count: int) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     q, m, n, r = ctx.q, args.m, args.n, args.r
-    _check_shape_flags(m, n, r)
+    _check_shape_flags(m, n, r, least=int(args.A is not None))
     # Python prints no int of more than `limit` digits.  In lowest terms
     # rank_prob is c / q^(mn - r(r-1)/2) with c prime to q: refuse before
     # building values that far past the limit, then check the built ones.
@@ -341,7 +345,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 def _cmd_clt(args: argparse.Namespace) -> int:
     ctx = _field_from_args(args)
     subset = _subset_from_args(args, ctx.q)
-    _check_shape_flags(args.m, args.n, args.r)
+    _check_shape_flags(args.m, args.n, args.r, least=1)
     report = run_clt(ctx, subset, args.r, args.m, args.n, args.N, _seed_flag(args.seed),
                      mode=args.mode, workers=args.workers, bins=args.bins)
     if args.csv_hist is not None:

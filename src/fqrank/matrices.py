@@ -8,7 +8,8 @@ keeps rank-0 factorisations free of special cases.
 The enumeration oracles work on stacks of index arrays instead: `_index_matmul`
 is the one GF(q) product formula and `_encode`/`_decode` the one spelling of
 a matrix as an integer code, which the rank tables, the enumeration
-oracles and the character-transform count in `fqrank.stats` share.
+oracles, `fqrank.exact` and the character transforms of `fqrank.stats`
+and `fqrank.decomposition` share.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ their start, by `_reject_full_rank`: left factors, then right.  `clt`,
 `sample` and `identity` draw through it, one of `_blocks` at a time;
 `SeedSpec.stream` and `draw_factor_pair` stay the per-stream route it is
 checked against.
-`_blocks` is the one rule that bounds a stack loop's memory, here and in
-`stats`.
+`_blocks` is the one rule that bounds a stack loop's memory, here, in
+`stats` and in `exact`.
 """
 
 from __future__ import annotations

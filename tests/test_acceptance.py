@@ -25,15 +25,15 @@ from fqrank.counting import (
 from fqrank.field import field_from_order, make_field
 from fqrank.matrices import SubsetA, ct, mat_mul, matrix, rank
 from fqrank.sampling import SeedSpec, uniform_matrix, uniform_rank_r
-from fqrank.stats import (
+from fqrank.decomposition import (
     decompose_ct,
-    exact_distribution,
     expected_char_sum,
     row_char_sum,
-    run_clt,
     zero_count_moments,
     count_zero_rows,
 )
+from fqrank.exact import exact_distribution
+from fqrank.stats import run_clt
 from fqrank.characters import all_subsets, character_table
 
 

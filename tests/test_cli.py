@@ -360,6 +360,18 @@ def test_negative_dimension_is_blamed_on_the_dimensions(capsys, argv, shape):
     assert run_cli(capsys, argv.split()) == (2, "", expected)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --field 2 --m 0 --n 3 --r 0 --A 1",
+        "clt --field 2 --A 1 --r 0 --m 0 --n 3 --N 100 --seed 1",
+    ],
+)
+def test_zero_dimension_of_a_normalised_count_is_blamed_on_the_dimensions(capsys, argv):
+    expected = "error: --m/--n: dimensions must be >= 1, got 0 x 3\n"
+    assert run_cli(capsys, argv.split()) == (2, "", expected)
+
+
 def test_bad_seed_rejected(capsys):
     rc, _, err = run_cli(
         capsys,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fqrank import sampling, stats
+from fqrank import decomposition, sampling, stats
 from fqrank.counting import rank_count
 from fqrank.characters import (
     all_subsets,
@@ -29,14 +29,8 @@ from fqrank.matrices import (
     mat_mul,
     rank,
 )
-from fqrank.stats import (
-    col_char_sum,
-    decompose_ct,
-    product_ct,
-    row_char_sum,
-    run_clt,
-    subset_coefficients,
-)
+from fqrank.decomposition import col_char_sum, decompose_ct, row_char_sum, subset_coefficients
+from fqrank.stats import product_ct, run_clt
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -85,8 +79,8 @@ def test_batched_char_sums_match_per_tuple_sums(case):
     x, y, _ = case
     table = character_table(x.field)
     q, r = x.field.q, x.cols
-    xs = stats._char_sums(x.data.T, table)
-    ys = stats._char_sums(y.data, table)
+    xs = decomposition._char_sums(x.data.T, table)
+    ys = decomposition._char_sums(y.data, table)
     assert xs.shape == ys.shape == (q,) * r
     # every index t is one (subset, tuple) key: t_k = q-1 off the subset
     for subset in all_subsets(r):

@@ -29,7 +29,7 @@ from fqrank.characters import (
 )
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import FqrankError, _power_at_most, _prime_factors, field_from_order, make_field
-from fqrank import cli, sampling, stats
+from fqrank import cli, decomposition, exact, sampling, stats
 from fqrank.matrices import (
     DimensionMismatch,
     FieldMismatch,
@@ -50,22 +50,24 @@ from fqrank.sampling import (
     uniform_full_rank,
     uniform_matrix,
 )
-from fqrank.stats import (
-    DegenerateSubset,
-    TooLargeToEnumerate,
+from fqrank.decomposition import (
     col_char_sum,
     count_zero_cols,
     count_zero_rows,
     decompose_ct,
-    exact_distribution,
     expected_char_sum,
+    row_char_sum,
+    zero_count_moments,
+)
+from fqrank.exact import exact_distribution
+from fqrank.stats import (
+    DegenerateSubset,
+    TooLargeToEnumerate,
     ks_distance,
     normal_cdf,
     normalized_ct,
     product_ct,
-    row_char_sum,
     run_clt,
-    zero_count_moments,
 )
 
 
@@ -268,8 +270,8 @@ def test_coefficient_arrays_cap_their_work(monkeypatch, q, r, a, work):
     def build(ctx):
         raise Built
 
-    monkeypatch.setattr(stats, "character_table", build)
-    cold = stats._coefficient_arrays.__wrapped__  # past the cache other tests may have filled
+    monkeypatch.setattr(decomposition, "character_table", build)
+    cold = decomposition._coefficient_arrays.__wrapped__  # past the cache other tests may have filled
     ctx = field_from_order(q)
     amask = SubsetA.nonzero(q).mask if a == "nonzero" else a
     if work is None:
@@ -320,7 +322,7 @@ def test_decompose_bit_exact_against_per_key_route(q):
     ctx = field_from_order(q)
     subset = SubsetA.nonzero(q)
     coeffs = per_key_coefficients(ctx, subset, 2)
-    assert list(stats.subset_coefficients(ctx, subset, 2).items()) == list(coeffs.items())
+    assert list(decomposition.subset_coefficients(ctx, subset, 2).items()) == list(coeffs.items())
     stream = SeedSpec(5).stream(q)
     for m, n in [(9, 11), (1, 4), (30, 2)]:
         x = uniform_matrix(ctx, m, 2, stream)
@@ -331,7 +333,7 @@ def test_decompose_bit_exact_against_per_key_route(q):
 def test_decompose_matches_per_key_route_gf16_r3():
     ctx = field_from_order(16)
     subset = SubsetA.nonzero(16)
-    coeffs = stats.subset_coefficients(ctx, subset, 3)
+    coeffs = decomposition.subset_coefficients(ctx, subset, 3)
     assert len(coeffs) == 4096
     rng = np.random.default_rng(16)
     picks = [list(coeffs)[int(i)] for i in rng.choice(len(coeffs), size=24, replace=False)]
@@ -352,7 +354,7 @@ def test_decompose_matches_per_key_route_odd_characteristic(monkeypatch, slab, q
     monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
     ctx = field_from_order(q)
     subset = SubsetA.nonzero(q)
-    coeffs = stats.subset_coefficients(ctx, subset, r)
+    coeffs = decomposition.subset_coefficients(ctx, subset, r)
     stream = SeedSpec(q * r).stream(m)
     x = uniform_matrix(ctx, m, r, stream)
     y = uniform_matrix(ctx, r, n, stream)
@@ -363,14 +365,14 @@ def test_decompose_on_the_transform_route_matches_per_key_route(monkeypatch):
     """GF(16) r = 3 at 256 x 256: both factors' sums come from the transform,
     and the main term is the per-key route's."""
     routes = []
-    by_transform = stats._char_sums_by_transform
+    by_transform = decomposition._char_sums_by_transform
     monkeypatch.setattr(
-        stats, "_char_sums_by_transform", lambda *args: routes.append(1) or by_transform(*args)
+        decomposition, "_char_sums_by_transform", lambda *args: routes.append(1) or by_transform(*args)
     )
-    monkeypatch.setattr(stats, "_char_sums_by_product", None)  # any call would fail
+    monkeypatch.setattr(decomposition, "_char_sums_by_product", None)  # any call would fail
     ctx = field_from_order(16)
     subset = SubsetA.nonzero(16)
-    coeffs = stats.subset_coefficients(ctx, subset, 3)
+    coeffs = decomposition.subset_coefficients(ctx, subset, 3)
     stream = SeedSpec(256).stream(0)
     x = uniform_matrix(ctx, 256, 3, stream)
     y = uniform_matrix(ctx, 3, 256, stream)
@@ -383,7 +385,7 @@ def test_decompose_on_the_transform_route_matches_per_key_route(monkeypatch):
 def test_small_decompositions_take_the_product_route(monkeypatch, capsys):
     """The bit-exact cases and the pinned GF(3) identity argv are counted by
     the product route, whose sums the per-key route matches bit for bit."""
-    monkeypatch.setattr(stats, "_char_sums_by_transform", None)  # any call would fail
+    monkeypatch.setattr(decomposition, "_char_sums_by_transform", None)  # any call would fail
     for q in (3, 5):
         ctx = field_from_order(q)
         stream = SeedSpec(5).stream(q)
@@ -401,25 +403,25 @@ def test_decompose_constants_cached(monkeypatch):
     x = uniform_matrix(ctx, 20, 3, stream)
     y = uniform_matrix(ctx, 3, 24, stream)
     calls = []
-    real = stats.expected_char_sum
+    real = decomposition.expected_char_sum
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(stats, "expected_char_sum", counting)
-    stats._row_centring.cache_clear()
+    monkeypatch.setattr(decomposition, "expected_char_sum", counting)
+    decomposition._row_centring.cache_clear()
     first = decompose_ct(x, y, subset)
     assert len(calls) == 2 * 2**3  # one all-trivial tuple per subset, for m and for n
     calls.clear()
     assert decompose_ct(x, y, subset) == first
     assert not calls
     cached = [
-        *stats._key_order(16, 3),
-        *stats._pair_free_terms(ctx, subset.mask, 3)[:2],
-        stats._row_centring(16, 3, 20)[0],
-        stats._row_centring(16, 3, 24)[0],
-        *stats._coefficient_arrays(ctx, subset.mask, 3),
+        *decomposition._key_order(16, 3),
+        *decomposition._pair_free_terms(ctx, subset.mask, 3)[:2],
+        decomposition._row_centring(16, 3, 20)[0],
+        decomposition._row_centring(16, 3, 24)[0],
+        *decomposition._coefficient_arrays(ctx, subset.mask, 3),
     ]
     assert not any(array.flags.writeable for array in cached)
 
@@ -876,7 +878,7 @@ def test_transform_contracts_in_blas_slabs(monkeypatch, q, r, pairs):
         assert sum(sizes) == r * pairs * q ** (r + 1) and max(sizes) < 1 << 16
     if q * q < 1 << 16:
         # `_char_sums`' extended table, transposed: complex at every q
-        extended = stats._extended_mult(character_table(ctx)).T
+        extended = decomposition._extended_mult(character_table(ctx)).T
         monkeypatch.setattr(stats, "_BLAS_SLAB", 1 << 18)
         sizes.clear()
         values = stats._transform(hist, extended, r)
@@ -917,7 +919,7 @@ def test_char_sums_contract_in_blas_slabs(monkeypatch, q, r, width):
     for slab in (stats._BLAS_SLAB, stats._BLAS_SLAB // 16):
         monkeypatch.setattr(stats, "_BLAS_SLAB", slab)
         sizes.clear()
-        got = stats._char_sums_by_product(entries, table)
+        got = decomposition._char_sums_by_product(entries, table)
         assert 4 * max(sizes, default=0) < slab
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert sizes  # GF(256): two head rows of 300 entries overflow a call, which splits them
@@ -944,11 +946,11 @@ def test_char_sums_routes_agree(q, r, width, rows, seed):
     else:
         entries = rng.integers(0, q, (r, width)).astype(np.int16)
     table = character_table(field_from_order(q))
-    by_product = stats._char_sums_by_product(entries, table)
-    by_transform = stats._char_sums_by_transform(entries, table)
+    by_product = decomposition._char_sums_by_product(entries, table)
+    by_transform = decomposition._char_sums_by_transform(entries, table)
     assert by_product.shape == by_transform.shape == (q,) * r
     np.testing.assert_allclose(by_transform, by_product, rtol=0, atol=1e-12)
-    got = stats._char_sums(entries, table)
+    got = decomposition._char_sums(entries, table)
     assert np.array_equal(got, by_product) or np.array_equal(got, by_transform)
 
 
@@ -1006,7 +1008,7 @@ def test_exact_distribution_rank_zero(scan):
     assert dist.rank_dist == {4: Fraction(1)}  # the zero matrix: all entries are 0
     assert scan(ctx, 2, 2, 0, subset) == (dist.rank_dist, dist.mean, dist.variance)
     # the same law as the solve over the one product tally N_0
-    assert _law_by(stats._row_space_tally, ctx, 2, 2, 0, subset) == dist
+    assert _law_by(exact._row_space_tally, ctx, 2, 2, 0, subset) == dist
 
 
 def _point(m, n, subset):
@@ -1020,7 +1022,7 @@ def _law_by(listing, ctx, m, n, r, subset):
     """`_exact_law` over one listing's tallies and coefficients at every
     inner dimension k = 1..r, whatever the gate would choose."""
     rows = [listing(ctx, m, n, k, subset) for k in range(1, r + 1)]
-    return stats._exact_law(ctx.q, m, n, [(_point(m, n, subset), [1])] + rows)
+    return exact._exact_law(ctx.q, m, n, [(_point(m, n, subset), [1])] + rows)
 
 
 @pytest.mark.parametrize("seed, length", [(0, 1), (1, 2), (2, 21), (3, 150), (4, 400)])
@@ -1033,7 +1035,7 @@ def test_exact_result_moments_are_the_fraction_sums(seed, length):
     rank_ct[rng.random(length) < 0.3] = 0  # values never seen
     rank_ct[-1] = 1 << 62
     pair_ct = rng.permutation(rank_ct)
-    got = stats._exact_result(rank_ct, pair_ct, Fraction(1, 3))
+    got = exact._exact_result(rank_ct, pair_ct, Fraction(1, 3))
     total = sum(rank_ct.tolist())
     law = {v: Fraction(c, total) for v, c in enumerate(rank_ct.tolist()) if c}
     mean = sum((Fraction(v) * p for v, p in law.items()), Fraction(0))
@@ -1093,7 +1095,7 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
         most[hi] = max(most.get(hi, 0), len(ranges))
         return iter(ranges)
 
-    monkeypatch.setattr(stats, "_blocks", counted)
+    monkeypatch.setattr(exact, "_blocks", counted)
     monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
     # each listing runs one loop per inner dimension k: over one y per row
     # space of dimension k in GF(q)^min(m, n), [min(m, n) k]_q =
@@ -1101,8 +1103,8 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
     # column codes out of q^k
     row_spaces = {int(rank_count(q, min(m, n), k, k) / rank_count(q, k, k, k)) for k in range(1, r + 1)}
     compositions = {math.comb(min(m, n) + q**k - 1, q**k - 1) for k in range(1, r + 1)}
-    assert _law_by(stats._row_space_tally, ctx, m, n, r, subset) == whole
-    assert _law_by(stats._composition_tally, ctx, m, n, r, subset) == whole
+    assert _law_by(exact._row_space_tally, ctx, m, n, r, subset) == whole
+    assert _law_by(exact._composition_tally, ctx, m, n, r, subset) == whole
     assert most.keys() == row_spaces | compositions and min(most.values()) >= 2
 
 
@@ -1125,7 +1127,7 @@ def _per_pair_products_oracle(ctx, m, n, r, subset_a):
     numerator = sum(abs(int(h) * n_rank - pairs) for h in hits[codes[is_r]])
     numerator += sum(int(h) * n_rank for h in hits[codes[~is_r]])
     numerator += (n_rank - int(is_r.sum())) * pairs
-    return stats._exact_result(rank_ct, pair_ct, Fraction(numerator, pairs * n_rank))
+    return exact._exact_result(rank_ct, pair_ct, Fraction(numerator, pairs * n_rank))
 
 
 @pytest.mark.parametrize(
@@ -1171,7 +1173,7 @@ def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
     us = _decode(q, np.arange(q**r, dtype=np.int64), 1, r)
     ys = _decode(q, np.arange(q ** (r * n), dtype=np.int64), r, n)
     rows = _index_matmul(ctx, us, ys[:, None])[:, :, 0]  # y, u, n
-    reps = _encode(q, stats._orbit_representatives(q, m, r))  # rep, m: the code of each row
+    reps = _encode(q, exact._orbit_representatives(q, m, r))  # rep, m: the code of each row
     pair_ct = np.zeros(m * n + 1, dtype=np.int64)
     rank_ct = np.zeros(m * n + 1, dtype=np.int64)
     codes = []
@@ -1189,7 +1191,7 @@ def _exact_by_representatives_oracle(ctx, m, n, r, subset_a):
         numerator += (n_rank - len(hits)) * pairs  # rank r but never a product
         numerator += (pairs - int(hits.sum())) * n_rank  # the pairs not both full
         matrix_tv = Fraction(numerator, pairs * n_rank)
-    return stats._exact_result(rank_ct, pair_ct, matrix_tv)
+    return exact._exact_result(rank_ct, pair_ct, matrix_tv)
 
 
 @pytest.mark.parametrize(
@@ -1211,7 +1213,7 @@ def test_exact_by_pairs_matches_orbit_representatives(q, m, n, r, amask):
 @pytest.mark.parametrize("q, m, r", [(2, 4, 2), (3, 3, 2), (4, 3, 1), (2, 3, 3), (2, 3, 0), (3, 0, 0)])
 def test_orbit_representatives_meet_each_full_rank_matrix_once(q, m, r):
     ctx = field_from_order(q)
-    reps = stats._orbit_representatives(q, m, r)
+    reps = exact._orbit_representatives(q, m, r)
     gl = int(rank_count(q, r, r, r))
     assert len(reps) * gl == rank_count(q, m, r, r)  # [m r]_q representatives
     assert reps.shape[1:] == (m, r) and (_rank_stack(ctx, reps) == r).all()
@@ -1256,40 +1258,40 @@ def test_pairs_refuses_a_wrong_subspace_tally(monkeypatch):
     # 11 + 21 of them by c(1, j), and [2 1]_2 2^3 = 24 of an x and a row
     # space, 3 + 21 by [2-j 1-j]_2
     ctx, subset = make_field(2, 1), SubsetA.from_indices(2, [1])
-    count = stats.rank_count
+    count = exact.rank_count
     # a wrong rank count: the tally's total disagrees, whichever listing runs
-    monkeypatch.setattr(stats, "rank_count", lambda q, s, t, r: count(q, s, t, r) + ((s, t, r) == (2, 3, 1)))
-    for listing, pairs in [(stats._row_space_tally, 24), (stats._composition_tally, 32)]:
+    monkeypatch.setattr(exact, "rank_count", lambda q, s, t, r: count(q, s, t, r) + ((s, t, r) == (2, 3, 1)))
+    for listing, pairs in [(exact._row_space_tally, 24), (exact._composition_tally, 32)]:
         with pytest.raises(RuntimeError, match=f"the tally at k = 1 holds {pairs} pairs, formulas say {pairs + 1}$"):
             _law_by(listing, ctx, 2, 3, 1, subset)
-    monkeypatch.setattr(stats, "rank_count", count)
+    monkeypatch.setattr(exact, "rank_count", count)
     # a wrong [n k]_q total: one row space listed twice adds the 2^3 x's
     # of its y, and the solve puts the 7 rank-1 products and the zero matrix
     # among the rank-1 matrices
-    reps = stats._orbit_representatives
-    monkeypatch.setattr(stats, "_orbit_representatives", lambda q, m, r: np.concatenate([reps(q, m, r)[:1], reps(q, m, r)]))
+    reps = exact._orbit_representatives
+    monkeypatch.setattr(exact, "_orbit_representatives", lambda q, m, r: np.concatenate([reps(q, m, r)[:1], reps(q, m, r)]))
     with pytest.raises(RuntimeError, match="the tally at k = 1 holds 32 pairs, formulas say 24$"):
-        _law_by(stats._row_space_tally, ctx, 2, 3, 1, subset)
+        _law_by(exact._row_space_tally, ctx, 2, 3, 1, subset)
 
 
 def test_compositions_refuse_a_wrong_multinomial(monkeypatch):
     # GF(2) 3 x 3 r=2: C(3, 1) read as 4 weighs the composition (2, 1) of the
     # 3 columns over q^1 = 2 codes at 4 Y's, not 3, so k = 1 counts 8 pairs too many
-    pascal = stats._pascal
+    pascal = exact._pascal
 
     def wrong(n):
         table = pascal(n)
         table[3, 1] += 1
         return table
 
-    monkeypatch.setattr(stats, "_pascal", wrong)
+    monkeypatch.setattr(exact, "_pascal", wrong)
     with pytest.raises(RuntimeError, match="the tally at k = 1 holds 72 pairs, formulas say 64$"):
-        _law_by(stats._composition_tally, field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
+        _law_by(exact._composition_tally, field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 62])
 def test_pascal_holds_the_binomials(n):
-    assert stats._pascal(n).tolist() == [[math.comb(s, h) for h in range(n + 1)] for s in range(n + 1)]
+    assert exact._pascal(n).tolist() == [[math.comb(s, h) for h in range(n + 1)] for s in range(n + 1)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1298,9 +1300,9 @@ def test_factor_pairs_count_every_pair_once(q):
     to every pair, and c(k, k) = |GL_k(q)|."""
     for m, n in product(range(1, 6), repeat=2):
         for k in range(min(m, n) + 1):
-            pairs = sum(stats._factor_pairs(q, m, n, k, j) * rank_count(q, m, n, j) for j in range(k + 1))
+            pairs = sum(exact._factor_pairs(q, m, n, k, j) * rank_count(q, m, n, j) for j in range(k + 1))
             assert pairs == q ** (m * k + k * n), (q, m, n, k)
-            assert stats._factor_pairs(q, m, n, k, k) == rank_count(q, k, k, k)
+            assert exact._factor_pairs(q, m, n, k, k) == rank_count(q, k, k, k)
 
 
 @pytest.mark.parametrize("q, m, n", [(2, 2, 3), (3, 2, 2)])
@@ -1314,14 +1316,14 @@ def test_factor_pairs_are_the_pairs_of_each_product(q, m, n):
         ys = _decode(q, np.arange(q ** (k * n), dtype=np.int64), k, n)
         prod = _index_matmul(ctx, xs[:, None], ys).reshape(-1, m * n)
         hits = np.bincount(_encode(q, prod), minlength=q ** (m * n))
-        assert hits.tolist() == [stats._factor_pairs(q, m, n, k, j) if j <= k else 0 for j in ranks.tolist()]
+        assert hits.tolist() == [exact._factor_pairs(q, m, n, k, j) if j <= k else 0 for j in ranks.tolist()]
 
 
 @pytest.mark.parametrize("k, j", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
 def test_solve_refuses_a_wrong_factor_count(monkeypatch, k, j):
     # GF(2) 4 x 5 r=2, by compositions at k = 1 and 2, with one c(k, j) off by one
-    count = stats._factor_pairs
-    monkeypatch.setattr(stats, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (k, j)))
+    count = exact._factor_pairs
+    monkeypatch.setattr(exact, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (k, j)))
     with pytest.raises(RuntimeError, match=f"the rank-{k} tally leaves a remainder or a negative count"):
         exact_distribution(field_from_order(2), 4, 5, 2, SubsetA(2, 0b10))
 
@@ -1331,8 +1333,8 @@ def test_product_law_refuses_a_wrong_factor_count(monkeypatch, j, pairs):
     # GF(2) 3 x 3 r=2 runs row spaces at k = 2, so N_2 = sum_j c(2, j) R_j
     # comes from the solve: c(2, j) off by one adds R_j's rank_count(2, 3, 3, j)
     # matrices to its 2^12 pairs
-    count = stats._factor_pairs
-    monkeypatch.setattr(stats, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (2, j)))
+    count = exact._factor_pairs
+    monkeypatch.setattr(exact, "_factor_pairs", lambda *args: count(*args) + (args[3:] == (2, j)))
     with pytest.raises(RuntimeError, match=f"N_2 from the rank tallies holds {pairs} pairs, formulas say 4096$"):
         exact_distribution(field_from_order(2), 3, 3, 2, SubsetA(2, 0b10))
 
@@ -1340,7 +1342,7 @@ def test_product_law_refuses_a_wrong_factor_count(monkeypatch, j, pairs):
 @pytest.mark.parametrize("k, j", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
 def test_solve_refuses_a_wrong_gaussian_coefficient(monkeypatch, k, j):
     # GF(2) 3 x 3 r=2 by row spaces at k = 1 and 2, with one [3-j k-j]_2 off by one
-    listing = stats._row_space_tally
+    listing = exact._row_space_tally
 
     def wrong(ctx, m, n, at, subset):
         tally, coefficients = listing(ctx, m, n, at, subset)
@@ -1369,7 +1371,7 @@ def _listings_agree(q, m, n, r, amask):
     coefficients; the N_k rebuilt from the row spaces' R_j is the
     compositions' N_k; and so both give the same laws."""
     ctx, subset = field_from_order(q), SubsetA(q, amask)
-    listings = (stats._row_space_tally, stats._composition_tally)
+    listings = (exact._row_space_tally, exact._composition_tally)
     ranks = {listing: [_point(m, n, subset)] for listing in listings}
     for k in range(1, r + 1):
         for listing, below in ranks.items():
@@ -1379,15 +1381,15 @@ def _listings_agree(q, m, n, r, amask):
             below.append(rest // coefficients[k])
         rows, compositions = ranks.values()
         assert np.array_equal(rows[k], compositions[k]), k
-        rebuilt = sum(stats._factor_pairs(q, m, n, k, j) * rows[j] for j in range(k + 1))
+        rebuilt = sum(exact._factor_pairs(q, m, n, k, j) * rows[j] for j in range(k + 1))
         assert np.array_equal(rebuilt, tally), k  # tally: the compositions' N_k
-    rows = _law_by(stats._row_space_tally, ctx, m, n, r, subset)
-    assert _law_by(stats._composition_tally, ctx, m, n, r, subset) == rows
+    rows = _law_by(exact._row_space_tally, ctx, m, n, r, subset)
+    assert _law_by(exact._composition_tally, ctx, m, n, r, subset) == rows
 
 
 def _steps_by_both(q, m, n, r):
     """The steps of running both listings at every k <= r."""
-    return sum(stats._row_space_steps(q, m, n, k) + stats._composition_steps(q, m, n, k) for k in range(1, r + 1))
+    return sum(exact._row_space_steps(q, m, n, k) + exact._composition_steps(q, m, n, k) for k in range(1, r + 1))
 
 
 @st.composite
@@ -1427,7 +1429,7 @@ def test_exact_distribution_gates():
 def test_row_space_steps_count_the_work_of_the_listing(q, m, n, k, steps):
     # at 8 x 8 k = 2: [8 2]_2 = 10,795 right factors, each of 4 u's and 8
     # columns and one convolution column of sum_(i <= 8) (8i + 1) 9 steps
-    assert stats._row_space_steps(q, m, n, k) == stats._row_space_steps(q, n, m, k) == steps
+    assert exact._row_space_steps(q, m, n, k) == exact._row_space_steps(q, n, m, k) == steps
     if (q, m, n, k) == (2, 8, 8, 2):
         assert steps == 10_795 * (4 * 8 + sum((8 * i + 1) * 9 for i in range(1, 9)))
 
@@ -1439,7 +1441,7 @@ def test_row_space_steps_count_the_work_of_the_listing(q, m, n, k, steps):
 def test_composition_steps_count_the_work_of_the_listing(q, m, n, k, steps):
     # at 4 x 5 k = 2: 35 compositions of 4 into 4 codes, each with 4 x 4 row
     # products and one convolution column of sum_(i <= 5) (4i + 1) 5 steps
-    assert stats._composition_steps(q, m, n, k) == stats._composition_steps(q, n, m, k) == steps
+    assert exact._composition_steps(q, m, n, k) == exact._composition_steps(q, n, m, k) == steps
     if (q, m, n, k) == (2, 4, 5, 2):
         assert steps == 35 * (16 + sum((4 * i + 1) * 5 for i in range(1, 6)))
 
@@ -1460,13 +1462,13 @@ def test_composition_steps_count_the_work_of_the_listing(q, m, n, k, steps):
 )
 def test_exact_distribution_runs_the_listing_of_fewer_steps(monkeypatch, q, m, n, r, listing):
     runs = []
-    monkeypatch.setattr(stats, "_row_space_tally", lambda ctx, m, n, k, subset: runs.append(("row spaces", k)))
-    monkeypatch.setattr(stats, "_composition_tally", lambda ctx, m, n, k, subset: runs.append(("compositions", k)))
-    monkeypatch.setattr(stats, "_exact_law", lambda *args: "law")
+    monkeypatch.setattr(exact, "_row_space_tally", lambda ctx, m, n, k, subset: runs.append(("row spaces", k)))
+    monkeypatch.setattr(exact, "_composition_tally", lambda ctx, m, n, k, subset: runs.append(("compositions", k)))
+    monkeypatch.setattr(exact, "_exact_law", lambda *args: "law")
     assert exact_distribution(SimpleNamespace(q=q), m, n, r, SubsetA(q, 0b10)) == "law"
     assert [k for _, k in runs] == list(range(1, r + 1)) and runs[-1][0] == listing
     for name, k in runs:
-        rows, compositions = stats._row_space_steps(q, m, n, k), stats._composition_steps(q, m, n, k)
+        rows, compositions = exact._row_space_steps(q, m, n, k), exact._composition_steps(q, m, n, k)
         assert name == ("row spaces" if rows < compositions else "compositions"), k
 
 
@@ -1483,7 +1485,7 @@ def test_exact_distribution_rank_zero_is_a_point_mass_at_any_size():
 
 def test_exact_distribution_checks_int64_before_the_steps(monkeypatch):
     # 3.4e7 steps, but counts up to 4096^6 = 2^72
-    monkeypatch.setattr(stats, "MAX_EXACT_STEPS", 1 << 62)
+    monkeypatch.setattr(exact, "MAX_EXACT_STEPS", 1 << 62)
     with pytest.raises(TooLargeToEnumerate, match=r"= 4096\^6 overflow int64$"):
         exact_distribution(field_from_order(4096), 4, 2, 1, SubsetA(4096, 0b10))
 
@@ -1493,9 +1495,9 @@ def test_exact_gate_admits_every_shape_the_pair_and_matrix_gates_did(monkeypatch
     q^(mn) <= 2^22 matrices, the two gates the route once had, passes the
     int64 check and the step cap: the tallies and the solve are stubbed, so
     only the gate runs."""
-    monkeypatch.setattr(stats, "_row_space_tally", lambda *args: None)
-    monkeypatch.setattr(stats, "_composition_tally", lambda *args: None)
-    monkeypatch.setattr(stats, "_exact_law", lambda *args: "admitted")
+    monkeypatch.setattr(exact, "_row_space_tally", lambda *args: None)
+    monkeypatch.setattr(exact, "_composition_tally", lambda *args: None)
+    monkeypatch.setattr(exact, "_exact_law", lambda *args: "admitted")
     shapes = 0
     for q in [q for q in range(2, 4097) if len(_prime_factors(q)) == 1]:  # the prime powers
         ctx, subset = SimpleNamespace(q=q), SubsetA(q, 0b10)  # the gate reads only the order
@@ -1537,7 +1539,7 @@ def test_auto_takes_pairs_wherever_the_scan_could_run(scan, q, m, n, r):
         assert (dist.rank_dist, dist.mean, dist.variance) == law
         assert dist.matrix_tv == tv_closed_form_exact(q, *shape, r)
     # each listing on its own at every k, whichever the gate would choose
-    for listing in (stats._row_space_tally, stats._composition_tally):
+    for listing in (exact._row_space_tally, exact._composition_tally):
         assert _law_by(listing, ctx, m, n, r, subset) == dist
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fqrank.counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance, rank_count
 from fqrank.field import field_from_order
 from fqrank.matrices import SubsetA
-from fqrank.stats import exact_distribution
+from fqrank.exact import exact_distribution
 
 FEW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
