@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .counting import entry_bias
-from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most
+from .field import FieldCtx, FqrankError, _add_arrays, _power_at_most, _read_only
 
 MAX_TUPLE_TABLE = 1 << 20
 MAX_BATTERY_WORK = 1 << 17  # (2q)^r at 3 trials: GF(2) r = 8 (2^16) took 1.2-1.7 s, GF(3) r = 7 (2^18.1) 2.4-4.5 s
@@ -80,9 +80,7 @@ def character_table(ctx: FieldCtx) -> CharacterTable:
 
     add = roots_add[np.asarray(ctx.trace_table, dtype=np.int64)[ctx.mul_table]]
 
-    mult.setflags(write=False)
-    add.setflags(write=False)
-    return CharacterTable(field=ctx, mult=mult, add=add)
+    return CharacterTable(ctx, *_read_only(mult, add))
 
 
 def orthogonality_residuals(table: CharacterTable) -> dict[str, float]:
@@ -174,8 +172,7 @@ class FunctionTable:
             raise FqrankError("function values must be finite")
         # np.ascontiguousarray would promote 0-d to shape (1,); keep arity 0
         arr = np.array(arr, dtype=np.complex128, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(arr)[0])
 
     @property
     def arity(self) -> int:

@@ -36,8 +36,8 @@ from .counting import (
 from .decomposition import decompose_ct
 from .exact import exact_distribution
 from .field import FieldCtx, FqrankError, parse_field_spec
-from .matrices import MatrixFq, SubsetA, _index_matmul, dump_matrix, load_matrix
-from .sampling import SeedSpec, _blocks, _draw_seeded_block
+from .matrices import MatrixFq, SubsetA, _blocks, _index_matmul, dump_matrix, load_matrix
+from .sampling import SeedSpec, _draw_seeded_block
 from .stats import _normal_cdf_array, run_clt
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FqrankError
-from .matrices import FieldMismatch, SubsetA
+from .matrices import SubsetA, _check_subset_field
 
 
 class RankOutOfRange(FqrankError):
@@ -91,8 +91,7 @@ def entry_bias(q: int, a: int) -> Fraction:
 
 def subset_bias(q: int, subset: SubsetA) -> Fraction:
     """Sum of entry_bias over the subset: |A|/q - [0 in A]."""
-    if subset.q != q:
-        raise FieldMismatch(f"subset over GF({subset.q}), expected GF({q})")
+    _check_subset_field(subset, q)
     return Fraction(subset.size, q) - (1 if 0 in subset else 0)
 
 
@@ -111,8 +110,7 @@ class MomentParams:
         if self.m < 1 or self.n < 1:
             raise FqrankError(f"dimensions must be >= 1, got {self.m} x {self.n}")
         _check_rank(self.r, self.m, self.n)
-        if self.subset.q != self.q:
-            raise FieldMismatch(f"subset over GF({self.subset.q}), field is GF({self.q})")
+        _check_subset_field(self.subset, self.q)
 
 
 def asymptotic_ct_mean(params: MomentParams) -> Fraction:

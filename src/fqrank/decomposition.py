@@ -30,20 +30,21 @@ from .characters import (
     units_transform,
 )
 from .counting import RankOutOfRange, _ct_mean, subset_bias
-from .field import FieldCtx, FqrankError
-from .matrices import _BLOCK_ENTRIES, FieldMismatch, MatrixFq, SubsetA, _encode
+from .field import FieldCtx, FqrankError, _read_only
+from .matrices import _BLOCK_ENTRIES, FieldMismatch, MatrixFq, SubsetA, _encode, _tallies
 from .stats import (
     _MATMUL_PER_GATHER,
     TooLargeToEnumerate,
     _check_pair,
     _one_thread_transform,
     _product_ct_stack,
-    _read_only,
     _slab,
-    _tallies,
     _transform,
 )
 
+# the one bound on `_element_coefficients`' alternating sum, 3^r Python steps and
+# (q+1)^r adds per member, which MAX_COEFFICIENT_WORK does not count: GF(2) r = 22
+# passes MAX_DECOMP_TERMS and that cap (about 2^27), yet its sum takes 3.1e10 steps
 MAX_DECOMP_RANK = 6
 MAX_DECOMP_TERMS = 1 << 22
 MAX_COEFFICIENT_WORK = 1 << 34  # A = nonzero: GF(211) r = 2 (2^33.9) took 0.58 s, GF(983) r = 1 (2^34.0) 1.9 s
@@ -164,7 +165,11 @@ def _coefficient_arrays(ctx: FieldCtx, amask: int, r: int) -> tuple[np.ndarray, 
     of the units, an entry counting _MATMUL_PER_GATHER multiply-adds as a
     gather does (0.5-1.2 ns against 70-90 ps on one core, q <= 2048).
     TooLargeToEnumerate, before the character table is built, when that
-    work passes MAX_COEFFICIENT_WORK.
+    work passes MAX_COEFFICIENT_WORK.  The count leaves out
+    `_element_coefficients`' alternating sum, 3^r Python steps and (q+1)^r
+    adds per member, which only decompose_ct's MAX_DECOMP_RANK = 6 bounds:
+    GF(2) r = 22 would pass MAX_DECOMP_TERMS and this cap (about 2^27), yet
+    take 3.1e10 steps in that sum.
     """
     q, members = ctx.q, SubsetA(ctx.q, amask).members()
     work = len(members) * 2**r * (_MATMUL_PER_GATHER * (q - 1) ** 2 + r * (q - 1) ** (r + 1))
@@ -300,28 +305,24 @@ def _extended_mult(table: CharacterTable) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _key_order(q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where `_char_sums`' flattened result holds each key of
-    subset_coefficients, in key order, and the places in key order of the
-    2^r all-trivial keys, each the first of its subset's (q-1)^|S|."""
+def _pair_free_terms(
+    ctx: FieldCtx, amask: int, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Fraction, float]:
+    """Everything decompose_ct reads that depends on neither the pair nor
+    its size: where `_char_sums`' flattened result holds each key of
+    subset_coefficients, in key order; the places in key order of the 2^r
+    all-trivial keys, each the first of its subset's (q-1)^|S|; the real and
+    imaginary parts of the coefficients in key order; _ct_mean per entry of
+    the product (not MomentParams' mean: the identity holds for any inner
+    size r, r > min(m, n) too); and subset_bias as a float."""
+    q, subset_a = ctx.q, SubsetA(ctx.q, amask)
+    c = np.concatenate([a.ravel() for a in _coefficient_arrays(ctx, amask, r)])
     digits = np.indices((q,) * r).reshape(r, q**r)  # of each flat index, coordinate 0 first
     masks = (1 << np.arange(r)) @ (digits < q - 1)
     codes = np.argsort(masks, kind="stable")  # within a subset, row-major over its members
-    return _read_only(codes, np.searchsorted(masks[codes], np.arange(2**r)))
-
-
-@lru_cache(maxsize=None)
-def _pair_free_terms(
-    ctx: FieldCtx, amask: int, r: int
-) -> tuple[np.ndarray, np.ndarray, Fraction, float]:
-    """decompose_ct's constants that depend on neither factor nor size: the
-    real and imaginary parts of the coefficients in key order, _ct_mean per
-    entry of the product (not MomentParams' mean: the identity holds for any
-    inner size r, r > min(m, n) too), and subset_bias as a float."""
-    subset_a = SubsetA(ctx.q, amask)
-    c = np.concatenate([a.ravel() for a in _coefficient_arrays(ctx, amask, r)])
-    re, im = _read_only(c.real.copy(), c.imag.copy())
-    return re, im, _ct_mean(ctx.q, subset_a, r, 1, 1), float(subset_bias(ctx.q, subset_a))
+    trivial = np.searchsorted(masks[codes], np.arange(2**r))
+    return (*_read_only(codes, trivial, c.real.copy(), c.imag.copy()),
+            _ct_mean(q, subset_a, r, 1, 1), float(subset_bias(q, subset_a)))
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +370,7 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     whichever it estimates to be less work at that factor's width, so the
     two factors of one pair may take different routes.  The sums are read
     out in subset_coefficients' key order
-    through `_key_order`'s cached index, and the all-trivial keys are
+    through `_pair_free_terms`' cached index, and the all-trivial keys are
     centred by `_row_centring`'s cached expected_char_sum values.  The main
     term is one vector expression over all q^r keys: coefficient * dx * dy
     formed left to right from real and imaginary parts, as Python multiplies
@@ -395,8 +396,7 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
         raise TooLargeToEnumerate(
             f"decomposition over q^r = {ctx.q}^{r} > 2^22 character terms not supported"
         )
-    codes, trivial = _key_order(ctx.q, r)
-    c_re, c_im, mean_per_entry, gamma = _pair_free_terms(ctx, subset_a.mask, r)
+    codes, trivial, c_re, c_im, mean_per_entry, gamma = _pair_free_terms(ctx, subset_a.mask, r)
     x_centres, ez = _row_centring(ctx.q, r, m)
     y_centres, ew = _row_centring(ctx.q, r, n)
     table = character_table(ctx)

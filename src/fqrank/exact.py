@@ -3,7 +3,8 @@
 `exact_distribution` lists no pair and no left factor: it tallies the
 entry count over classes of right factors, convolves over the rows of the
 left factor, and solves the tallies at each inner dimension k = 1..r for
-the laws over the matrices of each rank.
+the laws over the matrices of each rank.  Its blocks (`_blocks`) and
+histograms (`_tallies`) are `fqrank.matrices`' own.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import numpy as np
 
 from .counting import _check_rank, rank_count, tv_closed_form_exact
 from .field import FieldCtx, _add_arrays, _power_at_most
-from .matrices import FieldMismatch, SubsetA, _decode, _index_matmul
-from .sampling import _blocks
-from .stats import TooLargeToEnumerate, _tallies
+from .matrices import SubsetA, _blocks, _check_subset_field, _decode, _index_matmul, _tallies
+from .stats import TooLargeToEnumerate
 
 MAX_EXACT_STEPS = 1 << 28  # cap on exact_distribution's steps, summed over the inner dimensions
 
@@ -296,8 +296,7 @@ def exact_distribution(
     raises `_check_rank`'s RankOutOfRange.
     """
     _check_rank(r, m, n)
-    if subset_a.q != ctx.q:
-        raise FieldMismatch(f"subset over GF({subset_a.q}), field is GF({ctx.q})")
+    _check_subset_field(subset_a, ctx.q)
     zero = m * n * (0 in subset_a)  # the zero matrix's count
     if not r:  # the zero matrix is the one rank-0 matrix and the one product
         law = {zero: Fraction(1)}

@@ -54,6 +54,14 @@ def _power_at_most(base: int, exp: int, cap: int) -> bool:
     return base ** min(exp, cap.bit_length()) <= cap
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each frozen in place: the one way the library marks a
+    table, a cached array or a matrix's data read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
@@ -157,7 +165,7 @@ class FieldCtx:
 
     Obtain instances through :func:`make_field` (cached per ``(p, e)``) so
     that table construction happens once per process.  All tables use dtype
-    int16 and are safe to index with numpy integer arrays.
+    int16, are read-only, and are safe to index with numpy integer arrays.
     """
 
     spec: FieldSpec
@@ -305,16 +313,8 @@ def _build_tables(spec: FieldSpec) -> FieldCtx:
     if int(trace.max(initial=0)) >= p:  # not an assert: python -O would strip it
         raise RuntimeError(f"GF({q}) trace leaves the prime subfield GF({p})")
 
-    return FieldCtx(
-        spec=spec,
-        exp_table=exp,
-        log_table=log,
-        add_table=add,
-        mul_table=mul,
-        neg_table=neg,
-        inv_table=inv,
-        trace_table=trace,
-    )
+    # make_field caches the field, and every caller shares its tables
+    return FieldCtx(spec, *_read_only(exp, log, add, mul, neg, inv, trace))
 
 
 def _find_generator(p: int, e: int, modulus: list[int]) -> int:

@@ -9,7 +9,15 @@ The enumeration oracles work on stacks of index arrays instead: `_index_matmul`
 is the one GF(q) product formula and `_encode`/`_decode` the one spelling of
 a matrix as an integer code, which the rank tables, the enumeration
 oracles, `fqrank.exact` and the character transforms of `fqrank.stats`
-and `fqrank.decomposition` share.
+and `fqrank.decomposition` share; `_tallies` is the one histogram of such
+codes (or of any small counts) per row of a stack.
+
+`_blocks` is the one rule that bounds a stack loop's memory, in
+`fqrank.stats`, `fqrank.exact` and the CLI.  It reads the same
+`_BLOCK_ENTRIES` as `_rank_stack`'s test for a listable shape, so one
+budget sizes every bounded loop and every rank table.
+`_check_subset_field` is the one check that an entry subset lies over the
+field it is used with.
 """
 
 from __future__ import annotations
@@ -17,13 +25,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .field import FieldCtx, FqrankError, _add_arrays, _mul_arrays, field_from_order
+from .field import FieldCtx, FqrankError, _add_arrays, _mul_arrays, _read_only, field_from_order
 
 _BLOCK_ENTRIES = 1 << 17  # entries in one block of a stack loop, or of a rank table's listing
+
+
+def _blocks(lo: int, hi: int, entries: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [start, stop) covering [lo, hi) of _BLOCK_ENTRIES //
+    entries indices (at least one), `entries` being what one index holds in
+    the caller's block: memory stays bounded however long the range."""
+    step = max(1, _BLOCK_ENTRIES // max(1, entries))
+    for start in range(lo, hi, step):
+        yield start, min(start + step, hi)
 
 
 class DimensionMismatch(FqrankError):
@@ -62,8 +79,7 @@ class MatrixFq:
             if arr.size and (arr.min() < 0 or arr.max() >= q):
                 raise FqrankError(f"entries must lie in range({q})")
             own = np.array(arr, dtype=np.int16, order="C")
-        own.setflags(write=False)
-        object.__setattr__(self, "data", own)
+        object.__setattr__(self, "data", _read_only(own)[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,9 +148,7 @@ def _index_matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _digit_weights(q: int, width: int) -> np.ndarray:
-    weights = q ** np.arange(width, dtype=np.int64)
-    weights.setflags(write=False)
-    return weights
+    return _read_only(q ** np.arange(width, dtype=np.int64))[0]
 
 
 def _encode(q: int, digits: np.ndarray) -> np.ndarray:
@@ -159,6 +173,21 @@ def _decode(q: int, codes: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The int16 stack of rows x cols matrices with the given codes."""
     digits = codes[..., None] // _digit_weights(q, rows * cols) % q
     return digits.astype(np.int16).reshape(codes.shape + (rows, cols))
+
+
+def _tallies(values: np.ndarray, bins: int) -> np.ndarray:
+    """The histogram of each row of values (B, k) in range(bins), as (bins, B)
+    int64: one bincount over row-major bins, row j's value v at j * bins + v.
+    With two bins a row's counts are k - s and s, s its int64 sum (its ones),
+    in about a tenth of the bincount's time on 256 x 256 values."""
+    rows = len(values)
+    if bins == 2:
+        out = np.empty((2, rows), dtype=np.int64)
+        values.sum(axis=1, dtype=np.int64, out=out[1])
+        np.subtract(values.shape[1], out[1], out=out[0])
+        return out
+    codes = values + bins * np.arange(rows)[:, None]
+    return np.bincount(codes.ravel(), minlength=bins * rows).reshape(rows, bins).T
 
 
 def mat_mul(a: MatrixFq, b: MatrixFq) -> MatrixFq:
@@ -223,9 +252,7 @@ def _rank_table(ctx: FieldCtx, rows: int, cols: int) -> np.ndarray:
     indexed by its `_encode` code: `_eliminate` on the `_decode` listing of
     all q^(rows cols) codes, once per field and shape."""
     codes = np.arange(ctx.q ** (rows * cols), dtype=np.int64)
-    table = _eliminate(ctx, _decode(ctx.q, codes, rows, cols))
-    table.setflags(write=False)
-    return table
+    return _read_only(_eliminate(ctx, _decode(ctx.q, codes, rows, cols)))[0]
 
 
 def _eliminate(ctx: FieldCtx, stack: np.ndarray) -> np.ndarray:
@@ -330,15 +357,18 @@ class SubsetA:
 
 @lru_cache(maxsize=None)
 def _member_table(q: int, mask: int) -> np.ndarray:
-    table = np.fromiter((bool(mask >> a & 1) for a in range(q)), dtype=bool, count=q)
-    table.setflags(write=False)
-    return table
+    return _read_only(np.fromiter((bool(mask >> a & 1) for a in range(q)), dtype=bool, count=q))[0]
+
+
+def _check_subset_field(subset: SubsetA, q: int) -> None:
+    """The one check that an entry subset lies over GF(q), else FieldMismatch."""
+    if subset.q != q:
+        raise FieldMismatch(f"subset over GF({subset.q}), field is GF({q})")
 
 
 def ct(mat: MatrixFq, subset: SubsetA) -> int:
     """Number of entries of the matrix that lie in the subset."""
-    if subset.q != mat.field.q:
-        raise FieldMismatch(f"subset over GF({subset.q}), matrix over GF({mat.field.q})")
+    _check_subset_field(subset, mat.field.q)
     return int(subset.member_table()[mat.data].sum())
 
 

@@ -22,11 +22,9 @@ with no generator per stream: a single Philox, reset to key (seed, i) and
 counter 0, gives stream i's words, all of a pair's first candidates in one
 call.  Only streams with a rejected first candidate are drawn again, from
 their start, by `_reject_full_rank`: left factors, then right.  `clt`,
-`sample` and `identity` draw through it, one of `_blocks` at a time;
-`SeedSpec.stream` and `draw_factor_pair` stay the per-stream route it is
-checked against.
-`_blocks` is the one rule that bounds a stack loop's memory, here, in
-`stats` and in `exact`.
+`sample` and `identity` draw through it, one bounded block of indices at
+a time (the blocks are `fqrank.matrices`'); `SeedSpec.stream` and
+`draw_factor_pair` stay the per-stream route it is checked against.
 """
 
 from __future__ import annotations
@@ -34,13 +32,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .counting import RankOutOfRange, _check_rank
 from .field import FieldCtx, FqrankError
-from .matrices import _BLOCK_ENTRIES, MatrixFq, _index_matmul, _rank_stack
+from .matrices import MatrixFq, _index_matmul, _rank_stack
 
 REJECTION_CAP = 10_000  # attempts per matrix before the rejection loop gives up
 
@@ -324,12 +322,3 @@ def _draw_seeded_block(
         lefts[redo] = _reject_full_rank(ctx, m, r, rngs, telemetry)
         rights[redo] = _reject_full_rank(ctx, r, n, rngs, telemetry)
     return lefts, rights
-
-
-def _blocks(lo: int, hi: int, entries: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges [start, stop) covering [lo, hi) of _BLOCK_ENTRIES //
-    entries indices (at least one), `entries` being what one index holds in
-    the caller's block: memory stays bounded however long the range."""
-    step = max(1, _BLOCK_ENTRIES // max(1, entries))
-    for start in range(lo, hi, step):
-        yield start, min(start + step, hi)

@@ -2,8 +2,8 @@
 
 `product_ct` counts ct_A(X @ Y) by additive characters or by the product,
 whichever is less work; its kernel, the character transform of a code
-histogram, is shared with `fqrank.decomposition`, and its tallies with
-`fqrank.exact`.
+histogram, is shared with `fqrank.decomposition`.  The histograms are
+`fqrank.matrices`' `_tallies`, and the blocks its `_blocks`.
 
 Monte Carlo runs derive one generator stream per sample index, so results
 are independent of worker count; reductions happen on the fully assembled
@@ -21,19 +21,21 @@ import numpy as np
 
 from .characters import character_table
 from .counting import MomentParams, asymptotic_ct_mean, asymptotic_ct_variance
-from .field import FieldCtx, FqrankError, _power_at_most, make_field
+from .field import FieldCtx, FqrankError, _power_at_most, _read_only, make_field
 from .matrices import (
     DimensionMismatch,
-    FieldMismatch,
     MatrixFq,
     SubsetA,
+    _blocks,
     _check_same_field,
+    _check_subset_field,
     _decode,
     _encode,
     _index_matmul,
+    _tallies,
     ct,
 )
-from .sampling import _blocks, _draw_seeded_block
+from .sampling import _draw_seeded_block
 
 MAX_TRANSFORM_CODES = 1 << 22
 _CLT_HIST_RANGE = (-4.0, 4.0)  # clt histogram span; values outside land in the end bins
@@ -52,20 +54,11 @@ class TooLargeToEnumerate(FqrankError):
     """Raised when an exact enumeration would exceed its size gate."""
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
 def _check_pair(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> None:
     _check_same_field(x, y)
     if x.cols != y.rows:
         raise DimensionMismatch(f"inner dimensions differ: {x.shape} x {y.shape}")
-    if subset_a.q != x.field.q:
-        raise FieldMismatch(
-            f"subset over GF({subset_a.q}), matrices over GF({x.field.q})"
-        )
+    _check_subset_field(subset_a, x.field.q)
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +219,6 @@ def _scale_table(ctx: FieldCtx, s: int) -> np.ndarray:
     int64, read-only, once per field and s."""
     digits = _decode(ctx.q, np.arange(ctx.q**s, dtype=np.int64), 1, s)[:, 0, :]
     return _read_only(_encode(ctx.q, ctx.mul_table[:, digits]))[0]
-
-
-def _tallies(values: np.ndarray, bins: int) -> np.ndarray:
-    """The histogram of each row of values (B, k) in range(bins), as (bins, B)
-    int64: one bincount over row-major bins, row j's value v at j * bins + v.
-    With two bins a row's counts are k - s and s, s its int64 sum (its ones),
-    in about a tenth of the bincount's time on 256 x 256 values."""
-    rows = len(values)
-    if bins == 2:
-        out = np.empty((2, rows), dtype=np.int64)
-        values.sum(axis=1, dtype=np.int64, out=out[1])
-        np.subtract(values.shape[1], out[1], out=out[0])
-        return out
-    codes = values + bins * np.arange(rows)[:, None]
-    return np.bincount(codes.ravel(), minlength=bins * rows).reshape(rows, bins).T
 
 
 def _transform(hist: np.ndarray, table: np.ndarray, r: int) -> np.ndarray:

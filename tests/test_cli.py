@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fqrank
-from fqrank import cli, sampling
+from fqrank import cli, matrices
 from fqrank.cli import main
 from fqrank.field import FqrankError, make_field
 from fqrank.matrices import dump_matrix, load_matrix, mat_mul, matrix, rank
@@ -103,7 +103,7 @@ def test_sample_json(capsys):
 @pytest.mark.parametrize("mode", ["exact", "product"])
 def test_sample_blocks_are_per_stream_products(capsys, monkeypatch, mode, fmt):
     # 60 entries per block: 2 samples of 3x4 from rank-2 factors, so 7 blocks
-    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 60)
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 60)
     argv = [
         "sample", "--field", "3", "--m", "3", "--n", "4", "--r", "2",
         "--count", "13", "--seed", "11", "--mode", mode, "--format", fmt,

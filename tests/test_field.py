@@ -280,6 +280,19 @@ def test_tables_are_pinned(p, e):
         assert hashlib.sha256(table.tobytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("q", [2, 9, 4096])
+def test_tables_are_read_only(q):
+    """make_field caches each field and every caller shares its tables, so
+    an in-place write to one would change every later result: none is
+    writeable, and an assignment raises."""
+    ctx = field_from_order(q)
+    for name in TABLE_DIGESTS[(2, 1)]:  # all seven tables
+        table = getattr(ctx, name)
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
 def test_build_tables_refuses_a_generator_of_lower_order():
     """4 has order 2 in GF(5): its powers 1, 4, 1, 4 repeat, so the tables
     would map two exponents to one unit and leave 2 and 3 without a log."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fqrank import decomposition, sampling, stats
+from fqrank import decomposition, stats
 from fqrank.counting import rank_count
 from fqrank.characters import (
     all_subsets,
@@ -19,8 +19,10 @@ from fqrank.characters import (
 )
 from fqrank.field import field_from_order
 from fqrank.matrices import (
+    _BLOCK_ENTRIES,
     MatrixFq,
     SubsetA,
+    _blocks,
     _decode,
     _eliminate,
     _index_matmul,
@@ -222,7 +224,7 @@ def test_product_fallback_counts_in_blocks(q, m, r, n):
     index_matmul = stats._index_matmul
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stats, "_ROUND_MARGIN", 0.0)
-        patch.setattr(sampling, "_BLOCK_ENTRIES", 2 * m * n)
+        patch.setattr("fqrank.matrices._BLOCK_ENTRIES", 2 * m * n)
         patch.setattr(
             stats, "_index_matmul", lambda *a: blocks.append(len(a[1])) or index_matmul(*a)
         )
@@ -307,17 +309,17 @@ def test_rank_stack_tallies_rank_count(shape):
 @given(
     st.integers(0, 1 << 20),
     st.integers(0, 1 << 19),
-    st.integers(0, 4 * sampling._BLOCK_ENTRIES),
+    st.integers(0, 4 * _BLOCK_ENTRIES),
 )
 @example(0, 0, 5)  # an empty range
 @example(3, 40, 0)  # no entries per index
-@example(7, 20, sampling._BLOCK_ENTRIES + 1)  # one index over the budget
+@example(7, 20, _BLOCK_ENTRIES + 1)  # one index over the budget
 @example(10, 1 << 19, 1)  # the budget's worth of indices per block
 def test_blocks_cover_the_range_in_bounded_steps(lo, length, entries):
-    ranges = list(sampling._blocks(lo, lo + length, entries))
+    ranges = list(_blocks(lo, lo + length, entries))
     # each range starts where the last stopped, from lo up to lo + length
     assert [lo] + [stop for _, stop in ranges] == [start for start, _ in ranges] + [lo + length]
-    step = max(1, sampling._BLOCK_ENTRIES // max(1, entries))
+    step = max(1, _BLOCK_ENTRIES // max(1, entries))
     assert all(0 < stop - start <= step for start, stop in ranges)
 
 

@@ -29,7 +29,7 @@ from fqrank.characters import (
 )
 from fqrank.counting import RankOutOfRange, subset_bias, tv_closed_form_exact
 from fqrank.field import FqrankError, _power_at_most, _prime_factors, field_from_order, make_field
-from fqrank import cli, decomposition, exact, sampling, stats
+from fqrank import cli, decomposition, exact, matrices, stats
 from fqrank.matrices import (
     DimensionMismatch,
     FieldMismatch,
@@ -417,8 +417,7 @@ def test_decompose_constants_cached(monkeypatch):
     assert decompose_ct(x, y, subset) == first
     assert not calls
     cached = [
-        *decomposition._key_order(16, 3),
-        *decomposition._pair_free_terms(ctx, subset.mask, 3)[:2],
+        *decomposition._pair_free_terms(ctx, subset.mask, 3)[:4],
         decomposition._row_centring(16, 3, 20)[0],
         decomposition._row_centring(16, 3, 24)[0],
         *decomposition._coefficient_arrays(ctx, subset.mask, 3),
@@ -743,8 +742,8 @@ def test_tallies_is_a_bincount_per_row(bins):
     values = np.random.default_rng(bins).integers(0, bins, (5, 9))
     values[0, 0], values[1, -1], values[2], values[-1] = 0, bins - 1, bins - 1, 0
     want = np.stack([np.bincount(row, minlength=bins) for row in values], axis=1)
-    assert np.array_equal(stats._tallies(values, bins), want)
-    assert stats._tallies(values[:0], bins).shape == (bins, 0)
+    assert np.array_equal(matrices._tallies(values, bins), want)
+    assert matrices._tallies(values[:0], bins).shape == (bins, 0)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])
@@ -758,7 +757,7 @@ def test_two_bin_tallies_are_a_bincount_per_row(dtype, rows, k):
     want = np.zeros((2, rows), dtype=np.int64)
     for j, row in enumerate(values):
         want[:, j] = np.bincount(row, minlength=2)
-    got = stats._tallies(values, 2)
+    got = matrices._tallies(values, 2)
     assert got.dtype == np.int64 and got.shape == (2, rows)
     assert np.array_equal(got, want)
 
@@ -766,7 +765,7 @@ def test_two_bin_tallies_are_a_bincount_per_row(dtype, rows, k):
 def test_two_bin_tallies_do_not_wrap_in_int16():
     values = np.ones((2, 40_000), dtype=np.int16)
     values[1, ::2] = 0
-    assert stats._tallies(values, 2).tolist() == [[0, 20_000], [40_000, 20_000]]
+    assert matrices._tallies(values, 2).tolist() == [[0, 20_000], [40_000, 20_000]]
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 256])
@@ -1087,7 +1086,7 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
     ctx, subset = field_from_order(q), SubsetA(q, amask)
     whole = exact_distribution(ctx, m, n, r, subset)
     assert (whole.rank_dist, whole.mean, whole.variance) == scan(ctx, m, n, r, subset)
-    blocks = sampling._blocks
+    blocks = matrices._blocks
     most = {}  # end of the range -> most ranges of one `_blocks` call over it
 
     def counted(lo, hi, entries):
@@ -1096,7 +1095,7 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
         return iter(ranges)
 
     monkeypatch.setattr(exact, "_blocks", counted)
-    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", budget)
     # each listing runs one loop per inner dimension k: over one y per row
     # space of dimension k in GF(q)^min(m, n), [min(m, n) k]_q =
     # F(min(m, n), k) / |GL_k| of them, or over the multisets of min(m, n)
@@ -1106,6 +1105,46 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
     assert _law_by(exact._row_space_tally, ctx, m, n, r, subset) == whole
     assert _law_by(exact._composition_tally, ctx, m, n, r, subset) == whole
     assert most.keys() == row_spaces | compositions and min(most.values()) >= 2
+
+
+def test_one_budget_sizes_every_bounded_loop(monkeypatch, capsys):
+    """matrices._BLOCK_ENTRIES, patched alone, splits clt's values,
+    exact_distribution's listings and sample's draws into more `_blocks`
+    ranges, none of whose results change, and a shape whose matrices no
+    longer fit in one block is ranked without its rank table."""
+    ctx, subset = field_from_order(3), SubsetA.from_indices(3, [1])
+    argv = ["sample", "--field", "3", "--m", "3", "--n", "4", "--r", "2", "--count", "13", "--seed", "11"]
+    stack = _decode(3, np.arange(81, dtype=np.int64), 2, 2)  # every 2 x 2 matrix over GF(3)
+    ranges = {}
+    for module in (stats, exact, cli):
+        def counted(lo, hi, entries, blocks=module._blocks, name=module.__name__):
+            got = list(blocks(lo, hi, entries))
+            ranges[name] = ranges.get(name, 0) + len(got)
+            return iter(got)
+        monkeypatch.setattr(module, "_blocks", counted)
+    tables = []  # (q, rows, cols) of each rank table read
+    rank_table = matrices._rank_table
+    monkeypatch.setattr(
+        matrices, "_rank_table", lambda ctx, *shape: tables.append((ctx.q, *shape)) or rank_table(ctx, *shape)
+    )
+
+    def run():
+        ranges.clear()
+        values = stats._clt_values(ctx, subset, 2, 3, 4, "exact", 7, 0, 40).tolist()
+        law = exact_distribution(ctx, 3, 3, 2, subset)
+        assert cli.main(argv) == 0
+        tables.clear()
+        ranks = [_rank_stack(field_from_order(q), stack % q).tolist() for q in (2, 3)]
+        return (values, law, capsys.readouterr().out, ranks), dict(ranges), tables[:]
+
+    whole, wide, listed = run()
+    assert listed == [(2, 2, 2), (3, 2, 2)]
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 64)  # GF(2) 2 x 2 takes 2^4 * 4, GF(3) 3^4 * 4
+    same, narrow, listed = run()
+    assert same == whole
+    assert narrow.keys() == wide.keys() == {"fqrank.stats", "fqrank.exact", "fqrank.cli"}
+    assert all(narrow[name] > wide[name] for name in wide)
+    assert listed == [(2, 2, 2)]
 
 
 def _per_pair_products_oracle(ctx, m, n, r, subset_a):
@@ -1732,7 +1771,7 @@ def test_run_clt_workers_under_spawn(tmp_path):
     ],
 )
 def test_clt_values_are_per_sample_values(monkeypatch, q, m, n, r, mode, transform):
-    monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 3 * (m + n) * r)  # blocks of 3 samples
     # blocks this small would all take the product by the transform's cost
     # per call: with it off, each block takes the route its work per pair gives
     monkeypatch.setattr(stats, "_TRANSFORM_CALL", 0)
