@@ -141,5 +141,6 @@ def asymptotic_ct_variance(params: MomentParams) -> Fraction:
 def unconstrained_moments(q: int, subset: SubsetA, m: int, n: int) -> tuple[Fraction, Fraction]:
     """Mean and variance of the entry count when every entry is independent
     uniform over GF(q) (no rank conditioning): the binomial baseline."""
+    _check_subset_field(subset, q)
     s = Fraction(subset.size, q)
     return s * m * n, s * (1 - s) * m * n

@@ -5,7 +5,8 @@ constant plus a double sum of centered character statistics weighted by
 transform coefficients of the coordinate-sum indicators, minus
 zero-row/zero-column correction terms.  `decompose_ct` evaluates every
 term and reports the residual, which must vanish up to floating-point
-rounding.
+rounding.  `_pair_free_terms` caches, per field, entry subset and r, every
+term that depends on neither the pair nor its size, and holds the limits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .characters import (
 )
 from .counting import RankOutOfRange, _ct_mean, subset_bias
 from .field import FieldCtx, FqrankError, _read_only
-from .matrices import _BLOCK_ENTRIES, FieldMismatch, MatrixFq, SubsetA, _encode, _tallies
+from . import matrices
+from .matrices import FieldMismatch, MatrixFq, SubsetA, _check_subset_field, _encode, _tallies
 from .stats import (
     _MATMUL_PER_GATHER,
     TooLargeToEnumerate,
@@ -155,45 +157,17 @@ def _element_coefficients(ctx: FieldCtx, a: int, r: int) -> list[np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _coefficient_arrays(ctx: FieldCtx, amask: int, r: int) -> tuple[np.ndarray, ...]:
-    """The element coefficient arrays summed over the entry subset in member
-    order, one read-only array of shape (q-1,)*|S| per subset mask S.
-
-    Each member runs 2^r `units_transform` calls of r (q-1)^(r+1)
-    multiply-adds, and each call also copies the (q-1)^2 character values
-    of the units, an entry counting _MATMUL_PER_GATHER multiply-adds as a
-    gather does (0.5-1.2 ns against 70-90 ps on one core, q <= 2048).
-    TooLargeToEnumerate, before the character table is built, when that
-    work passes MAX_COEFFICIENT_WORK.  The count leaves out
-    `_element_coefficients`' alternating sum, 3^r Python steps and (q+1)^r
-    adds per member, which only decompose_ct's MAX_DECOMP_RANK = 6 bounds:
-    GF(2) r = 22 would pass MAX_DECOMP_TERMS and this cap (about 2^27), yet
-    take 3.1e10 steps in that sum.
-    """
-    q, members = ctx.q, SubsetA(ctx.q, amask).members()
-    work = len(members) * 2**r * (_MATMUL_PER_GATHER * (q - 1) ** 2 + r * (q - 1) ** (r + 1))
-    if work > MAX_COEFFICIENT_WORK:
-        raise TooLargeToEnumerate(f"coefficients take 2^{math.log2(work):.1f} multiply-adds, "
-                                  f"over the cap 2^{MAX_COEFFICIENT_WORK.bit_length() - 1}")
-    total = [np.zeros((q - 1,) * s.size, dtype=np.complex128) for s in all_subsets(r)]
-    for a in members:
-        for acc, coeffs in zip(total, _element_coefficients(ctx, a, r)):
-            acc += coeffs
-    return _read_only(*total)
-
-
 def subset_coefficients(
     ctx: FieldCtx, subset_a: SubsetA, r: int
 ) -> dict[tuple[int, tuple[int, ...]], complex]:
     """Coefficients of the decomposition's double sum, aggregated over the
     entry subset: key (subset mask, character tuple), masks ascending and
-    tuples in row-major order, built from the cached per-subset arrays."""
-    return {
-        (mask, chis): coeff
-        for mask, coeffs in enumerate(_coefficient_arrays(ctx, subset_a.mask, r))
-        for chis, coeff in zip(np.ndindex(*coeffs.shape), coeffs.ravel().tolist())
-    }
+    tuples in row-major order, read from `_pair_free_terms`' cached arrays,
+    so the route's limits hold here as in decompose_ct."""
+    _check_subset_field(subset_a, ctx.q)
+    c_re, c_im = _pair_free_terms(ctx, subset_a.mask, r)[2:4]
+    keys = ((s.mask, chis) for s in all_subsets(r) for chis in np.ndindex((ctx.q - 1,) * s.size))
+    return dict(zip(keys, map(complex, c_re.tolist(), c_im.tolist())))
 
 
 def _char_sums(entries: np.ndarray, table: CharacterTable) -> np.ndarray:
@@ -275,7 +249,7 @@ def _char_sums_by_product(entries: np.ndarray, table: CharacterTable) -> np.ndar
     if not values:
         return tail.sum(axis=1).reshape((q,) * r)
     inner = values.pop()
-    while values and q * len(inner) * width <= _BLOCK_ENTRIES:
+    while values and q * len(inner) * width <= matrices._BLOCK_ENTRIES:
         inner = (values.pop()[:, None] * inner).reshape(q * len(inner), width)
     out = np.empty((q ** len(values), len(inner), len(tail)), dtype=np.complex128)
     span = width  # entries per call
@@ -312,11 +286,31 @@ def _pair_free_terms(
     its size: where `_char_sums`' flattened result holds each key of
     subset_coefficients, in key order; the places in key order of the 2^r
     all-trivial keys, each the first of its subset's (q-1)^|S|; the real and
-    imaginary parts of the coefficients in key order; _ct_mean per entry of
-    the product (not MomentParams' mean: the identity holds for any inner
-    size r, r > min(m, n) too); and subset_bias as a float."""
+    imaginary parts of the coefficients in key order, each member's
+    `_element_coefficients` concatenated and added in member order; _ct_mean
+    per entry of the product (not MomentParams' mean: the identity holds for
+    any inner size r, r > min(m, n) too); and subset_bias as a float.
+
+    The route's one gate, before any table is built, raises
+    TooLargeToEnumerate past MAX_DECOMP_RANK, then MAX_DECOMP_TERMS, then
+    MAX_COEFFICIENT_WORK multiply-adds: each member runs 2^r
+    `units_transform` calls of r (q-1)^(r+1), each also copying the (q-1)^2
+    character values of the units at _MATMUL_PER_GATHER per entry, as a
+    gather counts (0.5-1.2 ns against 70-90 ps on one core, q <= 2048).
+    """
     q, subset_a = ctx.q, SubsetA(ctx.q, amask)
-    c = np.concatenate([a.ravel() for a in _coefficient_arrays(ctx, amask, r)])
+    if r > MAX_DECOMP_RANK:
+        raise TooLargeToEnumerate(f"decomposition over inner size r = {r} > {MAX_DECOMP_RANK} not supported")
+    if q**r > MAX_DECOMP_TERMS:
+        raise TooLargeToEnumerate(f"decomposition over q^r = {q}^{r} > 2^22 character terms not supported")
+    members = subset_a.members()
+    work = len(members) * 2**r * (_MATMUL_PER_GATHER * (q - 1) ** 2 + r * (q - 1) ** (r + 1))
+    if work > MAX_COEFFICIENT_WORK:
+        raise TooLargeToEnumerate(f"coefficients take 2^{math.log2(work):.1f} multiply-adds, "
+                                  f"over the cap 2^{MAX_COEFFICIENT_WORK.bit_length() - 1}")
+    c = np.zeros(q**r, dtype=np.complex128)  # sum over S of (q-1)^|S| keys
+    for a in members:
+        c += np.concatenate([coeffs.ravel() for coeffs in _element_coefficients(ctx, a, r)])
     digits = np.indices((q,) * r).reshape(r, q**r)  # of each flat index, coordinate 0 first
     masks = (1 << np.arange(r)) @ (digits < q - 1)
     codes = np.argsort(masks, kind="stable")  # within a subset, row-major over its members
@@ -382,20 +376,13 @@ def decompose_ct(x: MatrixFq, y: MatrixFq, subset_a: SubsetA) -> Decomposition:
     memory is about 100 * q^r bytes, and more on the product route, which
     first gathers the r coordinate tables of q x width complex values, r q
     width 16 bytes (64 MiB at GF(1024) r = 1 and width 4096), and then a
-    `_BLOCK_ENTRIES` block of head rows.
+    `_BLOCK_ENTRIES` block of head rows.  The limits on r, q^r and the
+    coefficient work are `_pair_free_terms`' gate.
     """
     _check_pair(x, y, subset_a)
     ctx = x.field
     r = x.cols
     m, n = x.rows, y.cols
-    if r > MAX_DECOMP_RANK:
-        raise TooLargeToEnumerate(
-            f"decomposition over inner size r = {r} > {MAX_DECOMP_RANK} not supported"
-        )
-    if ctx.q**r > MAX_DECOMP_TERMS:
-        raise TooLargeToEnumerate(
-            f"decomposition over q^r = {ctx.q}^{r} > 2^22 character terms not supported"
-        )
     codes, trivial, c_re, c_im, mean_per_entry, gamma = _pair_free_terms(ctx, subset_a.mask, r)
     x_centres, ez = _row_centring(ctx.q, r, m)
     y_centres, ew = _row_centring(ctx.q, r, n)

@@ -14,8 +14,9 @@ codes (or of any small counts) per row of a stack.
 
 `_blocks` is the one rule that bounds a stack loop's memory, in
 `fqrank.stats`, `fqrank.exact` and the CLI.  It reads the same
-`_BLOCK_ENTRIES` as `_rank_stack`'s test for a listable shape, so one
-budget sizes every bounded loop and every rank table.
+`_BLOCK_ENTRIES` as `_rank_stack`'s test for a listable shape, and
+`fqrank.decomposition` reads it here, at call time, for its Khatri-Rao head
+blocks, so one budget sizes every bounded loop and every rank table.
 `_check_subset_field` is the one check that an entry subset lies over the
 field it is used with.
 """

@@ -19,6 +19,7 @@ from fqrank.counting import (
     tv_closed_form_exact,
     unconstrained_moments,
 )
+from fqrank.decomposition import subset_coefficients
 from fqrank.field import FqrankError, field_from_order
 from fqrank.matrices import FieldMismatch, SubsetA, matrix, rank
 
@@ -216,8 +217,21 @@ def test_unconstrained_moments():
         (lambda: rank_count(1, 2, 2, 1), "field order must be >= 2, got 1"),
         (lambda: full_rank_pair_prob_exact(1, 2, 2, 1), "field order must be >= 2, got 1"),
         (lambda: entry_bias(3, 3), r"element 3 outside range\(3\)"),
+        # each subset names its own field, which must be the one in use
+        (lambda: unconstrained_moments(5, SubsetA(3, 0b110), 2, 2), r"subset over GF\(3\), field is GF\(5\)$"),
+        (
+            lambda: subset_coefficients(field_from_order(5), SubsetA(3, 0b110), 2),
+            r"subset over GF\(3\), field is GF\(5\)$",
+        ),
+        (
+            lambda: subset_coefficients(field_from_order(2), SubsetA(4, 0b110), 2),
+            r"subset over GF\(4\), field is GF\(2\)$",
+        ),
     ],
-    ids=["rank-count-order-1", "pair-prob-order-1", "bias-element-past-q"],
+    ids=[
+        "rank-count-order-1", "pair-prob-order-1", "bias-element-past-q", "unconstrained-subset-of-another-field",
+        "coefficients-subset-of-smaller-field", "coefficients-subset-of-larger-field",
+    ],
 )
 def test_input_errors(call, message):
     with pytest.raises(FqrankError, match=message):

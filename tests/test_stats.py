@@ -271,7 +271,7 @@ def test_coefficient_arrays_cap_their_work(monkeypatch, q, r, a, work):
         raise Built
 
     monkeypatch.setattr(decomposition, "character_table", build)
-    cold = decomposition._coefficient_arrays.__wrapped__  # past the cache other tests may have filled
+    cold = decomposition._pair_free_terms.__wrapped__  # past the cache other tests may have filled
     ctx = field_from_order(q)
     amask = SubsetA.nonzero(q).mask if a == "nonzero" else a
     if work is None:
@@ -280,6 +280,30 @@ def test_coefficient_arrays_cap_their_work(monkeypatch, q, r, a, work):
     else:
         with pytest.raises(TooLargeToEnumerate, match=rf"take {re.escape(work)} multiply-adds, over the cap 2\^34$"):
             cold(ctx, amask, r)
+
+
+@pytest.mark.parametrize(
+    "q, r, amask, message",
+    [
+        (2, 7, 0b10, r"inner size r = 7 > 6 not supported$"),
+        (2, 22, 0b10, r"inner size r = 22 > 6 not supported$"),  # passes the work cap, about 2^27
+        (4096, 2, 0b10, r"q\^r = 4096\^2 > 2\^22 character terms not supported$"),  # and the work cap, 2^39.0
+        (1024, 2, None, r"take 2\^43\.0 multiply-adds, over the cap 2\^34$"),
+    ],
+)
+def test_subset_coefficients_pass_the_one_gate(monkeypatch, q, r, amask, message):
+    """The public coefficients are refused, rank first, then terms, then
+    work, before the character table is built, as decompose_ct's are."""
+
+    def build(ctx):
+        raise AssertionError("character table built")
+
+    monkeypatch.setattr(decomposition, "character_table", build)
+    ctx, subset = field_from_order(q), SubsetA.nonzero(q) if amask is None else SubsetA(q, amask)
+    started = time.perf_counter()
+    with pytest.raises(TooLargeToEnumerate, match=message):
+        decomposition.subset_coefficients(ctx, subset, r)
+    assert time.perf_counter() - started < 1
 
 
 def per_key_coefficients(ctx, subset_a, r, keys=None):
@@ -420,7 +444,6 @@ def test_decompose_constants_cached(monkeypatch):
         *decomposition._pair_free_terms(ctx, subset.mask, 3)[:4],
         decomposition._row_centring(16, 3, 20)[0],
         decomposition._row_centring(16, 3, 24)[0],
-        *decomposition._coefficient_arrays(ctx, subset.mask, 3),
     ]
     assert not any(array.flags.writeable for array in cached)
 
@@ -1110,8 +1133,10 @@ def test_exact_distribution_is_the_same_in_small_blocks(monkeypatch, scan, q, m,
 def test_one_budget_sizes_every_bounded_loop(monkeypatch, capsys):
     """matrices._BLOCK_ENTRIES, patched alone, splits clt's values,
     exact_distribution's listings and sample's draws into more `_blocks`
-    ranges, none of whose results change, and a shape whose matrices no
-    longer fit in one block is ranked without its rank table."""
+    ranges, none of whose results change, a shape whose matrices no
+    longer fit in one block is ranked without its rank table, and the
+    decomposition's product route forms its Khatri-Rao head in more blocks,
+    whose sums agree to rounding."""
     ctx, subset = field_from_order(3), SubsetA.from_indices(3, [1])
     argv = ["sample", "--field", "3", "--m", "3", "--n", "4", "--r", "2", "--count", "13", "--seed", "11"]
     stack = _decode(3, np.arange(81, dtype=np.int64), 2, 2)  # every 2 x 2 matrix over GF(3)
@@ -1137,14 +1162,29 @@ def test_one_budget_sizes_every_bounded_loop(monkeypatch, capsys):
         ranks = [_rank_stack(field_from_order(q), stack % q).tolist() for q in (2, 3)]
         return (values, law, capsys.readouterr().out, ranks), dict(ranges), tables[:]
 
+    heads = []  # head blocks of each _char_sums_by_product call
+
+    def head_blocks(*scales):
+        blocks = list(product(*scales))
+        heads.append(len(blocks))
+        return iter(blocks)
+
+    monkeypatch.setattr(decomposition, "itertools", SimpleNamespace(product=head_blocks))
+    gf16_entries = np.random.default_rng(16).integers(0, 16, size=(4, 64))  # GF(16) r = 4 at width 64
+    gf16_table = character_table(field_from_order(16))
+
     whole, wide, listed = run()
+    wide_sums = decomposition._char_sums_by_product(gf16_entries, gf16_table)
     assert listed == [(2, 2, 2), (3, 2, 2)]
     monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 64)  # GF(2) 2 x 2 takes 2^4 * 4, GF(3) 3^4 * 4
     same, narrow, listed = run()
+    narrow_sums = decomposition._char_sums_by_product(gf16_entries, gf16_table)
     assert same == whole
     assert narrow.keys() == wide.keys() == {"fqrank.stats", "fqrank.exact", "fqrank.cli"}
     assert all(narrow[name] > wide[name] for name in wide)
     assert listed == [(2, 2, 2)]
+    assert heads == [16, 256]  # blocks of 256 head rows, then of 16 (16 * 16 * 64 entries > 64)
+    assert np.abs(narrow_sums - wide_sums).max() < 1e-12
 
 
 def _per_pair_products_oracle(ctx, m, n, r, subset_a):
